@@ -5,6 +5,7 @@ from .lowrank import (
     SvdFactors,
     group_weights,
     irnn_denoise_group,
+    irnn_denoise_stack,
     rank_sparsity_check,
     svd_small,
     wsvt,
@@ -19,10 +20,13 @@ from .measurement import (
 from .metrics import QualityReport, psnr
 from .patches import (
     GroupingConfig,
+    GroupingError,
     PatchGroup,
     aggregate_groups,
+    aggregate_stack,
     build_groups,
     extract_patch,
+    group_stack,
     match_group,
 )
 from .penalties import Penalty, rho, supergradient

@@ -28,8 +28,10 @@ from .config import (
     merge_config, need, parse_kv_file,
 )
 from .measfile import MeasFileError, MeasurementFile, read_measurements, write_measurements
-from .measurement import add_noise, make_operator
+from .lowrank import WEIGHTINGS
+from .measurement import OPERATOR_KINDS, add_noise, make_operator
 from .metrics import psnr
+from .patches import GroupingError
 from .penalties import KINDS
 from .pgm import PgmError, read_pgm, write_pgm
 from .solver import NumericalError, recover, z_step
@@ -69,7 +71,7 @@ def _load_config(args, extras):
 
 def cmd_measure(cfg):
     image = read_pgm(need(cfg, "input"))
-    kind = as_choice(cfg, "op", ("dense", "block", "dft"))
+    kind = as_choice(cfg, "op", OPERATOR_KINDS)
     subrate = as_float(cfg, "subrate")
     seed = as_int(cfg, "seed")
     try:
@@ -160,9 +162,9 @@ def _sweep_grid(cfg):
         else [as_choice(cfg, "kind", KINDS)]
     )
     weightings = (
-        as_str_list(cfg, "sweep_weightings", ("supergradient", "combined", "none"))
+        as_str_list(cfg, "sweep_weightings", WEIGHTINGS)
         if cfg.get("sweep_weightings") is not None
-        else [as_choice(cfg, "weighting", ("supergradient", "combined", "none"))]
+        else [as_choice(cfg, "weighting", WEIGHTINGS)]
     )
     return [
         (s, t, k, wg)
@@ -179,12 +181,11 @@ def _run_cell(cfg, image, cell):
     cell_cfg["subrate"] = repr(subrate)
     cell_cfg["kind"] = kind_name
     cell_cfg["weighting"] = weighting
-    cell_cfg["jobs"] = "1"
     if snr is not None:
         cell_cfg["target_snr_db"] = repr(snr)
         if cell_cfg.get("noise") in (None, "none"):
             raise ConfigError("sweep over SNR needs a noise model")
-    op_kind = as_choice(cell_cfg, "op", ("dense", "block", "dft"))
+    op_kind = as_choice(cell_cfg, "op", OPERATOR_KINDS)
     seed = as_int(cell_cfg, "seed")
     op = make_operator(op_kind, image.shape, subrate, seed)
     nspec = build_noise_spec(cell_cfg)
@@ -266,7 +267,7 @@ def _build_parser():
     common.add_argument("--trace", help="per-iteration CSV trace path")
     common.add_argument("--ground-truth", dest="ground_truth",
                         help="reference image for PSNR")
-    common.add_argument("--jobs", type=int, help="parallel workers")
+    common.add_argument("--jobs", type=int, help="sweep cells run in parallel")
     parser = argparse.ArgumentParser(
         prog="groupcs",
         description="Compressed-sensing recovery with group low-rank patches.",
@@ -291,7 +292,7 @@ def main(argv=None):
     try:
         cfg = _load_config(args, extras)
         return _COMMANDS[args.command](cfg)
-    except ConfigError as exc:
+    except (ConfigError, GroupingError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (PgmError, MeasFileError) as exc:

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import math
 
-from .measurement import NoiseSpec
+from .lowrank import INIT_WEIGHTS, WEIGHTINGS
+from .measurement import NOISE_MODELS, NoiseSpec
 from .patches import GroupingConfig
 from .penalties import EPS_WEIGHT, KINDS, Penalty
-from .solver import SolverConfig
+from .solver import FIDELITIES, INITS, SolverConfig
 
 
 class ConfigError(Exception):
@@ -163,7 +164,7 @@ def as_str_list(cfg, key, choices):
 
 
 def build_noise_spec(cfg):
-    model = as_choice(cfg, "noise", ("none", "gaussian", "gaussian_mixture"))
+    model = as_choice(cfg, "noise", NOISE_MODELS)
     target = None
     if cfg.get("target_snr_db") is not None:
         target = as_float(cfg, "target_snr_db")
@@ -210,17 +211,16 @@ def build_solver_config(cfg, init_image=None):
             lam=as_float(cfg, "solver_lambda"),
             mu=as_float(cfg, "mu"),
             penalty=build_penalty(cfg),
-            weighting=as_choice(cfg, "weighting", ("supergradient", "combined", "none")),
+            weighting=as_choice(cfg, "weighting", WEIGHTINGS),
             grouping=build_grouping(cfg),
-            fidelity=as_choice(cfg, "fidelity", ("l2", "m_estimator")),
+            fidelity=as_choice(cfg, "fidelity", FIDELITIES),
             sigma_m=sigma_m,
             outer_iters=as_int(cfg, "outer_iters"),
             gd_steps=as_int(cfg, "gd_steps"),
             epsilon=as_float(cfg, "epsilon"),
-            init=as_choice(cfg, "init", ("adjoint", "given")),
+            init=as_choice(cfg, "init", INITS),
             init_image=init_image,
-            init_weights=as_choice(cfg, "init_weights", ("observation", "zero")),
-            jobs=as_int(cfg, "jobs"),
+            init_weights=as_choice(cfg, "init_weights", INIT_WEIGHTS),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

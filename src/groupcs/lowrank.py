@@ -21,6 +21,11 @@ import numpy as np
 from .penalties import EPS_WEIGHT, Penalty, rho, supergradient
 
 WEIGHTINGS = ("supergradient", "combined", "none")
+INIT_WEIGHTS = ("observation", "zero")
+
+# Groups per SVD pass in irnn_denoise_stack; bounds the u, vt and output
+# temporaries.
+_SVD_CHUNK = 512
 
 # Relative cutoff under which a singular value counts as zero.
 RANK_RTOL = 1e-10
@@ -85,14 +90,10 @@ def _check_weights(weights, k):
     return w
 
 
-def _shrink(factors, weights, tau):
+def _shrink(s, weights, tau):
     # tau == 0 disables regularization entirely, including +inf weights.
-    if tau == 0.0:
-        thresh = np.zeros_like(factors.s)
-    else:
-        thresh = tau * weights
-    s_new = np.maximum(factors.s - thresh, 0.0)
-    return (factors.u * s_new) @ factors.vt, s_new
+    thresh = 0.0 if tau == 0.0 else tau * weights
+    return np.maximum(s - thresh, 0.0)
 
 
 def wsvt(mat, weights, tau):
@@ -106,8 +107,7 @@ def wsvt(mat, weights, tau):
         raise ValueError(f"tau must be finite and nonnegative, got {tau}")
     factors = svd_small(mat)
     w = _check_weights(weights, factors.s.shape[0])
-    out, _ = _shrink(factors, w, tau)
-    return out
+    return (factors.u * _shrink(factors.s, w, tau)) @ factors.vt
 
 
 def rank_sparsity_check(mat):
@@ -127,6 +127,8 @@ def rank_sparsity_check(mat):
 def group_weights(spectrum, pen: Penalty, weighting, epsilon=EPS_WEIGHT):
     """Weights for one sweep, from a nonincreasing spectrum.
 
+    spectrum is one spectrum or a (G, r) stack of them, one per row.
+
     "supergradient" uses d(sigma_i) directly, "combined" divides the
     super-gradient by sigma_i + epsilon (reweighted-L1 flavor), "none"
     gives all-ones weights, the convex nuclear-norm baseline.  The result
@@ -143,7 +145,70 @@ def group_weights(spectrum, pen: Penalty, weighting, epsilon=EPS_WEIGHT):
         w = d
     else:
         raise ValueError(f"unknown weighting {weighting!r}")
-    return np.maximum.accumulate(w)
+    return np.maximum.accumulate(w, axis=-1)
+
+
+def _check_irnn_args(weighting, sweeps, init_weights):
+    if weighting not in WEIGHTINGS:
+        raise ValueError(f"unknown weighting {weighting!r}")
+    if sweeps < 1:
+        raise ValueError("sweeps must be >= 1")
+    if init_weights not in INIT_WEIGHTS:
+        raise ValueError(f"unknown init_weights {init_weights!r}")
+
+
+def _row_norms(x):
+    # Each row through BLAS dot, as np.linalg.norm does for one vector, so
+    # the early stop below decides exactly as a per-group loop would.
+    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
+
+
+def _irnn(mats, pen, tau, weighting, sweeps, init_weights, epsilon, tol):
+    """Reweighted shrinkage of a (G, n, k) stack for tau > 0.
+
+    Returns (denoised stack, input spectra, final spectra, history), where
+    history holds (weights, spectra) per sweep.  A group stops once its
+    spectrum moves by less than tol (relative) and keeps that spectrum
+    while the others go on; the loop ends when every group has stopped.
+    """
+    u, s, vt = np.linalg.svd(mats, full_matrices=False)
+    spec = s if init_weights == "observation" else np.zeros_like(s)
+    active = np.ones(len(s), dtype=bool)
+    history = []
+    for _ in range(sweeps):
+        w = group_weights(spec, pen, weighting, epsilon)
+        step = _shrink(s, w, tau)
+        moved = _row_norms(step - spec) / np.maximum(1.0, _row_norms(spec))
+        spec = np.where(active[:, None], step, spec)
+        history.append((w, spec))
+        active &= ~(moved < tol)
+        if not active.any():
+            break
+    # u * diag(s') * vt does not depend on the SVD's sign convention.
+    return (u * spec[:, None, :]) @ vt, s, spec, history
+
+
+def irnn_denoise_stack(mats, pen: Penalty, tau, weighting="combined", sweeps=1,
+                       init_weights="observation", epsilon=EPS_WEIGHT, tol=1e-6):
+    """Denoise every matrix of a (G, n, k) stack in place, as one batch.
+
+    Each group gets the iteratively reweighted shrinkage that
+    irnn_denoise_group describes; mats may be a strided view, such as a
+    transposed patch stack.  Returns the (G, min(n, k)) final spectra;
+    with tau == 0 the stack is left unchanged and its spectra are
+    returned.
+    """
+    _check_irnn_args(weighting, sweeps, init_weights)
+    if tau == 0.0:
+        return np.linalg.svd(mats, compute_uv=False)
+    spectra = np.empty((len(mats), min(mats.shape[1:])))
+    for c0 in range(0, len(mats), _SVD_CHUNK):
+        part = slice(c0, c0 + _SVD_CHUNK)
+        out, _, spec, _ = _irnn(mats[part], pen, tau, weighting, sweeps,
+                                init_weights, epsilon, tol)
+        mats[part] = out
+        spectra[part] = spec
+    return spectra
 
 
 def irnn_denoise_group(mat, pen: Penalty, tau, weighting="combined", sweeps=1,
@@ -161,32 +226,17 @@ def irnn_denoise_group(mat, pen: Penalty, tau, weighting="combined", sweeps=1,
     Returns a DenoiseResult; with tau == 0 the input is returned unchanged.
     """
     m = np.asarray(mat, dtype=float)
-    if sweeps < 1:
-        raise ValueError("sweeps must be >= 1")
-    if init_weights not in ("observation", "zero"):
-        raise ValueError(f"unknown init_weights {init_weights!r}")
+    _check_irnn_args(weighting, sweeps, init_weights)
     if tau == 0.0:
-        s = np.linalg.svd(m, compute_uv=False)
-        return DenoiseResult(matrix=m.copy(), spectrum=s,
-                             weights_trace=[], objective_trace=[])
-    factors = svd_small(m)
-    spec = factors.s if init_weights == "observation" else np.zeros_like(factors.s)
-    out, s_new = m, factors.s
-    weights_trace = []
-    objective_trace = []
-    for _ in range(sweeps):
-        w = group_weights(spec, pen, weighting, epsilon)
-        out, s_new = _shrink(factors, w, tau)
-        # The data term reduces to the spectrum because R and Z share
-        # singular vectors.
-        obj = 0.5 * float(np.sum((factors.s - s_new) ** 2))
-        obj += tau * float(np.sum(rho(pen, s_new)))
-        weights_trace.append(w)
-        objective_trace.append(obj)
-        moved = np.linalg.norm(s_new - spec) / max(1.0, np.linalg.norm(spec))
-        spec = s_new
-        if moved < tol:
-            break
-    return DenoiseResult(matrix=out, spectrum=s_new,
-                         weights_trace=weights_trace,
-                         objective_trace=objective_trace)
+        return DenoiseResult(matrix=m.copy(), spectrum=np.linalg.svd(m, compute_uv=False))
+    out, s, spec, history = _irnn(m[None], pen, tau, weighting, sweeps,
+                                  init_weights, epsilon, tol)
+    # The data term reduces to the spectrum because R and Z share
+    # singular vectors.
+    objective = [
+        0.5 * float(np.sum((s[0] - sp[0]) ** 2)) + tau * float(np.sum(rho(pen, sp[0])))
+        for _, sp in history
+    ]
+    return DenoiseResult(matrix=out[0], spectrum=spec[0],
+                         weights_trace=[w[0] for w, _ in history],
+                         objective_trace=objective)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-OPERATOR_KINDS = ("dense", "block", "dft")
 NOISE_MODELS = ("none", "gaussian", "gaussian_mixture")
 
 BLOCK_SIDE = 32
@@ -263,7 +262,8 @@ class MaskedDftOp(MeasurementOp):
         return np.fft.ifft2(spec, norm="ortho").real
 
 
-_OPS = {"dense": DenseGaussianOp, "block": BlockGaussianOp, "dft": MaskedDftOp}
+_OPS = {op.kind: op for op in (DenseGaussianOp, BlockGaussianOp, MaskedDftOp)}
+OPERATOR_KINDS = tuple(_OPS)
 
 
 def make_operator(kind, shape, subrate, seed):

@@ -6,6 +6,11 @@ vectorized in column-major order within the patch.  A group collects the
 group_size most similar patches to a reference patch (squared Euclidean
 distance, search window clipped at the borders) as the columns of a
 patch_side**2 x group_size matrix.
+
+All groups of an image are matched and aggregated as one stack: a
+(G, group_size, patch_side**2) array holding each group matrix transposed,
+so group g, column j, entry e sits at [g, j, e].  PatchGroup lists are a
+view of that stack for code that handles one group at a time.
 """
 
 from __future__ import annotations
@@ -13,6 +18,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+# Candidate patch entries gathered per matching pass (8 MB of float64);
+# bounds the distance temporaries whatever the window and patch size.
+_MATCH_ENTRIES = 1 << 20
+# Patches aggregated per pass; bounds the per-entry index temporaries.
+_AGGREGATE_CHUNK = 4096
+
+
+class GroupingError(ValueError):
+    """The grouping cannot be applied to an image of the given shape."""
 
 
 @dataclass(frozen=True)
@@ -82,11 +97,36 @@ def _check_image(image, cfg):
     img = np.asarray(image, dtype=float)
     if img.ndim != 2:
         raise ValueError("image must be 2-D")
-    if img.shape[0] < cfg.patch_side or img.shape[1] < cfg.patch_side:
-        raise ValueError(
-            f"image {img.shape} smaller than patch side {cfg.patch_side}"
-        )
+    _check_patch_fits(img.shape, cfg)
     return img
+
+
+def _check_patch_fits(shape, cfg):
+    if cfg.patch_side > shape[0] or cfg.patch_side > shape[1]:
+        raise GroupingError(f"image {tuple(shape)} smaller than patch side {cfg.patch_side}")
+
+
+def _clipped_windows(anchors, window_side, last):
+    # First candidate and candidate count of the search window around each
+    # anchor, clipped to [0, last]; broadcasts over any array of anchors.
+    lo = anchors - window_side // 2
+    start = np.maximum(0, lo)
+    return start, np.minimum(last, lo + window_side - 1) - start + 1
+
+
+def _check_windows(shape, cfg, anchors):
+    """Raise unless every anchor is valid and its clipped window holds a group."""
+    last = np.array([shape[0] - cfg.patch_side, shape[1] - cfg.patch_side])
+    bad = np.any((anchors < 0) | (anchors > last), axis=1)
+    if bad.any():
+        raise ValueError(f"reference anchor {tuple(anchors[bad.argmax()].tolist())} out of range")
+    n_cand = np.prod(_clipped_windows(anchors, cfg.window_side, last)[1], axis=1)
+    worst = int(n_cand.argmin())
+    if n_cand[worst] < cfg.group_size:
+        raise GroupingError(
+            f"window at {tuple(anchors[worst].tolist())} holds {n_cand[worst]} "
+            f"candidates, need group_size={cfg.group_size}"
+        )
 
 
 def _all_patch_vectors(img, s):
@@ -97,39 +137,47 @@ def _all_patch_vectors(img, s):
     )
 
 
-def _window_bounds(ref, window_side, last):
-    lo = ref - window_side // 2
-    hi = lo + window_side - 1
-    return max(0, lo), min(last, hi)
+def _match(img, anchors, cfg):
+    """Block matching for a (G, 2) array of checked reference anchors.
 
-
-def _match_from_index(vecs, ref_pos, cfg):
-    s = cfg.patch_side
-    last_r = vecs.shape[0] - 1
-    last_c = vecs.shape[1] - 1
-    rr, cc = ref_pos
-    if not (0 <= rr <= last_r and 0 <= cc <= last_c):
-        raise ValueError(f"reference anchor {ref_pos} out of range")
-    r0, r1 = _window_bounds(rr, cfg.window_side, last_r)
-    c0, c1 = _window_bounds(cc, cfg.window_side, last_c)
-    cand = vecs[r0 : r1 + 1, c0 : c1 + 1]
-    n_cand = cand.shape[0] * cand.shape[1]
-    if n_cand < cfg.group_size:
-        raise ValueError(
-            f"window at {ref_pos} holds {n_cand} candidates, "
-            f"need group_size={cfg.group_size}"
-        )
-    ref_vec = vecs[rr, cc]
-    diff = cand.reshape(n_cand, s * s) - ref_vec
-    dist = np.einsum("ij,ij->i", diff, diff)
-    # Candidates are enumerated in raster order, so a stable sort breaks
-    # distance ties toward lower row, then lower column.
-    order = np.argsort(dist, kind="stable")[: cfg.group_size]
-    rows = r0 + order // cand.shape[1]
-    cols = c0 + order % cand.shape[1]
-    matrix = cand.reshape(n_cand, s * s)[order].T.copy()
-    positions = np.stack([rows, cols], axis=1)
-    return PatchGroup(matrix=matrix, positions=positions, ref_index=0, patch_side=s)
+    Returns the (G, group_size, patch_side**2) patch stack, one patch per
+    row in order of increasing distance, and the (G, group_size, 2)
+    anchors of those patches.  Every clipped search window fits a box of
+    min(window_side, candidates per axis) slots per axis, set at the
+    window's first candidate; slots past the window's end are padding
+    and get a NaN distance, which a sort places after every real
+    candidate (even one whose distance overflowed to +inf).  Real
+    candidates keep their raster order in the box, so the stable sort
+    breaks distance ties toward lower row, then lower column.
+    """
+    s, k = cfg.patch_side, cfg.group_size
+    vecs = _all_patch_vectors(img, s)
+    nr, nc = vecs.shape[:2]
+    vecs = vecs.reshape(nr * nc, s * s)
+    start, count = _clipped_windows(anchors, cfg.window_side, np.array([nr - 1, nc - 1]))
+    wr, wc = min(cfg.window_side, nr), min(cfg.window_side, nc)
+    slot_r, slot_c = np.arange(wr), np.arange(wc)
+    per_pass = max(1, _MATCH_ENTRIES // (wr * wc * s * s))
+    patches = np.empty((len(anchors), k, s * s))
+    positions = np.empty((len(anchors), k, 2), dtype=np.intp)
+    for c0 in range(0, len(anchors), per_pass):
+        part = slice(c0, c0 + per_pass)
+        a = anchors[part]
+        pad = ((slot_r >= count[part, 0, None])[:, :, None]
+               | (slot_c >= count[part, 1, None])[:, None, :]).reshape(len(a), wr * wc)
+        rows = np.minimum(start[part, 0, None] + slot_r, nr - 1)
+        cols = np.minimum(start[part, 1, None] + slot_c, nc - 1)
+        flat = (rows[:, :, None] * nc + cols[:, None, :]).reshape(len(a), wr * wc)
+        diff = vecs[flat]
+        diff -= vecs[a[:, 0] * nc + a[:, 1], None, :]
+        per_cand = diff.reshape(-1, s * s)
+        dist = np.einsum("ij,ij->i", per_cand, per_cand).reshape(len(a), wr * wc)
+        dist[pad] = np.nan
+        order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        chosen = np.take_along_axis(flat, order, axis=1)
+        patches[part] = vecs[chosen]
+        positions[part] = np.stack(divmod(chosen, nc), axis=-1)
+    return patches, positions
 
 
 def match_group(image, ref_pos, cfg):
@@ -138,12 +186,15 @@ def match_group(image, ref_pos, cfg):
     Distances are squared Euclidean between vectorized patches.  The
     search window of side cfg.window_side is centered on the reference
     anchor and clipped at the image borders; every candidate anchor must
-    admit a full patch.  Raises ValueError if the clipped window holds
-    fewer than group_size candidates.
+    admit a full patch.  Raises GroupingError (a ValueError) if the
+    clipped window holds fewer than group_size candidates.
     """
     img = _check_image(image, cfg)
-    vecs = _all_patch_vectors(img, cfg.patch_side)
-    return _match_from_index(vecs, ref_pos, cfg)
+    anchors = np.array([ref_pos], dtype=np.intp)
+    _check_windows(img.shape, cfg, anchors)
+    patches, positions = _match(img, anchors, cfg)
+    return PatchGroup(matrix=patches[0].T.copy(), positions=positions[0],
+                      ref_index=0, patch_side=cfg.patch_side)
 
 
 def _anchor_axis(dim, patch_side, stride):
@@ -157,57 +208,98 @@ def _anchor_axis(dim, patch_side, stride):
     return xs
 
 
-def reference_anchors(shape, cfg):
-    """Reference lattice: multiples of the stride plus edge-snapped anchors."""
+def _lattice(shape, cfg):
+    # (G, 2) reference anchors in raster order, checked against the shape.
+    _check_patch_fits(shape, cfg)
     rows = _anchor_axis(shape[0], cfg.patch_side, cfg.stride)
     cols = _anchor_axis(shape[1], cfg.patch_side, cfg.stride)
-    return [(r, c) for r in rows for c in cols]
+    anchors = np.stack(np.meshgrid(rows, cols, indexing="ij"), axis=-1).reshape(-1, 2)
+    _check_windows(shape, cfg, anchors)
+    return anchors
+
+
+def reference_anchors(shape, cfg):
+    """Reference lattice: multiples of the stride plus edge-snapped anchors.
+
+    Raises GroupingError when the grouping cannot be applied to an image
+    of this shape: the patch does not fit, or some reference window holds
+    fewer than group_size candidates.
+    """
+    return [tuple(a) for a in _lattice(shape, cfg).tolist()]
+
+
+def group_stack(image, cfg):
+    """Match one group per reference-lattice anchor, all as one stack.
+
+    Returns (patches, positions): patches is (G, group_size,
+    patch_side**2), row j of group g holding the vectorized patch at
+    positions[g, j]; groups follow the raster order of their reference
+    anchors.  The lattice covers every pixel with at least one reference
+    patch.
+    """
+    img = _check_image(image, cfg)
+    return _match(img, _lattice(img.shape, cfg), cfg)
 
 
 def build_groups(image, cfg):
-    """Build one matched group per reference-lattice anchor.
-
-    Returns the groups in raster order of their reference anchors.  The
-    lattice covers every pixel with at least one reference patch.
-    """
-    img = _check_image(image, cfg)
-    vecs = _all_patch_vectors(img, cfg.patch_side)
+    """group_stack as a list of PatchGroup, one per reference anchor."""
+    patches, positions = group_stack(image, cfg)
     return [
-        _match_from_index(vecs, pos, cfg) for pos in reference_anchors(img.shape, cfg)
+        PatchGroup(matrix=p.T.copy(), positions=pos, ref_index=0, patch_side=cfg.patch_side)
+        for p, pos in zip(patches, positions)
     ]
 
 
-def aggregate_groups(groups, shape):
-    """Average all patch contributions back into an image of the given shape.
+def aggregate_stack(patches, positions, shape, patch_side):
+    """Average patches back into an image of the given shape.
 
-    Each output pixel is the mean of every patch pixel that lands on it.
-    The mean is computed as a first-pass mean plus an averaged correction
-    of the residuals, which keeps the round trip through
-    build_groups/aggregate_groups bitwise exact.  A pixel no patch covers
-    is an internal consistency error.
+    patches is (..., patch_side**2) and positions the matching (..., 2)
+    anchors.  Each output pixel is the mean of every patch pixel that
+    lands on it.  The mean is computed as a first-pass mean plus an
+    averaged correction of the residuals, which keeps the round trip
+    through group_stack/aggregate_stack bitwise exact.  Contributions are
+    summed in the order of the patch entries, in fixed-size passes that
+    add into one running sum, so the result does not depend on the pass
+    size.  A pixel no patch covers is an internal consistency error.
     """
     h, w = shape
     n = h * w
-    if not groups:
-        raise ValueError("no groups to aggregate")
-    s = groups[0].patch_side
+    s = patch_side
+    vals = np.asarray(patches, dtype=float).reshape(-1, s * s)
+    base = (positions[..., 0] * w + positions[..., 1]).reshape(-1)
+    if not base.size:
+        raise ValueError("no patches to aggregate")
     # Flat image index of every patch entry, enumerated to match the
     # column-major patch vectorization.
     offs = (np.arange(s)[:, None] * w + np.arange(s)[None, :]).ravel(order="F")
-    idx_parts = []
-    val_parts = []
-    for g in groups:
-        if g.patch_side != s:
-            raise ValueError("groups mix patch sides")
-        base = g.positions[:, 0] * w + g.positions[:, 1]
-        idx_parts.append((base[:, None] + offs[None, :]).ravel())
-        val_parts.append(np.ascontiguousarray(g.matrix.T).ravel())
-    idx = np.concatenate(idx_parts)
-    vals = np.concatenate(val_parts)
-    counts = np.bincount(idx, minlength=n)
+
+    def passes():
+        for c0 in range(0, base.size, _AGGREGATE_CHUNK):
+            idx = (base[c0 : c0 + _AGGREGATE_CHUNK, None] + offs).ravel()
+            yield idx, vals[c0 : c0 + _AGGREGATE_CHUNK].ravel()
+
+    counts = np.zeros(n, dtype=np.intp)
+    sums = np.zeros(n)
+    for idx, v in passes():
+        counts += np.bincount(idx, minlength=n)
+        np.add.at(sums, idx, v)
     if np.any(counts == 0):
         missing = int(np.sum(counts == 0))
         raise ValueError(f"aggregation left {missing} pixels uncovered")
-    mean = np.bincount(idx, weights=vals, minlength=n) / counts
-    resid = np.bincount(idx, weights=vals - mean[idx], minlength=n)
+    mean = sums / counts
+    resid = np.zeros(n)
+    for idx, v in passes():
+        np.add.at(resid, idx, v - mean[idx])
     return (mean + resid / counts).reshape(h, w)
+
+
+def aggregate_groups(groups, shape):
+    """aggregate_stack over a list of PatchGroup, in list then column order."""
+    if not groups:
+        raise ValueError("no groups to aggregate")
+    s = groups[0].patch_side
+    if any(g.patch_side != s for g in groups):
+        raise ValueError("groups mix patch sides")
+    patches = np.concatenate([np.asarray(g.matrix, dtype=float).T for g in groups])
+    positions = np.concatenate([np.asarray(g.positions) for g in groups])
+    return aggregate_stack(patches, positions, shape, s)

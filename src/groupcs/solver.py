@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lowrank import irnn_denoise_group
+from .lowrank import INIT_WEIGHTS, WEIGHTINGS, irnn_denoise_stack
 from .metrics import psnr
-from .patches import GroupingConfig, aggregate_groups, build_groups, reference_anchors
+from .patches import GroupingConfig, aggregate_stack, group_stack, reference_anchors
 from .penalties import EPS_WEIGHT, Penalty, rho
 
 FIDELITIES = ("l2", "m_estimator")
@@ -75,15 +75,18 @@ class SolverConfig:
     init: str = "adjoint"
     init_image: np.ndarray | None = None
     init_weights: str = "observation"
-    jobs: int = 1
 
     def __post_init__(self):
-        if not self.lam >= 0:
-            raise ValueError("lam must be >= 0")
-        if not self.mu > 0:
-            raise ValueError("mu must be > 0")
-        if self.weighting not in ("supergradient", "combined", "none"):
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+        if not (math.isfinite(self.mu) and self.mu > 0):
+            raise ValueError(f"mu must be finite and > 0, got {self.mu}")
+        if not self.epsilon >= 0:
+            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
+        if self.weighting not in WEIGHTINGS:
             raise ValueError(f"unknown weighting {self.weighting!r}")
+        if self.init_weights not in INIT_WEIGHTS:
+            raise ValueError(f"unknown init_weights {self.init_weights!r}")
         if self.fidelity not in FIDELITIES:
             raise ValueError(f"unknown fidelity {self.fidelity!r}")
         if self.init not in INITS:
@@ -94,8 +97,6 @@ class SolverConfig:
             raise ValueError("sigma_m must be positive when fixed")
         if self.outer_iters < 1 or self.gd_steps < 1:
             raise ValueError("iteration counts must be >= 1")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
 
 
 @dataclass
@@ -174,34 +175,25 @@ def x_step_robust(y, op, z, w, q, mu, steps, x0):
 
 
 def z_step(r_img, cfg: SolverConfig, tau, sweeps=1):
-    """Denoise R group by group and aggregate.
+    """Denoise all groups of R as one stack and aggregate.
 
     Returns (z_img, reg_value) where reg_value is the penalty evaluated
     on the shrunk group spectra, sum_k sum_i rho(sigma_i).  With tau = 0
     the groups pass through untouched and aggregation reproduces R
     exactly.
     """
-    groups = build_groups(r_img, cfg.grouping)
-
-    def denoise(g):
-        return irnn_denoise_group(
-            g.matrix, cfg.penalty, tau, weighting=cfg.weighting, sweeps=sweeps,
-            init_weights=cfg.init_weights, epsilon=cfg.epsilon,
-        )
-
-    if cfg.jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(denoise, groups))
-    else:
-        results = [denoise(g) for g in groups]
-
-    reg = 0.0
-    for g, res in zip(groups, results):
-        g.matrix = res.matrix
-        reg += float(np.sum(rho(cfg.penalty, res.spectrum)))
-    return aggregate_groups(groups, r_img.shape), reg
+    img = np.asarray(r_img, dtype=float)
+    if not np.all(np.isfinite(img)):
+        raise NumericalError("non-finite values entering the Z-step")
+    patches, positions = group_stack(img, cfg.grouping)
+    spectra = irnn_denoise_stack(
+        patches.transpose(0, 2, 1), cfg.penalty, tau, weighting=cfg.weighting,
+        sweeps=sweeps, init_weights=cfg.init_weights, epsilon=cfg.epsilon,
+    )
+    # Group totals added left to right (np.sum would pair them up), the
+    # same float total as a loop over the groups.
+    reg = float(np.add.accumulate(rho(cfg.penalty, spectra).sum(axis=1))[-1])
+    return aggregate_stack(patches, positions, img.shape, cfg.grouping.patch_side), reg
 
 
 def multiplier_update(w, x, z):
@@ -227,12 +219,12 @@ def recover(y, op, cfg: SolverConfig, ground_truth=None):
     iteration.  The reconstruction is returned unclamped; clamping to
     [0, 255] happens only when an image is serialized.
     """
+    n_groups = len(reference_anchors(op.shape, cfg.grouping))
+    tau = tau_from_config(cfg, n_groups, op.n)
     y = np.asarray(y, dtype=float)
     x = _initial_x(y, op, cfg)
     z = x.copy()
     w = np.zeros_like(x)
-    n_groups = len(reference_anchors(op.shape, cfg.grouping))
-    tau = tau_from_config(cfg, n_groups, op.n)
     ones = np.ones_like(y)
     trace = []
     for it in range(1, cfg.outer_iters + 1):

@@ -387,6 +387,38 @@ def test_dangling_override_exits_2(tmp_path, flat_image, capsys):
     assert "tau" in err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("window", "5"),          # 25 candidates for a group of 60
+        ("group_size", "1000"),   # more than any window holds
+        ("patch", "100"),         # patch larger than the 32x32 image
+        ("epsilon", "-1"),
+        ("solver_lambda", "inf"),
+    ],
+)
+def test_bad_solver_settings_exit_2(tmp_path, flat_image, capsys, key, value):
+    img_path, _ = flat_image
+    out = tmp_path / "o.pgm"
+    code, _, err = run(
+        capsys, "denoise", img_path, "--output", out, "--tau", "1e3", f"--{key}", value,
+    )
+    assert code == 2
+    assert "config error" in err
+    assert not out.exists()
+
+
+def test_recover_infeasible_grouping_exits_2(tmp_path, flat_image, capsys):
+    img_path, _ = flat_image
+    meas = tmp_path / "m.meas"
+    run(capsys, "measure", img_path, "--output", meas, "--op", "dft", "--seed", "0")
+    code, _, err = run(
+        capsys, "recover", meas, "--output", tmp_path / "o.pgm", "--patch", "100",
+    )
+    assert code == 2
+    assert "patch side 100" in err
+
+
 def test_missing_input_exits_3(tmp_path, capsys):
     missing = tmp_path / "nowhere.pgm"
     code, _, err = run(

@@ -12,7 +12,7 @@ from groupcs import (
     extract_patch,
     match_group,
 )
-from groupcs.patches import reference_anchors
+from groupcs.patches import GroupingError, reference_anchors
 
 
 def brute_force_match(image, ref_pos, cfg):
@@ -95,6 +95,17 @@ def test_matches_brute_force_everywhere(rng):
             )
 
 
+def test_window_larger_than_image(rng):
+    """A window wider than the image searches the whole image, at a cost
+    set by the image rather than the window."""
+    img = rng.uniform(0, 255, (9, 12))
+    cfg = GroupingConfig(patch_side=2, stride=2, window_side=10**6, group_size=8)
+    for pos in [(0, 0), (4, 5), (7, 10)]:
+        np.testing.assert_array_equal(
+            match_group(img, pos, cfg).positions, brute_force_match(img, pos, cfg)
+        )
+
+
 def test_window_too_small_rejected():
     cfg = GroupingConfig(patch_side=2, stride=2, window_side=2, group_size=8)
     with pytest.raises(ValueError):
@@ -130,6 +141,16 @@ def test_huge_stride_still_covers():
         covered[r : r + 4, c : c + 4] = True
     assert anchors[0] == (0, 0)
     assert covered.all()
+
+
+def test_infeasible_grouping_rejected_by_lattice():
+    # the patch does not fit the image
+    with pytest.raises(GroupingError):
+        reference_anchors((5, 8), GroupingConfig(patch_side=6, stride=4, window_side=20, group_size=4))
+    # an 8x8 window holds 64 candidates mid-image but only 16 at a corner
+    with pytest.raises(GroupingError, match="holds 16 candidates"):
+        reference_anchors((32, 32), GroupingConfig(patch_side=2, stride=2, window_side=8, group_size=30))
+    assert reference_anchors((32, 32), GroupingConfig(patch_side=2, stride=2, window_side=8, group_size=16))
 
 
 def test_lattice_covers_awkward_sizes():

@@ -2,6 +2,8 @@
 weights, Z-step semantics, multiplier recurrence, and small end-to-end
 recoveries."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,17 +11,24 @@ from groupcs import (
     GroupingConfig,
     Penalty,
     SolverConfig,
+    aggregate_groups,
+    group_weights,
+    make_motif_image,
     make_operator,
+    match_group,
     multiplier_update,
     psnr,
     q_update,
     recover,
+    rho,
     tau_from_config,
     x_step_robust,
     x_step_standard,
     z_step,
 )
+from groupcs import lowrank, patches
 from groupcs.measurement import DenseGaussianOp
+from groupcs.patches import reference_anchors
 from groupcs.solver import NumericalError, robust_sigma
 
 
@@ -252,13 +261,93 @@ def test_z_step_denoises_low_rank_texture(motif_benchmark):
     assert after < 0.7 * before
 
 
-def test_z_step_jobs_deterministic(motif_benchmark):
-    cfg1 = SolverConfig(penalty=Penalty("log", 1.0, 10.0), jobs=1)
-    cfg2 = SolverConfig(penalty=Penalty("log", 1.0, 10.0), jobs=4)
-    z1, r1 = z_step(motif_benchmark, cfg1, 1e6)
-    z2, r2 = z_step(motif_benchmark, cfg2, 1e6)
-    np.testing.assert_array_equal(z1, z2)
-    assert r1 == r2
+def per_group_z_step(img, cfg, tau, sweeps):
+    """Reference Z-step: one group at a time, each with its own SVD."""
+    groups = [match_group(img, a, cfg.grouping)
+              for a in reference_anchors(img.shape, cfg.grouping)]
+    reg = 0.0
+    for g in groups:
+        u, s, vt = np.linalg.svd(g.matrix, full_matrices=False)
+        spec = s if cfg.init_weights == "observation" else np.zeros_like(s)
+        for _ in range(sweeps):
+            w = group_weights(spec, cfg.penalty, cfg.weighting, cfg.epsilon)
+            s_new = np.maximum(s - tau * w, 0.0)
+            moved = np.linalg.norm(s_new - spec) / max(1.0, np.linalg.norm(spec))
+            spec = s_new
+            if moved < 1e-6:
+                break
+        g.matrix = (u * spec) @ vt
+        reg += float(np.sum(rho(cfg.penalty, spec)))
+    return aggregate_groups(groups, img.shape), reg
+
+
+# tau per (weighting, init_weights) that zeroes some singular values and
+# keeps others; "zero" starts every value at the steep weight d(0).
+PARTIAL_TAU = {
+    ("combined", "observation"): 1.5e7,
+    ("combined", "zero"): 1e-14,
+    ("supergradient", "observation"): 6e3,
+    ("supergradient", "zero"): 50.0,
+    ("none", "observation"): 300.0,
+    ("none", "zero"): 300.0,
+}
+
+
+@pytest.mark.parametrize("sweeps", [1, 3])
+@pytest.mark.parametrize("init_weights", ["observation", "zero"])
+@pytest.mark.parametrize("weighting", ["combined", "supergradient", "none"])
+def test_z_step_matches_per_group_reference(weighting, init_weights, sweeps):
+    """The stacked Z-step equals the group-by-group loop bit for bit, on
+    non-square images whose border windows are clipped."""
+    rng = np.random.default_rng(21)
+    cases = [
+        ((40, 28), GroupingConfig()),
+        ((23, 31), GroupingConfig(patch_side=4, stride=3, window_side=9, group_size=12)),
+    ]
+    for shape, grouping in cases:
+        motif = make_motif_image(max(shape) + 3, 3)[: shape[0], : shape[1]]
+        img = motif + rng.normal(0, 20, shape)
+        cfg = SolverConfig(penalty=Penalty("log", 1.0, 10.0), weighting=weighting,
+                           grouping=grouping, init_weights=init_weights)
+        tau = PARTIAL_TAU[weighting, init_weights]
+        z, reg = z_step(img, cfg, tau, sweeps=sweeps)
+        z_ref, reg_ref = per_group_z_step(img, cfg, tau, sweeps)
+        assert z.tobytes() == z_ref.tobytes()
+        assert reg == reg_ref
+
+
+def test_z_step_independent_of_pass_sizes(monkeypatch, motif_benchmark):
+    """Matching, shrinkage and aggregation run in fixed-size passes; other
+    pass sizes, including ones that leave a partial last pass, give the
+    same bytes."""
+    cfg = SolverConfig(penalty=Penalty("log", 1.0, 10.0))
+    z, reg = z_step(motif_benchmark, cfg, 1.5e7, sweeps=3)
+    monkeypatch.setattr(patches, "_MATCH_ENTRIES", 50_000)  # 3 anchors a pass
+    monkeypatch.setattr(patches, "_AGGREGATE_CHUNK", 333)
+    monkeypatch.setattr(lowrank, "_SVD_CHUNK", 5)
+    z_small, reg_small = z_step(motif_benchmark, cfg, 1.5e7, sweeps=3)
+    assert z_small.tobytes() == z.tobytes()
+    assert reg_small == reg
+
+
+def test_z_step_memory_at_256():
+    """One default-grouping Z-step on a 256x256 image (4096 groups) keeps
+    its traced allocations below 300 MB."""
+    img = make_motif_image(256, 3)
+    tracemalloc.start()
+    try:
+        z_step(img, SolverConfig(), 1.5e7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 300 * 2**20
+
+
+def test_z_step_rejects_non_finite(rng):
+    img = rng.uniform(0, 255, (16, 16))
+    img[3, 5] = np.nan
+    with pytest.raises(NumericalError):
+        z_step(img, small_cfg(), 1.0)
 
 
 # ---------------------------------------------------------------- multiplier
@@ -301,6 +390,15 @@ def test_config_validation():
         small_cfg(init="given")  # init image missing
     with pytest.raises(ValueError):
         small_cfg(init="warm")
+    with pytest.raises(ValueError):
+        small_cfg(init_weights="spectral")
+    with pytest.raises(ValueError):
+        small_cfg(epsilon=-1.0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            small_cfg(lam=bad)
+        with pytest.raises(ValueError):
+            small_cfg(mu=bad)
 
 
 # ------------------------------------------------------------------- recover
