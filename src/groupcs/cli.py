@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 import time
 
@@ -34,7 +35,7 @@ from .metrics import psnr
 from .patches import GroupingError
 from .penalties import KINDS
 from .pgm import PgmError, read_pgm, write_pgm
-from .solver import NumericalError, recover, z_step
+from .solver import IterStats, NumericalError, recover, z_step
 
 
 def _quantize(image):
@@ -90,24 +91,25 @@ def cmd_measure(cfg):
     return 0
 
 
-def _write_trace(path, trace, fidelity, with_psnr):
+def _format_stat(name, value):
+    if name == "psnr_db":
+        return f"{value:.2f}"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _write_trace(path, trace, fidelity):
+    # One column per IterStats field, in declaration order, leaving out
+    # stats this run never set (psnr_db without ground truth, q_* for l2).
+    names = [
+        f.name for f in dataclasses.fields(IterStats)
+        if any(getattr(st, f.name) is not None for st in trace)
+    ]
     with open(path, "w", newline="") as fh:
         fh.write(f"# fidelity={fidelity}\n")
         writer = csv.writer(fh)
-        cols = ["iteration", "data_fidelity", "reg_surrogate", "x_minus_z_norm"]
-        if with_psnr:
-            cols.append("psnr_db")
-        writer.writerow(cols)
+        writer.writerow(names)
         for st in trace:
-            row = [
-                st.iteration,
-                repr(st.data_fidelity),
-                repr(st.reg_surrogate),
-                repr(st.x_minus_z_norm),
-            ]
-            if with_psnr:
-                row.append(f"{st.psnr_db:.2f}")
-            writer.writerow(row)
+            writer.writerow([_format_stat(n, getattr(st, n)) for n in names])
 
 
 def _recover_from_file(cfg, meas_path, ground_truth):
@@ -126,7 +128,7 @@ def cmd_recover(cfg):
     (x, trace), scfg = _recover_from_file(cfg, need(cfg, "input"), gt)
     write_pgm(need(cfg, "output"), x)
     if cfg.get("trace"):
-        _write_trace(cfg["trace"], trace, scfg.fidelity, with_psnr=gt is not None)
+        _write_trace(cfg["trace"], trace, scfg.fidelity)
     if gt is not None:
         print(f"psnr_db={psnr(_quantize(x), gt).psnr_db:.2f}")
     return 0

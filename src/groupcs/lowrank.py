@@ -130,7 +130,8 @@ def group_weights(spectrum, pen: Penalty, weighting, epsilon=EPS_WEIGHT):
     spectrum is one spectrum or a (G, r) stack of them, one per row.
 
     "supergradient" uses d(sigma_i) directly, "combined" divides the
-    super-gradient by sigma_i + epsilon (reweighted-L1 flavor), "none"
+    super-gradient by sigma_i + epsilon (reweighted-L1 flavor; a zero
+    super-gradient gives weight 0), "none"
     gives all-ones weights, the convex nuclear-norm baseline.  The result
     is clipped to be nondecreasing, guarding against float wiggle on
     near-equal singular values.
@@ -140,7 +141,9 @@ def group_weights(spectrum, pen: Penalty, weighting, epsilon=EPS_WEIGHT):
         return np.ones_like(s)
     d = np.asarray(supergradient(pen, s), dtype=float)
     if weighting == "combined":
-        w = d / (np.abs(s) + epsilon)
+        # A zero super-gradient gives weight 0, also over a zero
+        # denominator (sigma_i = epsilon = 0), where d / 0 would be NaN.
+        w = np.divide(d, np.abs(s) + epsilon, out=np.zeros_like(d), where=d != 0)
     elif weighting == "supergradient":
         w = d
     else:

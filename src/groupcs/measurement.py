@@ -9,6 +9,7 @@ needs those fields to rebuild the operator exactly.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,13 +87,24 @@ class MeasurementOp:
 
 
 class DenseGaussianOp(MeasurementOp):
-    """Dense i.i.d. Gaussian sensing matrix, entries N(0, 1/m)."""
+    """Dense i.i.d. Gaussian sensing matrix, entries N(0, 1/m).
+
+    A matrix larger than the machine's physical memory is refused with
+    ValueError before anything is allocated.
+    """
 
     kind = "dense"
 
     def __init__(self, shape, subrate, seed):
         super().__init__(shape, subrate, seed)
         self.m = max(1, round(self.subrate * self.n))
+        need = self.m * self.n * 8
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > have:
+            raise ValueError(
+                f"dense {self.m} x {self.n} matrix needs {need / 2**30:.1f} GiB, "
+                f"more than the {have / 2**30:.1f} GiB of physical memory"
+            )
         rng = np.random.default_rng(self.seed)
         self.a = rng.normal(0.0, 1.0 / math.sqrt(self.m), (self.m, self.n))
 
@@ -228,38 +240,38 @@ class MaskedDftOp(MeasurementOp):
         self.selfconj = [
             ((-u) % h, (-v) % w) == (u, v) for (u, v) in self.reps
         ]
+        # Gather and scatter indices into the flattened spectrum, and the
+        # measurement slot of each representative in sorted order: one for
+        # a self-conjugate frequency, two (real, imaginary) for a pair.
+        reps = np.array(self.reps, dtype=np.intp)
+        sc = np.array(self.selfconj)
+        widths = np.where(sc, 1, 2)
+        pos = np.cumsum(widths) - widths
+        flat = reps[:, 0] * w + reps[:, 1]
+        mirror = (-reps[~sc]) % np.array([h, w])
+        self._self_flat, self._self_pos = flat[sc], pos[sc]
+        self._pair_flat, self._pair_pos = flat[~sc], pos[~sc]
+        self._mirror_flat = mirror[:, 0] * w + mirror[:, 1]
         self.m = count
 
     def forward(self, image):
         x = self._check_image(image)
-        spec = np.fft.fft2(x, norm="ortho")
+        spec = np.fft.fft2(x, norm="ortho").ravel()
         out = np.empty(self.m)
-        pos = 0
-        for (u, v), sc in zip(self.reps, self.selfconj):
-            if sc:
-                out[pos] = spec[u, v].real
-                pos += 1
-            else:
-                out[pos] = math.sqrt(2.0) * spec[u, v].real
-                out[pos + 1] = math.sqrt(2.0) * spec[u, v].imag
-                pos += 2
+        out[self._self_pos] = spec[self._self_flat].real
+        pair = spec[self._pair_flat]
+        out[self._pair_pos] = math.sqrt(2.0) * pair.real
+        out[self._pair_pos + 1] = math.sqrt(2.0) * pair.imag
         return out
 
     def adjoint(self, y):
         v = self._check_y(y)
-        h, w = self.shape
-        spec = np.zeros((h, w), dtype=complex)
-        pos = 0
-        for (fu, fv), sc in zip(self.reps, self.selfconj):
-            if sc:
-                spec[fu, fv] = v[pos]
-                pos += 1
-            else:
-                val = (v[pos] + 1j * v[pos + 1]) / math.sqrt(2.0)
-                spec[fu, fv] = val
-                spec[(-fu) % h, (-fv) % w] = np.conj(val)
-                pos += 2
-        return np.fft.ifft2(spec, norm="ortho").real
+        spec = np.zeros(self.n, dtype=complex)
+        spec[self._self_flat] = v[self._self_pos]
+        val = (v[self._pair_pos] + 1j * v[self._pair_pos + 1]) / math.sqrt(2.0)
+        spec[self._pair_flat] = val
+        spec[self._mirror_flat] = np.conj(val)
+        return np.fft.ifft2(spec.reshape(self.shape), norm="ortho").real
 
 
 _OPS = {op.kind: op for op in (DenseGaussianOp, BlockGaussianOp, MaskedDftOp)}

@@ -146,9 +146,11 @@ def _match(img, anchors, cfg):
     min(window_side, candidates per axis) slots per axis, set at the
     window's first candidate; slots past the window's end are padding
     and get a NaN distance, which a sort places after every real
-    candidate (even one whose distance overflowed to +inf).  Real
-    candidates keep their raster order in the box, so the stable sort
-    breaks distance ties toward lower row, then lower column.
+    candidate (even one whose distance overflowed to +inf).  The
+    reference itself ranks first, ahead of any exact duplicate, so every
+    reference patch lies in its own group and aggregation covers the
+    image.  Other candidates keep their raster order in the box, so the
+    stable sort breaks distance ties toward lower row, then lower column.
     """
     s, k = cfg.patch_side, cfg.group_size
     vecs = _all_patch_vectors(img, s)
@@ -173,6 +175,8 @@ def _match(img, anchors, cfg):
         per_cand = diff.reshape(-1, s * s)
         dist = np.einsum("ij,ij->i", per_cand, per_cand).reshape(len(a), wr * wc)
         dist[pad] = np.nan
+        ref_slot = (a[:, 0] - start[part, 0]) * wc + a[:, 1] - start[part, 1]
+        dist[np.arange(len(a)), ref_slot] = -np.inf
         order = np.argsort(dist, axis=1, kind="stable")[:, :k]
         chosen = np.take_along_axis(flat, order, axis=1)
         patches[part] = vecs[chosen]

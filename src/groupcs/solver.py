@@ -11,6 +11,12 @@ The X-step runs a few exact-line-search gradient descent steps instead of
 solving its normal equations; f is either plain least squares or a
 half-quadratic M-estimator whose per-measurement weights q in (0, 1]
 discount outlier residuals (recomputed once per outer iteration).
+
+Each outer iteration applies the forward operator exactly once to X, at
+its start; that HX gives the robust residual and starts the X-step.
+The X-step carries HX through its steps by linearity, so each gradient
+step costs one adjoint and one forward, and the carried HX also gives
+the iteration's data-fidelity value.
 """
 
 from __future__ import annotations
@@ -140,15 +146,20 @@ def q_update(residual, sigma_m):
     return np.maximum(np.exp(-(r * r) / (sigma_m * sigma_m)), Q_FLOOR)
 
 
-def _x_iterate(op, y, x0, z, w, mu, steps, q):
+def _x_iterate(op, y, x0, hx0, z, w, mu, steps, q):
     """Gradient descent with exact line search on the quadratic X-step.
 
     Minimizes 0.5 * ||sqrt(q) (y - Hx)||**2 + (mu/2) * ||x - z - w||**2.
-    The all-ones q reproduces the unweighted step bit for bit.
+    hx0 is H x0.  Each step applies the adjoint once for the gradient and
+    the forward once for H grad, and carries Hx along by linearity:
+    H(x - a grad) = Hx - a H grad.  Returns (x, hx) with hx the carried
+    H x, which drifts from a fresh forward only by rounding over `steps`
+    updates.  The all-ones q reproduces the unweighted step bit for bit.
     """
     x = np.array(x0, dtype=float, copy=True)
+    hx = hx0
     for _ in range(steps):
-        resid = op.forward(x) - y
+        resid = hx - y
         grad = op.adjoint(q * resid) + mu * (x - z - w)
         gg = float(np.sum(grad * grad))
         if gg == 0.0:
@@ -157,13 +168,16 @@ def _x_iterate(op, y, x0, z, w, mu, steps, q):
         denom = float(np.sum(q * hg * hg)) + mu * gg
         if denom == 0.0:
             break
-        x = x - (gg / denom) * grad
-    return x
+        a = gg / denom
+        x = x - a * grad
+        hx = hx - a * hg
+    return x, hx
 
 
 def x_step_standard(y, op, z, w, mu, steps, x0):
     """Unweighted X-step (least squares data term)."""
-    return _x_iterate(op, y, x0, z, w, mu, steps, np.ones_like(np.asarray(y, float)))
+    y = np.asarray(y, dtype=float)
+    return _x_iterate(op, y, x0, op.forward(x0), z, w, mu, steps, np.ones_like(y))[0]
 
 
 def x_step_robust(y, op, z, w, q, mu, steps, x0):
@@ -171,7 +185,7 @@ def x_step_robust(y, op, z, w, q, mu, steps, x0):
     qa = np.asarray(q, dtype=float)
     if np.any(qa < 0):
         raise ValueError("q weights must be nonnegative")
-    return _x_iterate(op, y, x0, z, w, mu, steps, qa)
+    return _x_iterate(op, y, x0, op.forward(x0), z, w, mu, steps, qa)[0]
 
 
 def z_step(r_img, cfg: SolverConfig, tau, sweeps=1):
@@ -228,18 +242,19 @@ def recover(y, op, cfg: SolverConfig, ground_truth=None):
     ones = np.ones_like(y)
     trace = []
     for it in range(1, cfg.outer_iters + 1):
+        hx = op.forward(x)
         if cfg.fidelity == "m_estimator":
-            resid = y - op.forward(x)
+            resid = y - hx
             sigma = cfg.sigma_m if cfg.sigma_m is not None else robust_sigma(resid)
             q = q_update(resid, sigma)
         else:
             q = ones
-        x = _x_iterate(op, y, x, z, w, cfg.mu, cfg.gd_steps, q)
+        x, hx = _x_iterate(op, y, x, hx, z, w, cfg.mu, cfg.gd_steps, q)
         if not np.all(np.isfinite(x)):
             raise NumericalError(f"non-finite X at iteration {it}")
         z, reg = z_step(x - w, cfg, tau)
         w = multiplier_update(w, x, z)
-        resid = y - op.forward(x)
+        resid = y - hx
         stats = IterStats(
             iteration=it,
             data_fidelity=0.5 * float(np.sum(q * resid * resid)),

@@ -129,6 +129,30 @@ def test_recover_trace_without_truth_omits_psnr(tmp_path, flat_image, capsys):
     assert lines[1] == "iteration,data_fidelity,reg_surrogate,x_minus_z_norm"
 
 
+def test_recover_robust_trace_has_weight_columns(tmp_path, flat_image, capsys):
+    img_path, _ = flat_image
+    meas = tmp_path / "m.meas"
+    trace = tmp_path / "trace.csv"
+    run(capsys, "measure", img_path, "--output", meas,
+        "--op", "dense", "--subrate", "0.3", "--seed", "1",
+        "--noise", "gaussian_mixture", "--target_snr_db", "15")
+    code, _, _ = run(
+        capsys, "recover", meas, "--output", tmp_path / "r.pgm",
+        "--ground-truth", img_path, "--trace", trace,
+        "--fidelity", "m_estimator", "--outer_iters", "3", "--gd_steps", "5",
+        "--solver_lambda", "100", "--mu", "0.5",
+    )
+    assert code == 0
+    lines = trace.read_text().splitlines()
+    assert lines[0] == "# fidelity=m_estimator"
+    assert lines[1] == (
+        "iteration,data_fidelity,reg_surrogate,x_minus_z_norm,psnr_db,q_min,q_max"
+    )
+    for line in lines[2:]:
+        q_min, q_max = map(float, line.split(",")[5:])
+        assert 0 < q_min <= q_max <= 1.0
+
+
 def test_recover_byte_deterministic(tmp_path, flat_image, capsys):
     img_path, _ = flat_image
     meas = tmp_path / "m.meas"
@@ -158,6 +182,20 @@ def test_denoise_zero_tau_is_identity(tmp_path, flat_image, capsys):
         capsys, "denoise", img_path, "--output", out_img, "--tau", "0",
     )
     assert code == 0
+    assert out_img.read_bytes() == img_path.read_bytes()
+
+
+def test_denoise_all_zero_image_zero_lambda_epsilon(tmp_path, capsys):
+    """Zero spectra with lam = 0 and epsilon = 0 give zero weights, not
+    0/0, and a flat image still has every reference in its own group."""
+    img_path = tmp_path / "zero.pgm"
+    out_img = tmp_path / "out.pgm"
+    write_pgm(img_path, np.zeros((32, 32)))
+    code, _, err = run(
+        capsys, "denoise", img_path, "--output", out_img, "--tau", "1",
+        "--lambda", "0", "--epsilon", "0",
+    )
+    assert code == 0, err
     assert out_img.read_bytes() == img_path.read_bytes()
 
 
@@ -385,6 +423,19 @@ def test_dangling_override_exits_2(tmp_path, flat_image, capsys):
     )
     assert code == 2
     assert "tau" in err
+
+
+def test_measure_dense_beyond_memory_exits_2(tmp_path, capsys):
+    img_path = tmp_path / "big.pgm"
+    write_pgm(img_path, np.zeros((1024, 1024)))
+    meas = tmp_path / "big.meas"
+    code, _, err = run(
+        capsys, "measure", img_path, "--output", meas,
+        "--op", "dense", "--subrate", "1.0", "--seed", "1",
+    )
+    assert code == 2
+    assert "physical memory" in err
+    assert not meas.exists()
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Measurement operators: adjoint identities, masks, noise model, norms."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,12 @@ def test_dense_row_scale():
     assert abs(np.mean(norms) - 1.0) < 0.05
 
 
+def test_dense_refuses_matrix_beyond_physical_memory():
+    # 8.4M x 16.8M entries, about 1 PB: refused before any allocation
+    with pytest.raises(ValueError, match="physical memory"):
+        DenseGaussianOp((4096, 4096), 0.5, 0)
+
+
 # --------------------------------------------------------------------- block
 
 
@@ -139,6 +147,48 @@ def test_dft_full_mask_round_trip(rng):
     x = rng.normal(size=(4, 4))
     back = op.adjoint(op.forward(x))
     assert np.linalg.norm(back - x) <= 1e-9
+
+
+def loop_dft_forward(op, image):
+    """Reference: the per-frequency loop over the mask representatives."""
+    spec = np.fft.fft2(np.asarray(image, dtype=float), norm="ortho")
+    out = np.empty(op.m)
+    pos = 0
+    for (u, v), sc in zip(op.reps, op.selfconj):
+        if sc:
+            out[pos] = spec[u, v].real
+            pos += 1
+        else:
+            out[pos] = math.sqrt(2.0) * spec[u, v].real
+            out[pos + 1] = math.sqrt(2.0) * spec[u, v].imag
+            pos += 2
+    return out
+
+
+def loop_dft_adjoint(op, y):
+    h, w = op.shape
+    spec = np.zeros((h, w), dtype=complex)
+    pos = 0
+    for (fu, fv), sc in zip(op.reps, op.selfconj):
+        if sc:
+            spec[fu, fv] = y[pos]
+            pos += 1
+        else:
+            val = (y[pos] + 1j * y[pos + 1]) / math.sqrt(2.0)
+            spec[fu, fv] = val
+            spec[(-fu) % h, (-fv) % w] = np.conj(val)
+            pos += 2
+    return np.fft.ifft2(spec, norm="ortho").real
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (15, 21), (9, 12), (1, 7)])
+@pytest.mark.parametrize("subrate", [0.05, 0.3, 1.0])
+def test_dft_index_arrays_match_frequency_loop(shape, subrate, rng):
+    op = MaskedDftOp(shape, subrate, 8)
+    x = rng.normal(0, 50, shape)
+    y = rng.normal(0, 50, op.m)
+    np.testing.assert_array_equal(op.forward(x), loop_dft_forward(op, x))
+    np.testing.assert_array_equal(op.adjoint(y), loop_dft_adjoint(op, y))
 
 
 def test_dft_rows_orthonormal(rng):

@@ -16,7 +16,8 @@ from groupcs.patches import GroupingError, reference_anchors
 
 
 def brute_force_match(image, ref_pos, cfg):
-    """Oracle: python-loop block matching with (distance, raster) ordering."""
+    """Oracle: python-loop block matching, the reference first, then
+    (distance, raster) ordering."""
     img = np.asarray(image, dtype=float)
     s = cfg.patch_side
     last_r = img.shape[0] - s
@@ -30,7 +31,10 @@ def brute_force_match(image, ref_pos, cfg):
     scored = []
     for r in range(lo_r, hi_r + 1):
         for c in range(lo_c, hi_c + 1):
-            d = float(np.sum((extract_patch(img, (r, c), s) - ref) ** 2))
+            if (r, c) == tuple(ref_pos):
+                d = -np.inf
+            else:
+                d = float(np.sum((extract_patch(img, (r, c), s) - ref) ** 2))
             scored.append((d, len(scored), (r, c)))
     scored.sort(key=lambda t: (t[0], t[1]))
     return [t[2] for t in scored[: cfg.group_size]]
@@ -68,10 +72,11 @@ def test_constant_image_raster_tiebreak():
     img = np.zeros((10, 10))
     cfg = small_cfg()
     grp = match_group(img, (4, 4), cfg)
-    # all distances zero: the first group_size window anchors in raster order
+    # all distances zero: the reference, then the first window anchors in
+    # raster order, starting at the clipped window corner
     expected = brute_force_match(img, (4, 4), cfg)
     np.testing.assert_array_equal(grp.positions, expected)
-    assert expected[0] == (1, 1)  # clipped window corner, not the reference
+    assert expected[:3] == [(4, 4), (1, 1), (1, 2)]
 
 
 def test_reference_content_in_first_column(rng):

@@ -190,6 +190,78 @@ def test_robust_rejects_negative_weights(rng):
         )
 
 
+def fresh_forward_x_step(op, y, x0, z, w, mu, steps, q):
+    """Reference X-step that applies H to x afresh on every step."""
+    x = np.array(x0, dtype=float, copy=True)
+    for _ in range(steps):
+        resid = op.forward(x) - y
+        grad = op.adjoint(q * resid) + mu * (x - z - w)
+        gg = float(np.sum(grad * grad))
+        if gg == 0.0:
+            break
+        hg = op.forward(grad)
+        denom = float(np.sum(q * hg * hg)) + mu * gg
+        if denom == 0.0:
+            break
+        x = x - (gg / denom) * grad
+    return x
+
+
+@pytest.mark.parametrize("kind", ["dense", "block", "dft"])
+@pytest.mark.parametrize("unit_q", [True, False])
+def test_carried_hx_matches_fresh_forward(kind, unit_q):
+    """Carrying Hx through the steps agrees with a fresh forward per step
+    to rounding over 20 steps, and exactly on the first step."""
+    rng = np.random.default_rng(17)
+    op = make_operator(kind, (32, 64), 0.3, 4)  # two blocks for "block"
+    y = op.forward(rng.uniform(0, 255, op.shape)) + rng.normal(0, 5, op.m)
+    z = rng.uniform(0, 255, op.shape)
+    w = rng.normal(0, 3, op.shape)
+    x0 = op.adjoint(y)
+    q = np.ones(op.m) if unit_q else rng.uniform(0.05, 1.0, op.m)
+
+    def step(steps):
+        if unit_q:
+            return x_step_standard(y, op, z, w, 0.05, steps, x0)
+        return x_step_robust(y, op, z, w, q, 0.05, steps, x0)
+
+    np.testing.assert_array_equal(
+        step(1), fresh_forward_x_step(op, y, x0, z, w, 0.05, 1, q))
+    want = fresh_forward_x_step(op, y, x0, z, w, 0.05, 20, q)
+    assert np.linalg.norm(step(20) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+class CountingOp:
+    """Wraps an operator and counts forward and adjoint applications."""
+
+    def __init__(self, op):
+        self.op = op
+        self.shape, self.n, self.m = op.shape, op.n, op.m
+        self.forwards = self.adjoints = 0
+
+    def forward(self, image):
+        self.forwards += 1
+        return self.op.forward(image)
+
+    def adjoint(self, y):
+        self.adjoints += 1
+        return self.op.adjoint(y)
+
+
+@pytest.mark.parametrize("fidelity", ["l2", "m_estimator"])
+def test_recover_operator_call_counts(fidelity, rng):
+    """T outer iterations cost T*(gd_steps+1) forwards and T*gd_steps
+    adjoints, plus the adjoint that starts x."""
+    img = rng.uniform(0, 255, (32, 32))
+    op = CountingOp(make_operator("dense", (32, 32), 0.2, 3))
+    y = op.op.forward(img) + rng.normal(0, 2, op.m)
+    cfg = small_cfg(fidelity=fidelity, outer_iters=3, gd_steps=7,
+                    grouping=GroupingConfig(6, 4, 20, 60))
+    recover(y, op, cfg)
+    assert op.forwards == 3 * (7 + 1)
+    assert op.adjoints == 3 * 7 + 1
+
+
 # ------------------------------------------------------------ robust weights
 
 
