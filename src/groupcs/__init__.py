@@ -1,13 +1,8 @@
 """Compressed-sensing image recovery via group-sparse low-rank patches."""
 
 from .lowrank import (
-    DenoiseResult,
-    SvdFactors,
     group_weights,
-    irnn_denoise_group,
     irnn_denoise_stack,
-    rank_sparsity_check,
-    svd_small,
     wsvt,
 )
 from .measfile import MeasurementFile, read_measurements, write_measurements
@@ -21,13 +16,8 @@ from .metrics import QualityReport, psnr
 from .patches import (
     GroupingConfig,
     GroupingError,
-    PatchGroup,
-    aggregate_groups,
     aggregate_stack,
-    build_groups,
-    extract_patch,
     group_stack,
-    match_group,
 )
 from .penalties import Penalty, rho, supergradient
 from .pgm import read_pgm, write_pgm

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import math
 import sys
 import time
 
@@ -35,7 +36,7 @@ from .metrics import psnr
 from .patches import GroupingError
 from .penalties import KINDS
 from .pgm import PgmError, read_pgm, write_pgm
-from .solver import IterStats, NumericalError, recover, z_step
+from .solver import IterStats, NumericalError, ThresholdError, recover, z_step
 
 
 def _quantize(image):
@@ -81,7 +82,10 @@ def cmd_measure(cfg):
         raise ConfigError(str(exc)) from exc
     nspec = build_noise_spec(cfg)
     y = op.forward(image)
-    noisy, _, snr_db = add_noise(y, nspec, (seed, 1))
+    try:
+        noisy, _, snr_db = add_noise(y, nspec, (seed, 1))
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"cannot add {nspec.model} noise: {exc}") from exc
     mf = MeasurementFile(
         op_kind=kind, shape=op.shape, subrate=subrate, seed=seed,
         noise=nspec, snr_db=snr_db, y=noisy,
@@ -114,10 +118,22 @@ def _write_trace(path, trace, fidelity):
 
 def _recover_from_file(cfg, meas_path, ground_truth):
     mf = read_measurements(meas_path)
+    m, (h, w) = mf.y.shape[0], mf.shape
+    # Every operator makes round(subrate * n) measurements, the masked DFT
+    # at most one more.  Checked before the operator is built, so a damaged
+    # header cannot start a large allocation.
+    if not (0 < mf.subrate <= 1 and 0 <= m - max(1, round(mf.subrate * (h * w))) <= 1):
+        raise MeasFileError(
+            f"{meas_path}: {m} measurements do not fit subrate {mf.subrate} "
+            f"of a {h}x{w} image"
+        )
     try:
         op = make_operator(mf.op_kind, mf.shape, mf.subrate, mf.seed)
     except ValueError as exc:
         raise MeasFileError(f"{meas_path}: {exc}") from exc
+    if op.m != m:
+        raise MeasFileError(f"{meas_path}: header rebuilds an operator with {op.m} "
+                            f"measurements, file holds {m}")
     scfg = build_solver_config(cfg)
     return recover(mf.y, op, scfg, ground_truth=ground_truth), scfg
 
@@ -135,12 +151,15 @@ def cmd_recover(cfg):
 
 
 def cmd_denoise(cfg):
-    image = read_pgm(need(cfg, "input"))
     scfg = build_solver_config(cfg)
     tau = as_float(cfg, "tau")
-    if tau < 0:
-        raise ConfigError("tau must be >= 0")
-    z, _ = z_step(image, scfg, tau, sweeps=as_int(cfg, "sweeps"))
+    if not (math.isfinite(tau) and tau >= 0):
+        raise ConfigError(f"tau must be finite and >= 0, got {tau}")
+    sweeps = as_int(cfg, "sweeps")
+    if sweeps < 1:
+        raise ConfigError(f"sweeps must be >= 1, got {sweeps}")
+    image = read_pgm(need(cfg, "input"))
+    z, _ = z_step(image, scfg, tau, sweeps=sweeps)
     write_pgm(need(cfg, "output"), z)
     gt_path = cfg.get("ground_truth")
     if gt_path:
@@ -207,7 +226,8 @@ def cmd_sweep(cfg):
         try:
             value = _run_cell(cfg, image, cell)
             return f"{value:.2f}", time.monotonic() - start, "ok"
-        except (ConfigError, ValueError, NumericalError, np.linalg.LinAlgError) as exc:
+        except (ConfigError, ValueError, OverflowError, NumericalError,
+                np.linalg.LinAlgError) as exc:
             return "", time.monotonic() - start, f"failed: {exc}"
 
     if jobs > 1:
@@ -294,7 +314,7 @@ def main(argv=None):
     try:
         cfg = _load_config(args, extras)
         return _COMMANDS[args.command](cfg)
-    except (ConfigError, GroupingError) as exc:
+    except (ConfigError, GroupingError, ThresholdError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (PgmError, MeasFileError) as exc:

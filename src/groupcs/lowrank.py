@@ -14,11 +14,9 @@ makes its super-gradient nonincreasing in sigma, hence the weights valid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .penalties import EPS_WEIGHT, Penalty, rho, supergradient
+from .penalties import EPS_WEIGHT, Penalty, supergradient
 
 WEIGHTINGS = ("supergradient", "combined", "none")
 INIT_WEIGHTS = ("observation", "zero")
@@ -26,55 +24,6 @@ INIT_WEIGHTS = ("observation", "zero")
 # Groups per SVD pass in irnn_denoise_stack; bounds the u, vt and output
 # temporaries.
 _SVD_CHUNK = 512
-
-# Relative cutoff under which a singular value counts as zero.
-RANK_RTOL = 1e-10
-
-
-@dataclass
-class SvdFactors:
-    u: np.ndarray
-    s: np.ndarray
-    vt: np.ndarray
-
-
-@dataclass
-class DenoiseResult:
-    """Output of iteratively reweighted group denoising.
-
-    matrix : the denoised group matrix.
-    spectrum : its singular values (the final shrunk spectrum).
-    weights_trace : weight vector used at each sweep.
-    objective_trace : value of 0.5 * ||R - Z||_F**2 + tau * sum rho(sigma_i(Z))
-        after each sweep; nonincreasing for supergradient weighting.
-    """
-
-    matrix: np.ndarray
-    spectrum: np.ndarray
-    weights_trace: list = field(default_factory=list)
-    objective_trace: list = field(default_factory=list)
-
-
-def svd_small(mat):
-    """Thin SVD with a deterministic sign convention.
-
-    Signs are fixed so the first nonzero entry of each left singular
-    vector is positive, with the matching right vector flipped to keep
-    the product unchanged.
-    """
-    m = np.asarray(mat, dtype=float)
-    if m.ndim != 2:
-        raise ValueError("svd_small expects a 2-D matrix")
-    if np.any(~np.isfinite(m)):
-        raise ValueError("svd_small input has non-finite values")
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        nz = np.nonzero(col)[0]
-        if nz.size and col[nz[0]] < 0:
-            u[:, j] = -col
-            vt[j, :] = -vt[j, :]
-    return SvdFactors(u=u, s=s, vt=vt)
 
 
 def _check_weights(weights, k):
@@ -90,6 +39,11 @@ def _check_weights(weights, k):
     return w
 
 
+def _check_tau(tau):
+    if not np.isfinite(tau) or tau < 0:
+        raise ValueError(f"tau must be finite and nonnegative, got {tau}")
+
+
 def _shrink(s, weights, tau):
     # tau == 0 disables regularization entirely, including +inf weights.
     thresh = 0.0 if tau == 0.0 else tau * weights
@@ -103,25 +57,12 @@ def wsvt(mat, weights, tau):
     must be nonnegative and nondecreasing; a +inf weight truncates its
     singular value outright.
     """
-    if not np.isfinite(tau) or tau < 0:
-        raise ValueError(f"tau must be finite and nonnegative, got {tau}")
-    factors = svd_small(mat)
-    w = _check_weights(weights, factors.s.shape[0])
-    return (factors.u * _shrink(factors.s, w, tau)) @ factors.vt
-
-
-def rank_sparsity_check(mat):
-    """Return (rank, nonzero singular value count) of a matrix.
-
-    The two coincide by construction; the helper exists to make the
-    rank-equals-spectral-sparsity identity checkable in one place.
-    """
-    s = np.linalg.svd(np.asarray(mat, dtype=float), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0, 0
-    cutoff = RANK_RTOL * s[0]
-    nnz = int(np.sum(s > cutoff))
-    return nnz, nnz
+    _check_tau(tau)
+    m = np.asarray(mat, dtype=float)
+    if not np.all(np.isfinite(m)):
+        raise ValueError("wsvt input has non-finite values")
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    return (u * _shrink(s, _check_weights(weights, s.shape[0]), tau)) @ vt
 
 
 def group_weights(spectrum, pen: Penalty, weighting, epsilon=EPS_WEIGHT):
@@ -151,15 +92,6 @@ def group_weights(spectrum, pen: Penalty, weighting, epsilon=EPS_WEIGHT):
     return np.maximum.accumulate(w, axis=-1)
 
 
-def _check_irnn_args(weighting, sweeps, init_weights):
-    if weighting not in WEIGHTINGS:
-        raise ValueError(f"unknown weighting {weighting!r}")
-    if sweeps < 1:
-        raise ValueError("sweeps must be >= 1")
-    if init_weights not in INIT_WEIGHTS:
-        raise ValueError(f"unknown init_weights {init_weights!r}")
-
-
 def _row_norms(x):
     # Each row through BLAS dot, as np.linalg.norm does for one vector, so
     # the early stop below decides exactly as a per-group loop would.
@@ -169,77 +101,54 @@ def _row_norms(x):
 def _irnn(mats, pen, tau, weighting, sweeps, init_weights, epsilon, tol):
     """Reweighted shrinkage of a (G, n, k) stack for tau > 0.
 
-    Returns (denoised stack, input spectra, final spectra, history), where
-    history holds (weights, spectra) per sweep.  A group stops once its
+    Returns (denoised stack, final spectra).  A group stops once its
     spectrum moves by less than tol (relative) and keeps that spectrum
     while the others go on; the loop ends when every group has stopped.
     """
     u, s, vt = np.linalg.svd(mats, full_matrices=False)
     spec = s if init_weights == "observation" else np.zeros_like(s)
     active = np.ones(len(s), dtype=bool)
-    history = []
     for _ in range(sweeps):
         w = group_weights(spec, pen, weighting, epsilon)
         step = _shrink(s, w, tau)
         moved = _row_norms(step - spec) / np.maximum(1.0, _row_norms(spec))
         spec = np.where(active[:, None], step, spec)
-        history.append((w, spec))
         active &= ~(moved < tol)
         if not active.any():
             break
     # u * diag(s') * vt does not depend on the SVD's sign convention.
-    return (u * spec[:, None, :]) @ vt, s, spec, history
+    return (u * spec[:, None, :]) @ vt, spec
 
 
 def irnn_denoise_stack(mats, pen: Penalty, tau, weighting="combined", sweeps=1,
                        init_weights="observation", epsilon=EPS_WEIGHT, tol=1e-6):
     """Denoise every matrix of a (G, n, k) stack in place, as one batch.
 
-    Each group gets the iteratively reweighted shrinkage that
-    irnn_denoise_group describes; mats may be a strided view, such as a
-    transposed patch stack.  Returns the (G, min(n, k)) final spectra;
-    with tau == 0 the stack is left unchanged and its spectra are
-    returned.
+    Each group gets iteratively reweighted singular value shrinkage.
+    Each sweep computes weights from the current spectrum and solves the
+    weighted thresholding subproblem against the original matrix.  With
+    init_weights="observation" the first sweep weights come from the
+    spectrum of the input itself; "zero" starts from an all-zero
+    spectrum, so every singular value initially gets the weight d(0).  A
+    group stops early when its spectrum moves by less than tol
+    (relative); tol=0 runs every sweep.
+
+    mats may be a strided view, such as a transposed patch stack.
+    Returns the (G, min(n, k)) final spectra; with tau == 0 the stack is
+    left unchanged and its spectra are returned.  tau must be finite.
     """
-    _check_irnn_args(weighting, sweeps, init_weights)
+    _check_tau(tau)
+    if weighting not in WEIGHTINGS:
+        raise ValueError(f"unknown weighting {weighting!r}")
+    if sweeps < 1:
+        raise ValueError("sweeps must be >= 1")
+    if init_weights not in INIT_WEIGHTS:
+        raise ValueError(f"unknown init_weights {init_weights!r}")
     if tau == 0.0:
         return np.linalg.svd(mats, compute_uv=False)
     spectra = np.empty((len(mats), min(mats.shape[1:])))
     for c0 in range(0, len(mats), _SVD_CHUNK):
         part = slice(c0, c0 + _SVD_CHUNK)
-        out, _, spec, _ = _irnn(mats[part], pen, tau, weighting, sweeps,
-                                init_weights, epsilon, tol)
-        mats[part] = out
-        spectra[part] = spec
+        mats[part], spectra[part] = _irnn(mats[part], pen, tau, weighting, sweeps,
+                                          init_weights, epsilon, tol)
     return spectra
-
-
-def irnn_denoise_group(mat, pen: Penalty, tau, weighting="combined", sweeps=1,
-                       init_weights="observation", epsilon=EPS_WEIGHT,
-                       tol=1e-6):
-    """Denoise one group by iteratively reweighted singular value shrinkage.
-
-    Each sweep computes weights from the current spectrum and solves the
-    weighted thresholding subproblem against the original matrix.  With
-    init_weights="observation" the first sweep weights come from the
-    spectrum of the input itself; "zero" starts from an all-zero spectrum,
-    so every singular value initially gets the weight d(0).  Stops early
-    when the spectrum moves by less than tol (relative).
-
-    Returns a DenoiseResult; with tau == 0 the input is returned unchanged.
-    """
-    m = np.asarray(mat, dtype=float)
-    _check_irnn_args(weighting, sweeps, init_weights)
-    if tau == 0.0:
-        return DenoiseResult(matrix=m.copy(), spectrum=np.linalg.svd(m, compute_uv=False))
-    out, s, spec, history = _irnn(m[None], pen, tau, weighting, sweeps,
-                                  init_weights, epsilon, tol)
-    # The data term reduces to the spectrum because R and Z share
-    # singular vectors.
-    objective = [
-        0.5 * float(np.sum((s[0] - sp[0]) ** 2)) + tau * float(np.sum(rho(pen, sp[0])))
-        for _, sp in history
-    ]
-    return DenoiseResult(matrix=out[0], spectrum=spec[0],
-                         weights_trace=[w[0] for w, _ in history],
-                         objective_trace=objective)

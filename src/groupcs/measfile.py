@@ -77,10 +77,11 @@ def read_measurements(path):
     with open(path, "rb") as fh:
         buf = fh.read()
     head_end = buf.find(b"\nend\n")
-    if not buf.startswith((MAGIC + "\n").encode("ascii")) or head_end < 0:
+    head = buf[:head_end]
+    if not buf.startswith((MAGIC + "\n").encode("ascii")) or head_end < 0 or not head.isascii():
         raise MeasFileError(f"{path}: not a {MAGIC} measurement file")
     fields = {}
-    for line in buf[: head_end].decode("ascii").splitlines()[1:]:
+    for line in head.decode("ascii").splitlines()[1:]:
         key, sep, value = line.partition("=")
         if not sep:
             raise MeasFileError(f"{path}: malformed header line {line!r}")

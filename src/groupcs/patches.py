@@ -1,4 +1,4 @@
-"""Patch extraction, block matching, and group assembly.
+"""Block matching of patch groups and their aggregation into an image.
 
 Images are 2-D float64 numpy arrays indexed [row, col].  A patch of side s
 anchored at (r, c) covers rows r..r+s-1 and columns c..c+s-1 and is
@@ -9,8 +9,8 @@ patch_side**2 x group_size matrix.
 
 All groups of an image are matched and aggregated as one stack: a
 (G, group_size, patch_side**2) array holding each group matrix transposed,
-so group g, column j, entry e sits at [g, j, e].  PatchGroup lists are a
-view of that stack for code that handles one group at a time.
+so group g, column j, entry e sits at [g, j, e].  Reference anchors come
+only from the lattice, so they are in range by construction.
 """
 
 from __future__ import annotations
@@ -57,76 +57,12 @@ class GroupingConfig:
             raise ValueError("group_size must be >= 1")
 
 
-@dataclass
-class PatchGroup:
-    """A matched patch group.
-
-    matrix : (patch_side**2, group_size) array, one vectorized patch per
-        column, ordered by increasing distance to the reference patch.
-    positions : (group_size, 2) int array of patch anchors, same order.
-    ref_index : column holding the reference patch content; 0 by
-        construction, since the reference matches itself at distance zero
-        and ties are broken by raster order (under exact ties the recorded
-        anchor may differ from the reference anchor, but the column values
-        are identical).
-    patch_side : side length of the patches.
-    """
-
-    matrix: np.ndarray
-    positions: np.ndarray
-    ref_index: int
-    patch_side: int
-
-
-def extract_patch(image, pos, patch_side):
-    """Return the vectorized patch of the given side anchored at pos.
-
-    The patch must lie fully inside the image.  Vectorization is
-    column-major within the patch: all rows of the first patch column,
-    then the next column, and so on.
-    """
-    img = np.asarray(image, dtype=float)
-    r, c = pos
-    s = patch_side
-    if r < 0 or c < 0 or r + s > img.shape[0] or c + s > img.shape[1]:
-        raise ValueError(f"patch at {pos} with side {s} exceeds image {img.shape}")
-    return img[r : r + s, c : c + s].ravel(order="F")
-
-
-def _check_image(image, cfg):
-    img = np.asarray(image, dtype=float)
-    if img.ndim != 2:
-        raise ValueError("image must be 2-D")
-    _check_patch_fits(img.shape, cfg)
-    return img
-
-
-def _check_patch_fits(shape, cfg):
-    if cfg.patch_side > shape[0] or cfg.patch_side > shape[1]:
-        raise GroupingError(f"image {tuple(shape)} smaller than patch side {cfg.patch_side}")
-
-
 def _clipped_windows(anchors, window_side, last):
     # First candidate and candidate count of the search window around each
     # anchor, clipped to [0, last]; broadcasts over any array of anchors.
     lo = anchors - window_side // 2
     start = np.maximum(0, lo)
     return start, np.minimum(last, lo + window_side - 1) - start + 1
-
-
-def _check_windows(shape, cfg, anchors):
-    """Raise unless every anchor is valid and its clipped window holds a group."""
-    last = np.array([shape[0] - cfg.patch_side, shape[1] - cfg.patch_side])
-    bad = np.any((anchors < 0) | (anchors > last), axis=1)
-    if bad.any():
-        raise ValueError(f"reference anchor {tuple(anchors[bad.argmax()].tolist())} out of range")
-    n_cand = np.prod(_clipped_windows(anchors, cfg.window_side, last)[1], axis=1)
-    worst = int(n_cand.argmin())
-    if n_cand[worst] < cfg.group_size:
-        raise GroupingError(
-            f"window at {tuple(anchors[worst].tolist())} holds {n_cand[worst]} "
-            f"candidates, need group_size={cfg.group_size}"
-        )
 
 
 def _all_patch_vectors(img, s):
@@ -184,23 +120,6 @@ def _match(img, anchors, cfg):
     return patches, positions
 
 
-def match_group(image, ref_pos, cfg):
-    """Match the group_size nearest patches to the reference at ref_pos.
-
-    Distances are squared Euclidean between vectorized patches.  The
-    search window of side cfg.window_side is centered on the reference
-    anchor and clipped at the image borders; every candidate anchor must
-    admit a full patch.  Raises GroupingError (a ValueError) if the
-    clipped window holds fewer than group_size candidates.
-    """
-    img = _check_image(image, cfg)
-    anchors = np.array([ref_pos], dtype=np.intp)
-    _check_windows(img.shape, cfg, anchors)
-    patches, positions = _match(img, anchors, cfg)
-    return PatchGroup(matrix=patches[0].T.copy(), positions=positions[0],
-                      ref_index=0, patch_side=cfg.patch_side)
-
-
 def _anchor_axis(dim, patch_side, stride):
     last = dim - patch_side
     # Consecutive anchors may be at most patch_side apart or pixels between
@@ -213,12 +132,21 @@ def _anchor_axis(dim, patch_side, stride):
 
 
 def _lattice(shape, cfg):
-    # (G, 2) reference anchors in raster order, checked against the shape.
-    _check_patch_fits(shape, cfg)
+    # (G, 2) reference anchors in raster order, checked against the shape:
+    # the patch must fit, and every clipped window must hold a group.
+    if cfg.patch_side > shape[0] or cfg.patch_side > shape[1]:
+        raise GroupingError(f"image {tuple(shape)} smaller than patch side {cfg.patch_side}")
     rows = _anchor_axis(shape[0], cfg.patch_side, cfg.stride)
     cols = _anchor_axis(shape[1], cfg.patch_side, cfg.stride)
     anchors = np.stack(np.meshgrid(rows, cols, indexing="ij"), axis=-1).reshape(-1, 2)
-    _check_windows(shape, cfg, anchors)
+    last = np.array([shape[0] - cfg.patch_side, shape[1] - cfg.patch_side])
+    n_cand = np.prod(_clipped_windows(anchors, cfg.window_side, last)[1], axis=1)
+    worst = int(n_cand.argmin())
+    if n_cand[worst] < cfg.group_size:
+        raise GroupingError(
+            f"window at {tuple(anchors[worst].tolist())} holds {n_cand[worst]} "
+            f"candidates, need group_size={cfg.group_size}"
+        )
     return anchors
 
 
@@ -241,17 +169,10 @@ def group_stack(image, cfg):
     anchors.  The lattice covers every pixel with at least one reference
     patch.
     """
-    img = _check_image(image, cfg)
+    img = np.asarray(image, dtype=float)
+    if img.ndim != 2:
+        raise ValueError("image must be 2-D")
     return _match(img, _lattice(img.shape, cfg), cfg)
-
-
-def build_groups(image, cfg):
-    """group_stack as a list of PatchGroup, one per reference anchor."""
-    patches, positions = group_stack(image, cfg)
-    return [
-        PatchGroup(matrix=p.T.copy(), positions=pos, ref_index=0, patch_side=cfg.patch_side)
-        for p, pos in zip(patches, positions)
-    ]
 
 
 def aggregate_stack(patches, positions, shape, patch_side):
@@ -295,15 +216,3 @@ def aggregate_stack(patches, positions, shape, patch_side):
     for idx, v in passes():
         np.add.at(resid, idx, v - mean[idx])
     return (mean + resid / counts).reshape(h, w)
-
-
-def aggregate_groups(groups, shape):
-    """aggregate_stack over a list of PatchGroup, in list then column order."""
-    if not groups:
-        raise ValueError("no groups to aggregate")
-    s = groups[0].patch_side
-    if any(g.patch_side != s for g in groups):
-        raise ValueError("groups mix patch sides")
-    patches = np.concatenate([np.asarray(g.matrix, dtype=float).T for g in groups])
-    positions = np.concatenate([np.asarray(g.positions) for g in groups])
-    return aggregate_stack(patches, positions, shape, s)

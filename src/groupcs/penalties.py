@@ -27,7 +27,7 @@ class Penalty:
     lam scales the whole penalty (lam >= 0; zero disables regularization).
     shape is the kind-specific parameter: the exponent p in (0, 1) for
     "lp", and gamma for the rest (gamma > 2 for "scad", gamma > 0
-    otherwise).
+    otherwise).  Except for lp, the slope d(0) must be finite.
     """
 
     kind: str
@@ -49,6 +49,11 @@ class Penalty:
                 raise ValueError(f"scad gamma must exceed 2, got {self.shape}")
         elif self.shape <= 0.0:
             raise ValueError(f"{self.kind} gamma must be positive, got {self.shape}")
+        # An infinite slope would meet a zero factor (inf * 0 = NaN) in the
+        # super-gradient; only lp has one by definition, at 0.
+        if self.kind != "lp" and not np.isfinite(supergradient(self, 0.0)):
+            raise ValueError(f"{self.kind} penalty with lam={self.lam}, "
+                             f"shape={self.shape} has an infinite slope at 0")
 
 
 def _check_theta(theta):

@@ -46,6 +46,10 @@ class NumericalError(RuntimeError):
     """Raised when the iteration produces non-finite values."""
 
 
+class ThresholdError(ValueError):
+    """The config gives a non-finite group threshold tau for this image."""
+
+
 def _default_penalty():
     return Penalty(kind="log", lam=1.0, shape=10.0)
 
@@ -87,8 +91,8 @@ class SolverConfig:
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if not (math.isfinite(self.mu) and self.mu > 0):
             raise ValueError(f"mu must be finite and > 0, got {self.mu}")
-        if not self.epsilon >= 0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if self.weighting not in WEIGHTINGS:
             raise ValueError(f"unknown weighting {self.weighting!r}")
         if self.init_weights not in INIT_WEIGHTS:
@@ -231,10 +235,14 @@ def recover(y, op, cfg: SolverConfig, ground_truth=None):
 
     Returns (x, trace) where trace holds one IterStats per outer
     iteration.  The reconstruction is returned unclamped; clamping to
-    [0, 255] happens only when an image is serialized.
+    [0, 255] happens only when an image is serialized.  A grouping that
+    does not fit the image (GroupingError) or a threshold tau that is not
+    finite (ThresholdError) is refused before the operator is applied.
     """
     n_groups = len(reference_anchors(op.shape, cfg.grouping))
     tau = tau_from_config(cfg, n_groups, op.n)
+    if not math.isfinite(tau):
+        raise ThresholdError(f"threshold tau = lam*K/(mu*n) overflows to {tau}")
     y = np.asarray(y, dtype=float)
     x = _initial_x(y, op, cfg)
     z = x.copy()

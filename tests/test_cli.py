@@ -5,12 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from groupcs.cli import main
+from groupcs.config import DEFAULTS
+from groupcs.lowrank import INIT_WEIGHTS, WEIGHTINGS
 from groupcs.measfile import MeasurementFile, read_measurements, write_measurements
-from groupcs.measurement import NoiseSpec, make_operator
+from groupcs.measurement import NOISE_MODELS, OPERATOR_KINDS, NoiseSpec, make_operator
 from groupcs.metrics import psnr
+from groupcs.penalties import KINDS
 from groupcs.pgm import read_pgm, write_pgm
+from groupcs.solver import FIDELITIES, INITS
 
 
 def run(capsys, *argv):
@@ -445,6 +450,8 @@ def test_measure_dense_beyond_memory_exits_2(tmp_path, capsys):
         ("group_size", "1000"),   # more than any window holds
         ("patch", "100"),         # patch larger than the 32x32 image
         ("epsilon", "-1"),
+        ("epsilon", "inf"),       # lp weights would be inf / inf at sigma 0
+        ("lambda", "1e308"),      # the log penalty's slope overflows
         ("solver_lambda", "inf"),
     ],
 )
@@ -470,6 +477,29 @@ def test_recover_infeasible_grouping_exits_2(tmp_path, flat_image, capsys):
     assert "patch side 100" in err
 
 
+@pytest.mark.parametrize(
+    "command, argv",
+    [
+        ("denoise", ["--tau", "1", "--sweeps", "0"]),
+        # inf * 0 would give NaN thresholds where the mcp weight is 0
+        ("denoise", ["--tau", "inf", "--kind", "mcp", "--shape", "1.5"]),
+        # tau = lam * K / (mu * n) overflows to inf
+        ("recover", ["--solver_lambda", "1e308", "--kind", "mcp", "--shape", "1.5"]),
+    ],
+)
+def test_threshold_arguments_exit_2(tmp_path, flat_image, capsys, command, argv):
+    img_path, _ = flat_image
+    source = img_path
+    if command == "recover":
+        source = tmp_path / "m.meas"
+        run(capsys, "measure", img_path, "--output", source, "--seed", "0")
+    out = tmp_path / "o.pgm"
+    code, _, err = run(capsys, command, source, "--output", out, *argv)
+    assert code == 2
+    assert err.startswith("config error") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_missing_input_exits_3(tmp_path, capsys):
     missing = tmp_path / "nowhere.pgm"
     code, _, err = run(
@@ -487,6 +517,26 @@ def test_bad_measurement_file_exits_3(tmp_path, capsys):
     )
     assert code == 3
     assert "file error" in err
+
+
+@pytest.mark.parametrize(
+    "op, old, new",
+    [
+        # rebuilds a dense operator of 512 rows for a file of 307
+        ("dense", b"subrate=0.3", b"subrate=0.5"),
+        # a 32x32 DFT mask keeps 307 frequencies for seed 0, 308 for seed 2
+        ("dft", b"seed=0", b"seed=2"),
+    ],
+)
+def test_header_for_other_operator_exits_3(tmp_path, flat_image, capsys, op, old, new):
+    meas = tmp_path / "m.meas"
+    run(capsys, "measure", flat_image[0], "--output", meas, "--op", op, "--seed", "0")
+    meas.write_bytes(meas.read_bytes().replace(old, new, 1))
+    out = tmp_path / "o.pgm"
+    code, _, err = run(capsys, "recover", meas, "--output", out)
+    assert code == 3
+    assert "307" in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_non_finite_measurements_exit_4(tmp_path, capsys):
@@ -511,3 +561,82 @@ def test_missing_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 2
+
+
+# ---------------------------------------------------------------------- fuzz
+
+
+FUZZ_VALUES = sorted(
+    {"0", "-1", "inf", "1e308", "abc", "auto", "none"}
+    | {choice for choices in (KINDS, WEIGHTINGS, INIT_WEIGHTS, FIDELITIES, INITS,
+                              NOISE_MODELS, OPERATOR_KINDS) for choice in choices}
+)
+
+
+@given(
+    command=st.sampled_from(["measure", "recover", "denoise", "sweep", "metrics"]),
+    overrides=st.dictionaries(
+        st.sampled_from(sorted(DEFAULTS)), st.sampled_from(FUZZ_VALUES),
+        min_size=1, max_size=3,
+    ),
+    iters=st.integers(1, 2),
+)
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzz_overrides_keep_exit_code_contract(tmp_path, monkeypatch, command,
+                                                overrides, iters):
+    """Any mix of bad and good override values exits 0, 2, 3 or 4."""
+    monkeypatch.chdir(tmp_path)
+    img_path = tmp_path / "in.pgm"
+    if not img_path.exists():
+        write_pgm(img_path, np.random.default_rng(5).uniform(0, 255, (32, 32)))
+        assert main(["measure", str(img_path), "--output", "in.meas", "--seed", "1"]) == 0
+    source = "in.meas" if command == "recover" else str(img_path)
+    argv = [command, source, "--output", "out", "--ground-truth", str(img_path),
+            "--tau", "1e3", "--outer_iters", str(iters), "--gd_steps", str(iters)]
+    for key, value in overrides.items():
+        argv += [f"--{key}", value]
+    try:
+        with np.errstate(all="ignore"):
+            code = main(argv)
+    except SystemExit as exc:  # argparse rejects its own typed options
+        code = exc.code
+    assert code in (0, 2, 3, 4), argv
+
+
+@given(
+    cut=st.none() | st.floats(0.0, 1.0, exclude_max=True),
+    edits=st.lists(
+        st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.integers(1, 255),
+                  st.booleans()),
+        min_size=1, max_size=3,
+    ),
+)
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzz_corrupt_measurement_file(tmp_path, flat_image, capsys, cut, edits):
+    """A truncated file exits 3; flipped or inserted bytes exit 0, 3 or 4."""
+    meas = tmp_path / "m.meas"
+    if not meas.exists():
+        run(capsys, "measure", flat_image[0], "--output", meas, "--seed", "3",
+            "--noise", "gaussian_mixture", "--target_snr_db", "20")
+    raw = bytearray(meas.read_bytes())
+    if cut is not None:
+        raw = raw[: int(cut * len(raw))]
+    else:
+        # each edit xors a byte with a nonzero mask, or inserts that byte
+        for where, byte, insert in edits:
+            pos = int(where * len(raw))
+            if insert:
+                raw.insert(pos, byte)
+            else:
+                raw[pos] ^= byte
+    bad = tmp_path / "bad.meas"
+    bad.write_bytes(bytes(raw))
+    with np.errstate(all="ignore"):
+        code, _, _ = run(capsys, "recover", bad, "--output", tmp_path / "o.pgm",
+                         "--outer_iters", "1", "--gd_steps", "2")
+    if cut is not None:
+        assert code == 3
+    else:
+        assert code in (0, 3, 4), edits

@@ -7,10 +7,9 @@ import pytest
 from groupcs import (
     Penalty,
     group_weights,
-    irnn_denoise_group,
-    rank_sparsity_check,
+    irnn_denoise_stack,
+    rho,
     supergradient,
-    svd_small,
     wsvt,
 )
 
@@ -27,45 +26,6 @@ def random_with_spectrum(rng, shape, spectrum):
     qv, _ = np.linalg.qr(b)
     k = len(spectrum)
     return compose(qu[:, :k], np.asarray(spectrum, dtype=float), qv[:, :k].T)
-
-
-# ----------------------------------------------------------------- svd_small
-
-
-def test_svd_diagonal():
-    m = np.zeros((3, 4))
-    m[0, 0], m[1, 1] = 3.0, 1.0
-    f = svd_small(m)
-    np.testing.assert_allclose(f.s, [3.0, 1.0, 0.0], atol=1e-12)
-
-
-def test_svd_zero_matrix():
-    f = svd_small(np.zeros((3, 4)))
-    np.testing.assert_array_equal(f.s, np.zeros(3))
-
-
-def test_svd_reconstructs(rng):
-    m = rng.normal(size=(4, 6))
-    f = svd_small(m)
-    assert np.linalg.norm(compose(f.u, f.s, f.vt) - m) <= 1e-9
-
-
-def test_svd_sign_convention(rng):
-    m = rng.normal(size=(5, 5))
-    f = svd_small(m)
-    for j in range(5):
-        col = f.u[:, j]
-        nz = np.nonzero(col)[0]
-        assert col[nz[0]] > 0
-    # deterministic: a second call gives identical factors
-    f2 = svd_small(m)
-    np.testing.assert_array_equal(f.u, f2.u)
-    np.testing.assert_array_equal(f.vt, f2.vt)
-
-
-def test_svd_rejects_non_finite():
-    with pytest.raises(ValueError):
-        svd_small(np.array([[1.0, np.nan]]))
 
 
 # ---------------------------------------------------------------------- wsvt
@@ -117,6 +77,8 @@ def test_wsvt_rejects_bad_weights(rng):
         wsvt(m, np.zeros(3), -1.0)
     with pytest.raises(ValueError):
         wsvt(m, np.zeros(3), np.inf)
+    with pytest.raises(ValueError):
+        wsvt(np.array([[1.0, np.nan]]), np.zeros(1), 1.0)  # non-finite input
 
 
 def test_wsvt_minimizes_weighted_objective(rng):
@@ -126,11 +88,11 @@ def test_wsvt_minimizes_weighted_objective(rng):
         m = rng.normal(size=(3, 4))
         w = np.sort(rng.uniform(0, 2, 3))
         out = wsvt(m, w, tau)
-        f = svd_small(m)
-        s_out = np.maximum(f.s - tau * w, 0.0)
+        u, s_in, vt = np.linalg.svd(m, full_matrices=False)
+        s_out = np.maximum(s_in - tau * w, 0.0)
 
         def obj(s):
-            z = compose(f.u, s, f.vt)
+            z = compose(u, s, vt)
             return 0.5 * np.sum((m - z) ** 2) + tau * np.sum(w * s)
 
         base = obj(s_out)
@@ -140,23 +102,6 @@ def test_wsvt_minimizes_weighted_objective(rng):
         for _ in range(50):
             pert = np.maximum(s_out + rng.normal(0, 0.3, 3), 0.0)
             assert obj(pert) >= base - 1e-9
-
-
-# ------------------------------------------------------------ rank diagnostic
-
-
-def test_rank_of_outer_product(rng):
-    u = rng.normal(size=4)
-    v = rng.normal(size=6)
-    assert rank_sparsity_check(np.outer(u, v)) == (1, 1)
-
-
-def test_rank_of_random_full(rng):
-    assert rank_sparsity_check(rng.normal(size=(4, 6))) == (4, 4)
-
-
-def test_rank_of_zero():
-    assert rank_sparsity_check(np.zeros((3, 5))) == (0, 0)
 
 
 # --------------------------------------------------------------- weight rules
@@ -218,22 +163,36 @@ def log_supergradient(s):
     return 1.5 / (np.log(2.5) * (1.5 * np.asarray(s, dtype=float) + 1))
 
 
+def denoise_one(m, pen, tau, weighting="combined", sweeps=1, **kw):
+    """irnn_denoise_stack on a one-group stack: (matrix, final spectrum)."""
+    stack = np.array(m, dtype=float)[None]
+    spectra = irnn_denoise_stack(stack, pen, tau, weighting, sweeps, **kw)
+    return stack[0], spectra[0]
+
+
+def sweep_spectra(m, pen, tau, weighting, sweeps):
+    """Spectrum after each sweep, from runs of 1..sweeps sweeps (tol=0)."""
+    return [denoise_one(m, pen, tau, weighting, k, tol=0.0)[1]
+            for k in range(1, sweeps + 1)]
+
+
 def test_denoise_zero_lambda_is_identity(rng):
     m = rng.normal(size=(3, 3))
-    res = irnn_denoise_group(m, Penalty("log", 0.0, 1.5), 0.5, "supergradient")
-    assert np.linalg.norm(res.matrix - m) <= 1e-9
+    out, _ = denoise_one(m, Penalty("log", 0.0, 1.5), 0.5, "supergradient")
+    assert np.linalg.norm(out - m) <= 1e-9
 
 
 def test_denoise_huge_tau_zeroes(rng):
     m = rng.normal(size=(3, 3))
-    res = irnn_denoise_group(m, Penalty("log", 1.0, 1.5), 1e9, "supergradient")
-    np.testing.assert_allclose(res.matrix, 0.0, atol=1e-9)
+    out, _ = denoise_one(m, Penalty("log", 1.0, 1.5), 1e9, "supergradient")
+    np.testing.assert_allclose(out, 0.0, atol=1e-9)
 
 
 def test_denoise_tau_zero_identity(rng):
     m = rng.normal(size=(3, 3))
-    res = irnn_denoise_group(m, Penalty("log", 1.0, 1.5), 0.0)
-    np.testing.assert_array_equal(res.matrix, m)
+    out, spec = denoise_one(m, Penalty("log", 1.0, 1.5), 0.0)
+    np.testing.assert_array_equal(out, m)
+    np.testing.assert_array_equal(spec, np.linalg.svd(m, compute_uv=False))
 
 
 def test_denoise_single_sweep_matches_spectrum_oracle(rng):
@@ -244,12 +203,10 @@ def test_denoise_single_sweep_matches_spectrum_oracle(rng):
         m = rng.normal(size=(3, 3))
         u, s, vt = np.linalg.svd(m, full_matrices=False)
         expect_s = np.maximum(s - tau * log_supergradient(s), 0.0)
-        res = irnn_denoise_group(
-            m, Penalty("log", 1.0, 1.5), tau, "supergradient", sweeps=1
-        )
-        np.testing.assert_allclose(res.spectrum, expect_s, atol=1e-9)
+        out, spec = denoise_one(m, Penalty("log", 1.0, 1.5), tau, "supergradient")
+        np.testing.assert_allclose(spec, expect_s, atol=1e-9)
         np.testing.assert_allclose(
-            np.linalg.svd(res.matrix, compute_uv=False), expect_s, atol=1e-9
+            np.linalg.svd(out, compute_uv=False), expect_s, atol=1e-9
         )
 
 
@@ -259,41 +216,45 @@ def test_denoise_zero_init_uses_origin_slope(rng):
     m = rng.normal(size=(3, 3))
     s = np.linalg.svd(m, compute_uv=False)
     expect_s = np.maximum(s - tau * log_supergradient(0.0), 0.0)
-    res = irnn_denoise_group(
-        m, Penalty("log", 1.0, 1.5), tau, "supergradient", sweeps=1,
-        init_weights="zero",
+    _, spec = denoise_one(
+        m, Penalty("log", 1.0, 1.5), tau, "supergradient", init_weights="zero",
     )
-    np.testing.assert_allclose(res.spectrum, expect_s, atol=1e-9)
+    np.testing.assert_allclose(spec, expect_s, atol=1e-9)
 
 
 def test_denoise_weight_ordering_every_sweep(rng):
     for kind, shape in [("log", 1.5), ("mcp", 1.5), ("scad", 3.7), ("lp", 0.5)]:
         m = rng.normal(size=(6, 10)) * 3
-        res = irnn_denoise_group(
-            m, Penalty(kind, 1.0, shape), 0.8, "supergradient", sweeps=6
-        )
-        for w in res.weights_trace:
+        pen = Penalty(kind, 1.0, shape)
+        s = np.linalg.svd(m, full_matrices=False)[1]
+        # sweep k weighs by the spectrum that sweep k - 1 left
+        for spec in [s] + sweep_spectra(m, pen, 0.8, "supergradient", 5):
+            w = group_weights(spec, pen, "supergradient")
             assert np.all(w >= 0)
             assert np.all(np.diff(w) >= 0)
 
 
 def test_denoise_objective_nonincreasing(rng):
+    pen, tau = Penalty("log", 1.0, 1.5), 1.0
     for _ in range(10):
         m = rng.normal(size=(6, 10)) * 2
-        res = irnn_denoise_group(
-            m, Penalty("log", 1.0, 1.5), 1.0, "supergradient", sweeps=8
-        )
-        obj = np.asarray(res.objective_trace)
+        s = np.linalg.svd(m, full_matrices=False)[1]
+        # R and Z share singular vectors, so the data term is spectral
+        obj = np.array([0.5 * np.sum((s - sp) ** 2) + tau * np.sum(rho(pen, sp))
+                        for sp in sweep_spectra(m, pen, tau, "supergradient", 8)])
         scale = max(1.0, abs(obj[0]))
         assert np.all(np.diff(obj) <= 1e-8 * scale)
 
 
 def test_denoise_rejects_bad_arguments(rng):
-    m = rng.normal(size=(3, 3))
+    m = rng.normal(size=(1, 3, 3))
     pen = Penalty("log", 1.0, 1.5)
     with pytest.raises(ValueError):
-        irnn_denoise_group(m, pen, 0.5, sweeps=0)
+        irnn_denoise_stack(m, pen, 0.5, sweeps=0)
     with pytest.raises(ValueError):
-        irnn_denoise_group(m, pen, 0.5, init_weights="spectral")
+        irnn_denoise_stack(m, pen, 0.5, init_weights="spectral")
     with pytest.raises(ValueError):
-        irnn_denoise_group(m, pen, 0.5, weighting="softmax")
+        irnn_denoise_stack(m, pen, 0.5, weighting="softmax")
+    for tau in (np.inf, np.nan, -1.0):
+        with pytest.raises(ValueError, match="tau"):
+            irnn_denoise_stack(m, pen, tau)

@@ -116,3 +116,10 @@ def test_rejects_malformed_line(tmp_path):
     p.write_bytes(p.read_bytes().replace(b"seed=7", b"seed 7"))
     with pytest.raises(MeasFileError):
         read_measurements(p)
+
+
+def test_rejects_non_ascii_header(tmp_path):
+    p, _ = sample(tmp_path)
+    p.write_bytes(p.read_bytes().replace(b"noise=gaussian", b"noise=gau\xdfsian"))
+    with pytest.raises(MeasFileError, match="not a GSRM1"):
+        read_measurements(p)

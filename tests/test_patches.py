@@ -3,62 +3,42 @@ exact aggregation round trip."""
 
 import numpy as np
 import pytest
+from conftest import brute_force_match, patch_at
 from hypothesis import given, settings, strategies as st
 
-from groupcs import (
-    GroupingConfig,
-    aggregate_groups,
-    build_groups,
-    extract_patch,
-    match_group,
-)
+from groupcs import GroupingConfig, aggregate_stack, group_stack
 from groupcs.patches import GroupingError, reference_anchors
 
 
-def brute_force_match(image, ref_pos, cfg):
-    """Oracle: python-loop block matching, the reference first, then
-    (distance, raster) ordering."""
-    img = np.asarray(image, dtype=float)
-    s = cfg.patch_side
-    last_r = img.shape[0] - s
-    last_c = img.shape[1] - s
-    rr, cc = ref_pos
-    lo_r = max(0, rr - cfg.window_side // 2)
-    hi_r = min(last_r, rr - cfg.window_side // 2 + cfg.window_side - 1)
-    lo_c = max(0, cc - cfg.window_side // 2)
-    hi_c = min(last_c, cc - cfg.window_side // 2 + cfg.window_side - 1)
-    ref = extract_patch(img, ref_pos, s)
-    scored = []
-    for r in range(lo_r, hi_r + 1):
-        for c in range(lo_c, hi_c + 1):
-            if (r, c) == tuple(ref_pos):
-                d = -np.inf
-            else:
-                d = float(np.sum((extract_patch(img, (r, c), s) - ref) ** 2))
-            scored.append((d, len(scored), (r, c)))
-    scored.sort(key=lambda t: (t[0], t[1]))
-    return [t[2] for t in scored[: cfg.group_size]]
+def stride_one_groups(image, cfg):
+    """group_stack with stride 1, where every valid anchor is a reference.
+
+    Returns {anchor: (patches, positions)} for each group.
+    """
+    one = GroupingConfig(cfg.patch_side, 1, cfg.window_side, cfg.group_size)
+    patches, positions = group_stack(image, one)
+    return {tuple(p[0]): (pat, p) for pat, p in zip(patches, positions)}
 
 
 # ---------------------------------------------------------------- extraction
 
 
 def test_extract_constant_patch():
-    img = np.full((2, 2), 7.0)
-    np.testing.assert_array_equal(extract_patch(img, (0, 0), 2), [7, 7, 7, 7])
+    patches, _ = group_stack(np.full((2, 2), 7.0), GroupingConfig(2, 1, 1, 1))
+    np.testing.assert_array_equal(patches, [[[7, 7, 7, 7]]])
 
 
 def test_extract_is_column_major():
     img = np.arange(9, dtype=float).reshape(3, 3)  # pixel(r, c) = 3r + c
-    np.testing.assert_array_equal(extract_patch(img, (1, 1), 2), [4, 7, 5, 8])
+    groups = stride_one_groups(img, GroupingConfig(2, 1, 1, 1))
+    np.testing.assert_array_equal(groups[1, 1][0][0], [4, 7, 5, 8])
 
 
 def test_extract_out_of_bounds():
-    img = np.zeros((3, 3))
-    with pytest.raises(ValueError):
-        extract_patch(img, (2, 2), 2)
-    with pytest.raises(ValueError):
-        extract_patch(img, (-1, 0), 2)
+    with pytest.raises(GroupingError):
+        group_stack(np.zeros((3, 3)), GroupingConfig(4, 1, 1, 1))
+    with pytest.raises(GroupingError):
+        group_stack(np.zeros((3, 5)), GroupingConfig(4, 1, 1, 1))
 
 
 # ------------------------------------------------------------------ matching
@@ -71,20 +51,21 @@ def small_cfg():
 def test_constant_image_raster_tiebreak():
     img = np.zeros((10, 10))
     cfg = small_cfg()
-    grp = match_group(img, (4, 4), cfg)
+    _, positions = stride_one_groups(img, cfg)[4, 4]
     # all distances zero: the reference, then the first window anchors in
     # raster order, starting at the clipped window corner
     expected = brute_force_match(img, (4, 4), cfg)
-    np.testing.assert_array_equal(grp.positions, expected)
+    np.testing.assert_array_equal(positions, expected)
     assert expected[:3] == [(4, 4), (1, 1), (1, 2)]
 
 
 def test_reference_content_in_first_column(rng):
     img = rng.uniform(0, 255, (12, 12))
-    cfg = small_cfg()
-    grp = match_group(img, (5, 5), cfg)
-    assert grp.ref_index == 0
-    np.testing.assert_array_equal(grp.matrix[:, 0], extract_patch(img, (5, 5), 2))
+    patches, positions = group_stack(img, small_cfg())
+    anchors = np.array(reference_anchors(img.shape, small_cfg()))
+    np.testing.assert_array_equal(positions[:, 0], anchors)
+    for pat, (r, c) in zip(patches, anchors):
+        np.testing.assert_array_equal(pat[0], patch_at(img, (r, c), 2))
 
 
 def test_matches_brute_force_everywhere(rng):
@@ -92,12 +73,10 @@ def test_matches_brute_force_everywhere(rng):
     # plant an exact duplicate block to force a distance tie
     img[6:8, 6:8] = img[2:4, 2:4]
     cfg = small_cfg()
-    for r in range(0, 11):
-        for c in range(0, 11):
-            grp = match_group(img, (r, c), cfg)
-            np.testing.assert_array_equal(
-                grp.positions, brute_force_match(img, (r, c), cfg)
-            )
+    groups = stride_one_groups(img, cfg)
+    assert len(groups) == 121
+    for pos, (_, positions) in groups.items():
+        np.testing.assert_array_equal(positions, brute_force_match(img, pos, cfg))
 
 
 def test_window_larger_than_image(rng):
@@ -105,26 +84,22 @@ def test_window_larger_than_image(rng):
     set by the image rather than the window."""
     img = rng.uniform(0, 255, (9, 12))
     cfg = GroupingConfig(patch_side=2, stride=2, window_side=10**6, group_size=8)
+    groups = stride_one_groups(img, cfg)
     for pos in [(0, 0), (4, 5), (7, 10)]:
-        np.testing.assert_array_equal(
-            match_group(img, pos, cfg).positions, brute_force_match(img, pos, cfg)
-        )
+        np.testing.assert_array_equal(groups[pos][1], brute_force_match(img, pos, cfg))
 
 
 def test_window_too_small_rejected():
     cfg = GroupingConfig(patch_side=2, stride=2, window_side=2, group_size=8)
-    with pytest.raises(ValueError):
-        match_group(np.zeros((10, 10)), (4, 4), cfg)
+    with pytest.raises(GroupingError):
+        group_stack(np.zeros((10, 10)), cfg)
 
 
 def test_matrix_columns_follow_positions(rng):
     img = rng.uniform(0, 255, (10, 10))
-    cfg = small_cfg()
-    grp = match_group(img, (3, 3), cfg)
-    for j, pos in enumerate(grp.positions):
-        np.testing.assert_array_equal(
-            grp.matrix[:, j], extract_patch(img, tuple(pos), cfg.patch_side)
-        )
+    patches, positions = group_stack(img, small_cfg())
+    for pat, pos in zip(patches.reshape(-1, 4), positions.reshape(-1, 2)):
+        np.testing.assert_array_equal(pat, patch_at(img, pos, 2))
 
 
 # ------------------------------------------------------------------- lattice
@@ -171,54 +146,33 @@ def test_lattice_covers_awkward_sizes():
 
 
 def test_disjoint_patches_copy_values():
-    from groupcs.patches import PatchGroup
-
-    mat = np.array([[1.0, 5.0], [2.0, 6.0], [3.0, 7.0], [4.0, 8.0]])
-    grp = PatchGroup(
-        matrix=mat,
-        positions=np.array([[0, 0], [0, 2]]),
-        ref_index=0,
-        patch_side=2,
-    )
-    out = aggregate_groups([grp], (2, 4))
+    patches = np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
+    out = aggregate_stack(patches, np.array([[0, 0], [0, 2]]), (2, 4), 2)
     np.testing.assert_array_equal(
         out, [[1.0, 3.0, 5.0, 7.0], [2.0, 4.0, 6.0, 8.0]]
     )
 
 
 def test_overlap_averages():
-    from groupcs.patches import PatchGroup
-
-    mat = np.array([[1.0, 3.0]] * 4)
-    grp = PatchGroup(
-        matrix=mat,
-        positions=np.array([[0, 0], [0, 1]]),
-        ref_index=0,
-        patch_side=2,
-    )
-    out = aggregate_groups([grp], (2, 3))
+    patches = np.array([[1.0] * 4, [3.0] * 4])
+    out = aggregate_stack(patches, np.array([[0, 0], [0, 1]]), (2, 3), 2)
     np.testing.assert_array_equal(out[:, 1], [2.0, 2.0])
 
 
 def test_uncovered_pixel_rejected():
-    from groupcs.patches import PatchGroup
+    with pytest.raises(ValueError, match="uncovered"):
+        aggregate_stack(np.ones((1, 4)), np.array([[0, 0]]), (2, 3), 2)
 
-    grp = PatchGroup(
-        matrix=np.ones((4, 1)),
-        positions=np.array([[0, 0]]),
-        ref_index=0,
-        patch_side=2,
-    )
-    with pytest.raises(ValueError):
-        aggregate_groups([grp], (2, 3))
+
+def round_trip(img, cfg):
+    patches, positions = group_stack(img, cfg)
+    return aggregate_stack(patches, positions, img.shape, cfg.patch_side)
 
 
 def test_round_trip_exact(rng):
     img = rng.uniform(0, 255, (20, 20))
     cfg = GroupingConfig(patch_side=3, stride=2, window_side=8, group_size=10)
-    groups = build_groups(img, cfg)
-    back = aggregate_groups(groups, img.shape)
-    np.testing.assert_array_equal(back, img)
+    np.testing.assert_array_equal(round_trip(img, cfg), img)
 
 
 @pytest.mark.parametrize(
@@ -234,8 +188,7 @@ def test_round_trip_exact(rng):
 def test_round_trip_exact_across_configs(cfg, rng):
     for _ in range(4):
         img = rng.uniform(0, 255, (17, 19))
-        groups = build_groups(img, cfg)
-        np.testing.assert_array_equal(aggregate_groups(groups, img.shape), img)
+        np.testing.assert_array_equal(round_trip(img, cfg), img)
 
 
 @given(seed=st.integers(0, 10_000))
@@ -246,8 +199,7 @@ def test_round_trip_property(seed):
     w = int(r.integers(6, 15))
     img = r.uniform(-1e3, 1e3, (h, w))
     cfg = GroupingConfig(patch_side=2, stride=2, window_side=4, group_size=3)
-    back = aggregate_groups(build_groups(img, cfg), img.shape)
-    assert np.array_equal(back, img)
+    assert np.array_equal(round_trip(img, cfg), img)
 
 
 def test_aggregate_minimizes_group_distance(rng):
@@ -255,19 +207,15 @@ def test_aggregate_minimizes_group_distance(rng):
     distance to the (fixed) group matrices."""
     img = rng.uniform(0, 255, (10, 10))
     cfg = GroupingConfig(patch_side=2, stride=2, window_side=6, group_size=5)
-    groups = build_groups(img, cfg)
-    for g in groups:
-        g.matrix = g.matrix + rng.normal(0, 1, g.matrix.shape)
+    patches, positions = group_stack(img, cfg)
+    patches = (patches + rng.normal(0, 1, patches.shape)).reshape(-1, 4)
+    positions = positions.reshape(-1, 2)
 
     def total_dist(z):
-        tot = 0.0
-        for g in groups:
-            for j, pos in enumerate(g.positions):
-                patch = extract_patch(z, tuple(pos), g.patch_side)
-                tot += float(np.sum((patch - g.matrix[:, j]) ** 2))
-        return tot
+        return sum(float(np.sum((patch_at(z, pos, 2) - pat) ** 2))
+                   for pat, pos in zip(patches, positions))
 
-    z = aggregate_groups(groups, img.shape)
+    z = aggregate_stack(patches, positions, img.shape, 2)
     base = total_dist(z)
     for (r, c) in [(0, 0), (3, 7), (9, 9), (5, 5)]:
         for eps in (0.05, -0.05):

@@ -48,6 +48,13 @@ def test_out_of_range_shape_rejected(kind, shape):
         Penalty(kind, 1.0, shape)
 
 
+@pytest.mark.parametrize("kind", ["log", "etp", "geman"])
+def test_overflowing_slope_rejected(kind):
+    """lam * gamma overflows, so the slope at 0 would be infinite."""
+    with pytest.raises(ValueError, match="infinite slope"):
+        Penalty(kind, 1e308, 10.0)
+
+
 def test_zero_lambda_allowed():
     pen = Penalty("log", 0.0, 1.5)
     assert rho(pen, 3.0) == 0.0

@@ -6,16 +6,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import brute_force_match, patch_at
 
 from groupcs import (
     GroupingConfig,
     Penalty,
     SolverConfig,
-    aggregate_groups,
+    aggregate_stack,
     group_weights,
     make_motif_image,
     make_operator,
-    match_group,
     multiplier_update,
     psnr,
     q_update,
@@ -29,7 +29,7 @@ from groupcs import (
 from groupcs import lowrank, patches
 from groupcs.measurement import DenseGaussianOp
 from groupcs.patches import reference_anchors
-from groupcs.solver import NumericalError, robust_sigma
+from groupcs.solver import NumericalError, ThresholdError, robust_sigma
 
 
 class IdentityOp:
@@ -262,6 +262,15 @@ def test_recover_operator_call_counts(fidelity, rng):
     assert op.adjoints == 3 * 7 + 1
 
 
+def test_recover_rejects_overflowing_tau(rng):
+    """A finite lam and mu whose threshold overflows stop recover before
+    the operator is applied."""
+    op = CountingOp(IdentityOp((16, 16)))
+    with pytest.raises(ThresholdError):
+        recover(rng.uniform(0, 255, 256), op, small_cfg(lam=1e308, mu=1e-3))
+    assert op.forwards == op.adjoints == 0
+
+
 # ------------------------------------------------------------ robust weights
 
 
@@ -334,12 +343,15 @@ def test_z_step_denoises_low_rank_texture(motif_benchmark):
 
 
 def per_group_z_step(img, cfg, tau, sweeps):
-    """Reference Z-step: one group at a time, each with its own SVD."""
-    groups = [match_group(img, a, cfg.grouping)
-              for a in reference_anchors(img.shape, cfg.grouping)]
+    """Reference Z-step: one group at a time, each matched by the
+    brute-force oracle and shrunk with its own SVD."""
+    s_side = cfg.grouping.patch_side
+    patches, positions = [], []
     reg = 0.0
-    for g in groups:
-        u, s, vt = np.linalg.svd(g.matrix, full_matrices=False)
+    for a in reference_anchors(img.shape, cfg.grouping):
+        pos = brute_force_match(img, a, cfg.grouping)
+        mat = np.stack([patch_at(img, p, s_side) for p in pos], axis=1)
+        u, s, vt = np.linalg.svd(mat, full_matrices=False)
         spec = s if cfg.init_weights == "observation" else np.zeros_like(s)
         for _ in range(sweeps):
             w = group_weights(spec, cfg.penalty, cfg.weighting, cfg.epsilon)
@@ -348,9 +360,10 @@ def per_group_z_step(img, cfg, tau, sweeps):
             spec = s_new
             if moved < 1e-6:
                 break
-        g.matrix = (u * spec) @ vt
+        patches.append(((u * spec) @ vt).T)
+        positions.append(pos)
         reg += float(np.sum(rho(cfg.penalty, spec)))
-    return aggregate_groups(groups, img.shape), reg
+    return aggregate_stack(np.array(patches), np.array(positions), img.shape, s_side), reg
 
 
 # tau per (weighting, init_weights) that zeroes some singular values and
@@ -471,6 +484,8 @@ def test_config_validation():
             small_cfg(lam=bad)
         with pytest.raises(ValueError):
             small_cfg(mu=bad)
+        with pytest.raises(ValueError):
+            small_cfg(epsilon=bad)
 
 
 # ------------------------------------------------------------------- recover
