@@ -31,7 +31,7 @@ from .config import (
 )
 from .measfile import MeasFileError, MeasurementFile, read_measurements, write_measurements
 from .lowrank import WEIGHTINGS
-from .measurement import OPERATOR_KINDS, add_noise, make_operator
+from .measurement import OPERATOR_KINDS, add_noise, make_operator, measurement_count
 from .metrics import psnr
 from .patches import GroupingError
 from .penalties import KINDS
@@ -119,10 +119,13 @@ def _write_trace(path, trace, fidelity):
 def _recover_from_file(cfg, meas_path, ground_truth):
     mf = read_measurements(meas_path)
     m, (h, w) = mf.y.shape[0], mf.shape
-    # Every operator makes round(subrate * n) measurements, the masked DFT
-    # at most one more.  Checked before the operator is built, so a damaged
-    # header cannot start a large allocation.
-    if not (0 < mf.subrate <= 1 and 0 <= m - max(1, round(mf.subrate * (h * w))) <= 1):
+    # Checked before the operator is built, so a damaged header cannot
+    # start a large allocation.  The masked DFT may take one more.
+    try:
+        want = measurement_count(mf.shape, mf.subrate)
+    except (ValueError, OverflowError) as exc:
+        raise MeasFileError(f"{meas_path}: {exc}") from exc
+    if not 0 <= m - want <= 1:
         raise MeasFileError(
             f"{meas_path}: {m} measurements do not fit subrate {mf.subrate} "
             f"of a {h}x{w} image"

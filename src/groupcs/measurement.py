@@ -50,6 +50,18 @@ class NoiseSpec:
                     raise ValueError("mixture kappa must be >= 1")
 
 
+def measurement_count(shape, subrate):
+    """Measurements taken of an image of `shape`: round(subrate * n), at least one.
+
+    Raises ValueError for a subrate outside (0, 1].  The masked DFT may
+    take one more, to complete a conjugate pair.
+    """
+    if not 0.0 < subrate <= 1.0:
+        raise ValueError(f"subrate must lie in (0, 1], got {subrate}")
+    h, w = shape
+    return max(1, round(subrate * (int(h) * int(w))))
+
+
 class MeasurementOp:
     """Base class: forward/adjoint pair with recorded provenance."""
 
@@ -59,13 +71,11 @@ class MeasurementOp:
         h, w = shape
         if h < 1 or w < 1:
             raise ValueError(f"bad image shape {shape}")
-        if not 0.0 < subrate <= 1.0:
-            raise ValueError(f"subrate must lie in (0, 1], got {subrate}")
         self.shape = (int(h), int(w))
         self.subrate = float(subrate)
         self.seed = int(seed)
         self.n = int(h) * int(w)
-        self.m = 0  # set by subclasses
+        self.m = measurement_count(self.shape, self.subrate)
 
     def forward(self, image):
         raise NotImplementedError
@@ -86,115 +96,82 @@ class MeasurementOp:
         return v
 
 
-class DenseGaussianOp(MeasurementOp):
-    """Dense i.i.d. Gaussian sensing matrix, entries N(0, 1/m).
-
-    A matrix larger than the machine's physical memory is refused with
-    ValueError before anything is allocated.
-    """
-
-    kind = "dense"
-
-    def __init__(self, shape, subrate, seed):
-        super().__init__(shape, subrate, seed)
-        self.m = max(1, round(self.subrate * self.n))
-        need = self.m * self.n * 8
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if need > have:
-            raise ValueError(
-                f"dense {self.m} x {self.n} matrix needs {need / 2**30:.1f} GiB, "
-                f"more than the {have / 2**30:.1f} GiB of physical memory"
-            )
-        rng = np.random.default_rng(self.seed)
-        self.a = rng.normal(0.0, 1.0 / math.sqrt(self.m), (self.m, self.n))
-
-    def forward(self, image):
-        return self.a @ self._check_image(image).ravel()
-
-    def adjoint(self, y):
-        return (self.a.T @ self._check_y(y)).reshape(self.shape)
-
-
 class BlockGaussianOp(MeasurementOp):
-    """Independent Gaussian projection per 32x32 image block.
+    """Independent Gaussian projection per 32x32 image block (block CS).
 
-    The image is tiled into BLOCK_SIDE x BLOCK_SIDE blocks in raster
-    order; each block gets its own Gaussian matrix and the per-block
-    measurements are concatenated.  Row counts are spread so the total
-    equals round(subrate * n) exactly.
+    The image is tiled into blocks in raster order; each block gets its
+    own Gaussian matrix with entries N(0, 1/rows), drawn in that order
+    from one generator, and the per-block measurements are concatenated.
+    Row counts are spread so the total equals m exactly, the first
+    blocks taking one extra row each.  An operator whose matrices and
+    pixel indices need more than the machine's physical memory is refused
+    with ValueError before anything is allocated.
     """
 
     kind = "block"
 
+    def _block_shape(self):
+        return BLOCK_SIDE, BLOCK_SIDE
+
     def __init__(self, shape, subrate, seed):
         super().__init__(shape, subrate, seed)
-        h, w = self.shape
-        if h % BLOCK_SIDE or w % BLOCK_SIDE:
+        (h, w), (bh, bw) = self.shape, self._block_shape()
+        if h % bh or w % bw:
+            raise ValueError(f"image shape {shape} not a multiple of {bh}x{bw}")
+        need = (self.m * bh * bw + self.n) * 8  # matrices and pixel indices
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > have:
             raise ValueError(
-                f"image shape {shape} not a multiple of {BLOCK_SIDE}"
+                f"{self.kind} operator needs {need / 2**30:.1f} GiB for {self.m} "
+                f"rows of {bh * bw} entries, more than the "
+                f"{have / 2**30:.1f} GiB of physical memory"
             )
-        self.grid = (h // BLOCK_SIDE, w // BLOCK_SIDE)
-        n_blocks = self.grid[0] * self.grid[1]
-        total = max(1, round(self.subrate * self.n))
-        base, extra = divmod(total, n_blocks)
+        # Flat pixel indices of each block, row-major within the block.
+        self.cols = (
+            np.arange(self.n).reshape(h // bh, bh, w // bw, bw)
+            .transpose(0, 2, 1, 3).reshape(-1, bh * bw)
+        )
+        base, extra = divmod(self.m, len(self.cols))
         rng = np.random.default_rng(self.seed)
-        self.mats = []
-        for b in range(n_blocks):
+        self.mats, self.rows, pos = [], [], 0
+        for b in range(len(self.cols)):
             rows = base + (1 if b < extra else 0)
             scale = 1.0 / math.sqrt(rows) if rows else 1.0
-            self.mats.append(
-                rng.normal(0.0, scale, (rows, BLOCK_SIDE * BLOCK_SIDE))
-            )
-        self.m = total
-
-    def _blocks(self, x):
-        for br in range(self.grid[0]):
-            for bc in range(self.grid[1]):
-                yield x[
-                    br * BLOCK_SIDE : (br + 1) * BLOCK_SIDE,
-                    bc * BLOCK_SIDE : (bc + 1) * BLOCK_SIDE,
-                ]
+            self.mats.append(rng.normal(0.0, scale, (rows, bh * bw)))
+            self.rows.append(slice(pos, pos + rows))
+            pos += rows
 
     def forward(self, image):
-        x = self._check_image(image)
-        return np.concatenate(
-            [a @ blk.ravel() for a, blk in zip(self.mats, self._blocks(x))]
-        )
+        x = self._check_image(image).ravel()
+        return np.concatenate([a @ x[c] for a, c in zip(self.mats, self.cols)])
 
     def adjoint(self, y):
         v = self._check_y(y)
-        out = np.zeros(self.shape)
-        pos = 0
-        it = iter(self.mats)
-        for br in range(self.grid[0]):
-            for bc in range(self.grid[1]):
-                a = next(it)
-                part = a.T @ v[pos : pos + a.shape[0]]
-                out[
-                    br * BLOCK_SIDE : (br + 1) * BLOCK_SIDE,
-                    bc * BLOCK_SIDE : (bc + 1) * BLOCK_SIDE,
-                ] = part.reshape(BLOCK_SIDE, BLOCK_SIDE)
-                pos += a.shape[0]
-        return out
+        out = np.empty(self.n)
+        for a, c, r in zip(self.mats, self.cols, self.rows):
+            out[c] = a.T @ v[r]
+        return out.reshape(self.shape)
 
     @property
     def a(self):
-        # Dense equivalent, for small-scale verification only.
+        """Dense (m, n) equivalent, for small-scale verification only."""
         mat = np.zeros((self.m, self.n))
-        h, w = self.shape
-        pos = 0
-        idx = np.arange(self.n).reshape(self.shape)
-        it = iter(self.mats)
-        for br in range(self.grid[0]):
-            for bc in range(self.grid[1]):
-                a = next(it)
-                cols = idx[
-                    br * BLOCK_SIDE : (br + 1) * BLOCK_SIDE,
-                    bc * BLOCK_SIDE : (bc + 1) * BLOCK_SIDE,
-                ].ravel()
-                mat[pos : pos + a.shape[0], cols] = a
-                pos += a.shape[0]
+        for a, c, r in zip(self.mats, self.cols, self.rows):
+            mat[r, c] = a
         return mat
+
+
+class DenseGaussianOp(BlockGaussianOp):
+    """Dense i.i.d. Gaussian sensing matrix, entries N(0, 1/m).
+
+    The one-block case of BlockGaussianOp: its single block is the whole
+    image, so the matrix is default_rng(seed).normal(0, 1/sqrt(m), (m, n)).
+    """
+
+    kind = "dense"
+
+    def _block_shape(self):
+        return self.shape
 
 
 class MaskedDftOp(MeasurementOp):
@@ -215,7 +192,6 @@ class MaskedDftOp(MeasurementOp):
     def __init__(self, shape, subrate, seed):
         super().__init__(shape, subrate, seed)
         h, w = self.shape
-        target = max(1, round(self.subrate * self.n))
         orbits = []
         seen = set()
         for u in range(h):
@@ -231,7 +207,7 @@ class MaskedDftOp(MeasurementOp):
         chosen = [(0, 0)]
         count = 1
         for k in order:
-            if count >= target:
+            if count >= self.m:
                 break
             u, v = rest[k]
             chosen.append((u, v))

@@ -238,6 +238,10 @@ def recover(y, op, cfg: SolverConfig, ground_truth=None):
     [0, 255] happens only when an image is serialized.  A grouping that
     does not fit the image (GroupingError) or a threshold tau that is not
     finite (ThresholdError) is refused before the operator is applied.
+    A non-finite HX at the start of an iteration, or a non-finite X after
+    its X-step, raises NumericalError.  Z and W need no check of their
+    own: the Z-step refuses a non-finite X - W, and a non-finite Z or W
+    makes the next X non-finite.
     """
     n_groups = len(reference_anchors(op.shape, cfg.grouping))
     tau = tau_from_config(cfg, n_groups, op.n)
@@ -251,6 +255,8 @@ def recover(y, op, cfg: SolverConfig, ground_truth=None):
     trace = []
     for it in range(1, cfg.outer_iters + 1):
         hx = op.forward(x)
+        if not np.all(np.isfinite(hx)):
+            raise NumericalError(f"non-finite HX at iteration {it}")
         if cfg.fidelity == "m_estimator":
             resid = y - hx
             sigma = cfg.sigma_m if cfg.sigma_m is not None else robust_sigma(resid)

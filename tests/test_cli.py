@@ -539,6 +539,16 @@ def test_header_for_other_operator_exits_3(tmp_path, flat_image, capsys, op, old
     assert not out.exists()
 
 
+def test_header_with_overflowing_shape_exits_3(tmp_path, flat_image, capsys):
+    # 400 digits: the shape's pixel count does not convert to a float
+    meas = tmp_path / "m.meas"
+    run(capsys, "measure", flat_image[0], "--output", meas, "--seed", "0")
+    meas.write_bytes(meas.read_bytes().replace(b"height=32", b"height=" + b"9" * 400, 1))
+    code, _, err = run(capsys, "recover", meas, "--output", tmp_path / "o.pgm")
+    assert code == 3
+    assert err.startswith("file error") and err.count("\n") == 1
+
+
 def test_non_finite_measurements_exit_4(tmp_path, capsys):
     op = make_operator("dense", (32, 32), 0.2, 3)
     mf = MeasurementFile(
@@ -555,6 +565,29 @@ def test_non_finite_measurements_exit_4(tmp_path, capsys):
         )
     assert code == 4
     assert "numerical failure" in err
+
+
+@pytest.mark.parametrize("fidelity", FIDELITIES)
+def test_overflowing_start_exits_4(tmp_path, capsys, fidelity):
+    # Finite measurements whose adjoint start overflows: HX holds NaN, so
+    # the M-estimator's MAD scale would be NaN too.
+    op = make_operator("dense", (32, 32), 0.2, 3)
+    mf = MeasurementFile(
+        op_kind="dense", shape=(32, 32), subrate=0.2, seed=3,
+        noise=NoiseSpec("none", 1.0, 0.1, 100.0, None),
+        snr_db=math.inf, y=np.full(op.m, 1.7e308),
+    )
+    meas = tmp_path / "big.meas"
+    write_measurements(meas, mf)
+    out = tmp_path / "o.pgm"
+    with np.errstate(invalid="ignore", over="ignore"):
+        code, _, err = run(
+            capsys, "recover", meas, "--output", out,
+            "--outer_iters", "2", "--fidelity", fidelity,
+        )
+    assert code == 4
+    assert err.startswith("numerical failure") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_missing_subcommand_exits_2(capsys):

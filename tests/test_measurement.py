@@ -11,7 +11,7 @@ from groupcs import (
     make_operator,
     operator_norm_estimate,
 )
-from groupcs.measurement import BlockGaussianOp, DenseGaussianOp, MaskedDftOp
+from groupcs.measurement import BLOCK_SIDE, BlockGaussianOp, DenseGaussianOp, MaskedDftOp
 
 KINDS = ("dense", "block", "dft")
 
@@ -136,6 +136,82 @@ def test_block_dense_view_matches_forward(rng):
     op = BlockGaussianOp((64, 64), 0.2, 4)
     x = rng.normal(size=(64, 64))
     np.testing.assert_allclose(op.a @ x.ravel(), op.forward(x), atol=1e-10)
+
+
+def loop_gaussian_mats(shape, block, subrate, seed):
+    """Reference: one N(0, 1/rows) draw per block, blocks in raster order."""
+    (h, w), (bh, bw) = shape, block
+    n_blocks = (h // bh) * (w // bw)
+    base, extra = divmod(max(1, round(subrate * h * w)), n_blocks)
+    rng = np.random.default_rng(seed)
+    mats = []
+    for b in range(n_blocks):
+        rows = base + (1 if b < extra else 0)
+        scale = 1.0 / math.sqrt(rows) if rows else 1.0
+        mats.append(rng.normal(0.0, scale, (rows, bh * bw)))
+    return mats
+
+
+def loop_tiles(shape, block):
+    (h, w), (bh, bw) = shape, block
+    for br in range(h // bh):
+        for bc in range(w // bw):
+            yield slice(br * bh, (br + 1) * bh), slice(bc * bw, (bc + 1) * bw)
+
+
+def loop_gaussian_forward(mats, block, x):
+    return np.concatenate(
+        [a @ x[t].ravel() for a, t in zip(mats, loop_tiles(x.shape, block))]
+    )
+
+
+def loop_gaussian_adjoint(mats, block, shape, y):
+    out = np.zeros(shape)
+    pos = 0
+    for a, t in zip(mats, loop_tiles(shape, block)):
+        out[t] = (a.T @ y[pos : pos + a.shape[0]]).reshape(block)
+        pos += a.shape[0]
+    return out
+
+
+def loop_gaussian_dense(mats, block, shape):
+    idx = np.arange(shape[0] * shape[1]).reshape(shape)
+    mat = np.zeros((sum(a.shape[0] for a in mats), idx.size))
+    pos = 0
+    for a, t in zip(mats, loop_tiles(shape, block)):
+        mat[pos : pos + a.shape[0], idx[t].ravel()] = a
+        pos += a.shape[0]
+    return mat
+
+
+@pytest.mark.parametrize(
+    "kind, shape, subrate",
+    [
+        ("dense", (37, 23), 0.3),
+        ("dense", (4, 4), 0.05),  # a single row
+        ("block", (64, 64), 0.3),
+        ("block", (64, 32), 0.3),
+        ("block", (96, 128), 0.25),
+    ],
+)
+def test_gaussian_ops_match_block_loop(kind, shape, subrate, rng):
+    """Both Gaussian kinds equal the per-tile walk bit for bit; the dense
+    kind is the walk with one tile the size of the image."""
+    op = make_operator(kind, shape, subrate, 17)
+    block = shape if kind == "dense" else (BLOCK_SIDE, BLOCK_SIDE)
+    mats = loop_gaussian_mats(shape, block, subrate, 17)
+    assert len(op.mats) == len(mats)
+    for got, want in zip(op.mats, mats):
+        np.testing.assert_array_equal(got, want)
+    x = rng.normal(0, 50, shape)
+    y = rng.normal(0, 50, op.m)
+    np.testing.assert_array_equal(op.forward(x), loop_gaussian_forward(mats, block, x))
+    np.testing.assert_array_equal(op.adjoint(y), loop_gaussian_adjoint(mats, block, shape, y))
+    np.testing.assert_array_equal(op.a, loop_gaussian_dense(mats, block, shape))
+    if kind == "dense":
+        # The draw a measurement file's header rebuilds the matrix from.
+        want = np.random.default_rng(17).normal(0.0, 1.0 / math.sqrt(op.m), (op.m, op.n))
+        np.testing.assert_array_equal(DenseGaussianOp(shape, subrate, 17).a, want)
 
 
 # ----------------------------------------------------------------------- dft

@@ -1,0 +1,50 @@
+"""Smoke runs of the benchmark scripts at a small size, so a script that
+imports a name the library no longer defines fails here."""
+
+import csv
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from groupcs.pgm import read_pgm
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+# Arguments beyond --side and --csv for each script that writes a table:
+# one noise level or subrate, and two outer iterations where it recovers.
+CSV_RUNS = {
+    "denoise_benchmark": ["--sigmas", "20", "--kinds", "log", "mcp"],
+    "robust_noise_benchmark": ["--iters", "2", "--snrs", "20"],
+    "weighting_benchmark": ["--iters", "2", "--subrates", "0.3"],
+}
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_scripts_are_all_covered():
+    assert sorted(p.stem for p in SCRIPTS.glob("*.py")) == sorted(
+        ["make_benchmark_image", *CSV_RUNS]
+    )
+
+
+def test_make_benchmark_image(tmp_path, capsys):
+    out = tmp_path / "bench.pgm"
+    assert load_script("make_benchmark_image").main([str(out), "--side", "32"]) == 0
+    assert read_pgm(out).shape == (32, 32)
+
+
+@pytest.mark.parametrize("name", sorted(CSV_RUNS))
+def test_script_writes_one_row(name, tmp_path, capsys):
+    table = tmp_path / "out.csv"
+    argv = ["--side", "32", *CSV_RUNS[name], "--csv", str(table)]
+    assert load_script(name).main(argv) == 0
+    with open(table, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 2
+    assert len(rows[1]) == len(rows[0])
