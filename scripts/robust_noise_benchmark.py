@@ -19,19 +19,13 @@ from groupcs import (
     Penalty,
     SolverConfig,
     add_noise,
+    lam_for_tau,
     make_motif_image,
     make_operator,
     psnr,
     recover,
 )
-from groupcs.patches import reference_anchors
 from groupcs.solver import robust_sigma
-
-
-def lam_for_tau(tau, mu, shape, grouping):
-    n_groups = len(reference_anchors(shape, grouping))
-    k = n_groups * grouping.group_size * grouping.patch_side**2
-    return tau * mu * shape[0] * shape[1] / k
 
 
 def main(argv=None):

@@ -17,19 +17,12 @@ from groupcs import (
     GroupingConfig,
     Penalty,
     SolverConfig,
+    lam_for_tau,
     make_motif_image,
     make_operator,
     psnr,
     recover,
 )
-from groupcs.patches import reference_anchors
-
-
-def lam_for_tau(tau, mu, shape, grouping):
-    """Invert tau = lam * K / (mu * N) for the given image and grouping."""
-    n_groups = len(reference_anchors(shape, grouping))
-    k = n_groups * grouping.group_size * grouping.patch_side**2
-    return tau * mu * shape[0] * shape[1] / k
 
 
 def run_arm(y, op, image, weighting, tau, args, grouping):

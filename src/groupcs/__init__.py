@@ -6,12 +6,7 @@ from .lowrank import (
     wsvt,
 )
 from .measfile import MeasurementFile, read_measurements, write_measurements
-from .measurement import (
-    NoiseSpec,
-    add_noise,
-    make_operator,
-    operator_norm_estimate,
-)
+from .measurement import NoiseSpec, add_noise, make_operator
 from .metrics import QualityReport, psnr
 from .patches import (
     GroupingConfig,
@@ -24,6 +19,7 @@ from .pgm import read_pgm, write_pgm
 from .solver import (
     IterStats,
     SolverConfig,
+    lam_for_tau,
     multiplier_update,
     q_update,
     recover,

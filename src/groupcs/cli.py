@@ -25,18 +25,23 @@ import time
 import numpy as np
 
 from .config import (
-    ConfigError, as_choice, as_float, as_float_list, as_int, as_str_list,
-    build_grouping, build_noise_spec, build_penalty, build_solver_config,
-    merge_config, need, parse_kv_file,
+    ConfigError, as_float, as_float_list, as_int, as_str_list, build_noise_spec,
+    build_solver_config, merge_config, need, parse_kv_file,
 )
 from .measfile import MeasFileError, MeasurementFile, read_measurements, write_measurements
 from .lowrank import WEIGHTINGS
-from .measurement import OPERATOR_KINDS, add_noise, make_operator, measurement_count
+from .measurement import add_noise, make_operator, measurement_count
 from .metrics import psnr
 from .patches import GroupingError
 from .penalties import KINDS
 from .pgm import PgmError, read_pgm, write_pgm
 from .solver import IterStats, NumericalError, ThresholdError, recover, z_step
+
+
+# Floating-point errors end as NumericalError or a failed sweep cell, so
+# numpy's warnings would only add lines to stderr.  Not "raise": block
+# matching lets distances overflow to +inf on purpose.
+_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 
 
 def _quantize(image):
@@ -72,15 +77,15 @@ def _load_config(args, extras):
 
 
 def cmd_measure(cfg):
-    image = read_pgm(need(cfg, "input"))
-    kind = as_choice(cfg, "op", OPERATOR_KINDS)
+    kind = need(cfg, "op")
     subrate = as_float(cfg, "subrate")
     seed = as_int(cfg, "seed")
+    nspec = build_noise_spec(cfg)
+    image = read_pgm(need(cfg, "input"))
     try:
         op = make_operator(kind, image.shape, subrate, seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    nspec = build_noise_spec(cfg)
     y = op.forward(image)
     try:
         noisy, _, snr_db = add_noise(y, nspec, (seed, 1))
@@ -116,8 +121,8 @@ def _write_trace(path, trace, fidelity):
             writer.writerow([_format_stat(n, getattr(st, n)) for n in names])
 
 
-def _recover_from_file(cfg, meas_path, ground_truth):
-    mf = read_measurements(meas_path)
+def _operator_for(mf, meas_path):
+    """Rebuild the operator of a measurement file, checking its header."""
     m, (h, w) = mf.y.shape[0], mf.shape
     # Checked before the operator is built, so a damaged header cannot
     # start a large allocation.  The masked DFT may take one more.
@@ -137,14 +142,16 @@ def _recover_from_file(cfg, meas_path, ground_truth):
     if op.m != m:
         raise MeasFileError(f"{meas_path}: header rebuilds an operator with {op.m} "
                             f"measurements, file holds {m}")
-    scfg = build_solver_config(cfg)
-    return recover(mf.y, op, scfg, ground_truth=ground_truth), scfg
+    return op
 
 
 def cmd_recover(cfg):
+    scfg = build_solver_config(cfg)
     gt_path = cfg.get("ground_truth")
     gt = read_pgm(gt_path) if gt_path else None
-    (x, trace), scfg = _recover_from_file(cfg, need(cfg, "input"), gt)
+    meas_path = need(cfg, "input")
+    mf = read_measurements(meas_path)
+    x, trace = recover(mf.y, _operator_for(mf, meas_path), scfg, ground_truth=gt)
     write_pgm(need(cfg, "output"), x)
     if cfg.get("trace"):
         _write_trace(cfg["trace"], trace, scfg.fidelity)
@@ -170,7 +177,7 @@ def cmd_denoise(cfg):
     return 0
 
 
-def _sweep_grid(cfg):
+def _sweep_grid(cfg, nspec, scfg):
     subrates = (
         as_float_list(cfg, "sweep_subrates")
         if cfg.get("sweep_subrates") is not None
@@ -179,16 +186,16 @@ def _sweep_grid(cfg):
     if cfg.get("sweep_snrs") is not None:
         snrs = as_float_list(cfg, "sweep_snrs", allow_none_token=True)
     else:
-        snrs = [as_float(cfg, "target_snr_db")] if cfg.get("target_snr_db") else [None]
+        snrs = [nspec.target_snr_db]
     kinds = (
         as_str_list(cfg, "sweep_kinds", KINDS)
         if cfg.get("sweep_kinds") is not None
-        else [as_choice(cfg, "kind", KINDS)]
+        else [scfg.penalty.kind]
     )
     weightings = (
         as_str_list(cfg, "sweep_weightings", WEIGHTINGS)
         if cfg.get("sweep_weightings") is not None
-        else [as_choice(cfg, "weighting", WEIGHTINGS)]
+        else [scfg.weighting]
     )
     return [
         (s, t, k, wg)
@@ -199,35 +206,41 @@ def _sweep_grid(cfg):
     ]
 
 
-def _run_cell(cfg, image, cell):
+def _run_cell(image, op_kind, seed, nspec, scfg, cell):
     subrate, snr, kind_name, weighting = cell
-    cell_cfg = dict(cfg)
-    cell_cfg["subrate"] = repr(subrate)
-    cell_cfg["kind"] = kind_name
-    cell_cfg["weighting"] = weighting
     if snr is not None:
-        cell_cfg["target_snr_db"] = repr(snr)
-        if cell_cfg.get("noise") in (None, "none"):
+        if nspec.model == "none":
             raise ConfigError("sweep over SNR needs a noise model")
-    op_kind = as_choice(cell_cfg, "op", OPERATOR_KINDS)
-    seed = as_int(cell_cfg, "seed")
+        nspec = dataclasses.replace(nspec, target_snr_db=snr)
     op = make_operator(op_kind, image.shape, subrate, seed)
-    nspec = build_noise_spec(cell_cfg)
     noisy, _, _ = add_noise(op.forward(image), nspec, (seed, 1))
-    scfg = build_solver_config(cell_cfg)
+    scfg = dataclasses.replace(
+        scfg, penalty=dataclasses.replace(scfg.penalty, kind=kind_name),
+        weighting=weighting,
+    )
     x, _ = recover(noisy, op, scfg, ground_truth=image)
     return psnr(_quantize(x), image).psnr_db
 
 
 def cmd_sweep(cfg):
-    image = read_pgm(need(cfg, "input"))
-    cells = _sweep_grid(cfg)
+    op_kind = need(cfg, "op")
+    seed = as_int(cfg, "seed")
     jobs = as_int(cfg, "jobs")
+    nspec = build_noise_spec(cfg)
+    # Built with the first swept kind and weighting, so a bad setting
+    # exits before any work; each cell replaces only those two.
+    firsts = {key: cfg[f"sweep_{key}s"].split(",")[0].strip()
+              for key in ("kind", "weighting") if cfg.get(f"sweep_{key}s") is not None}
+    scfg = build_solver_config({**cfg, **firsts})
+    cells = _sweep_grid(cfg, nspec, scfg)
+    output = need(cfg, "output")
+    image = read_pgm(need(cfg, "input"))
 
     def run(cell):
         start = time.monotonic()
         try:
-            value = _run_cell(cfg, image, cell)
+            with np.errstate(**_QUIET):  # worker threads start from numpy's defaults
+                value = _run_cell(image, op_kind, seed, nspec, scfg, cell)
             return f"{value:.2f}", time.monotonic() - start, "ok"
         except (ConfigError, ValueError, OverflowError, NumericalError,
                 np.linalg.LinAlgError) as exc:
@@ -241,7 +254,7 @@ def cmd_sweep(cfg):
     else:
         results = [run(cell) for cell in cells]
 
-    with open(need(cfg, "output"), "w", newline="") as fh:
+    with open(output, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["subrate", "snr_db", "kind", "weighting", "psnr_db", "wall_s", "status"]
@@ -316,7 +329,8 @@ def main(argv=None):
     args, extras = parser.parse_known_args(argv)
     try:
         cfg = _load_config(args, extras)
-        return _COMMANDS[args.command](cfg)
+        with np.errstate(**_QUIET):
+            return _COMMANDS[args.command](cfg)
     except (ConfigError, GroupingError, ThresholdError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -3,26 +3,32 @@
 A config file holds one key=value pair per line; blank lines and lines
 starting with '#' are ignored.  Command-line overrides (--key value) are
 applied on top.  Unknown keys are rejected so typos fail loudly.
+
+The settings types (SolverConfig, Penalty, GroupingConfig, NoiseSpec)
+own their defaults and their checks.  Each has one table here mapping a
+config key to its field and parser; a key left unset keeps the type's
+default, and the type's __post_init__ is the only check of its choices
+and bounds.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
-from .lowrank import INIT_WEIGHTS, WEIGHTINGS
-from .measurement import NOISE_MODELS, NoiseSpec
+from .measurement import NoiseSpec
 from .patches import GroupingConfig
-from .penalties import EPS_WEIGHT, KINDS, Penalty
-from .solver import FIDELITIES, INITS, SolverConfig
+from .penalties import Penalty
+from .solver import SolverConfig
 
 
 class ConfigError(Exception):
     pass
 
 
-# Every recognized key with its default (None = no default, must be given
-# when the subcommand needs it).
-DEFAULTS = {
+# Keys no settings type holds, with their defaults (None = no default,
+# must be given when the subcommand needs it).
+RUN_DEFAULTS = {
     "input": None,
     "output": None,
     "trace": None,
@@ -32,31 +38,6 @@ DEFAULTS = {
     # measurement
     "op": "dense",
     "subrate": "0.3",
-    "noise": "none",
-    "noise_sigma": "1.0",
-    "noise_xi": "0.1",
-    "noise_kappa": "100.0",
-    "target_snr_db": None,
-    # penalty
-    "kind": "log",
-    "lambda": "1.0",
-    "shape": "10.0",
-    # grouping
-    "patch": "6",
-    "stride": "4",
-    "window": "20",
-    "group_size": "60",
-    # solver
-    "solver_lambda": "7.5e6",
-    "mu": "0.05",
-    "weighting": "combined",
-    "fidelity": "l2",
-    "sigma_m": "auto",
-    "outer_iters": "80",
-    "gd_steps": "20",
-    "epsilon": repr(EPS_WEIGHT),
-    "init": "adjoint",
-    "init_weights": "observation",
     # denoise
     "tau": None,
     "sweeps": "1",
@@ -66,36 +47,6 @@ DEFAULTS = {
     "sweep_kinds": None,
     "sweep_weightings": None,
 }
-
-
-def parse_kv_file(path):
-    """Read a flat key=value file into a string dict."""
-    out = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        out[key.strip()] = value.strip()
-    return out
-
-
-def merge_config(file_pairs, override_pairs):
-    """Defaults, then file values, then CLI overrides; keys must be known."""
-    cfg = dict(DEFAULTS)
-    for source in (file_pairs, override_pairs):
-        for key, value in source.items():
-            if key not in DEFAULTS:
-                raise ConfigError(f"unknown config key {key!r}")
-            cfg[key] = value
-    return cfg
 
 
 def need(cfg, key):
@@ -124,13 +75,8 @@ def as_float(cfg, key):
     return value
 
 
-def as_choice(cfg, key, choices):
-    raw = need(cfg, key)
-    if raw not in choices:
-        raise ConfigError(
-            f"key {key!r} must be one of {', '.join(choices)}; got {raw!r}"
-        )
-    return raw
+def as_float_or_auto(cfg, key):
+    return None if need(cfg, key) == "auto" else as_float(cfg, key)
 
 
 def as_float_list(cfg, key, allow_none_token=False):
@@ -163,64 +109,89 @@ def as_str_list(cfg, key, choices):
     return out
 
 
+# config key -> (field, parser), one table per settings type
+PENALTY_KEYS = {
+    "kind": ("kind", need),
+    "lambda": ("lam", as_float),
+    "shape": ("shape", as_float),
+}
+GROUPING_KEYS = {
+    "patch": ("patch_side", as_int),
+    "stride": ("stride", as_int),
+    "window": ("window_side", as_int),
+    "group_size": ("group_size", as_int),
+}
+SOLVER_KEYS = {
+    "solver_lambda": ("lam", as_float),
+    "mu": ("mu", as_float),
+    "weighting": ("weighting", need),
+    "fidelity": ("fidelity", need),
+    "sigma_m": ("sigma_m", as_float_or_auto),
+    "outer_iters": ("outer_iters", as_int),
+    "gd_steps": ("gd_steps", as_int),
+    "epsilon": ("epsilon", as_float),
+    "init_weights": ("init_weights", need),
+}
+NOISE_KEYS = {
+    "noise": ("model", need),
+    "noise_sigma": ("sigma", as_float),
+    "noise_xi": ("xi", as_float),
+    "noise_kappa": ("kappa", as_float),
+    "target_snr_db": ("target_snr_db", as_float),
+}
+
+KEYS = frozenset(RUN_DEFAULTS).union(PENALTY_KEYS, GROUPING_KEYS, SOLVER_KEYS, NOISE_KEYS)
+
+
+def parse_kv_file(path):
+    """Read a flat key=value file into a string dict."""
+    out = {}
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        out[key.strip()] = value.strip()
+    return out
+
+
+def merge_config(file_pairs, override_pairs):
+    """Run defaults, then file values, then CLI overrides; keys must be known.
+
+    Settings keys left unset are absent, so they keep the type's default.
+    """
+    cfg = dict(RUN_DEFAULTS)
+    for source in (file_pairs, override_pairs):
+        for key, value in source.items():
+            if key not in KEYS:
+                raise ConfigError(f"unknown config key {key!r}")
+            cfg[key] = value
+    return cfg
+
+
+def _build(default, table, cfg, **fields):
+    """Replace the fields of `default` that cfg sets; the type checks them."""
+    for key, (name, parse) in table.items():
+        if cfg.get(key) is not None:
+            fields[name] = parse(cfg, key)
+    try:
+        return dataclasses.replace(default, **fields)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def build_noise_spec(cfg):
-    model = as_choice(cfg, "noise", NOISE_MODELS)
-    target = None
-    if cfg.get("target_snr_db") is not None:
-        target = as_float(cfg, "target_snr_db")
-    try:
-        return NoiseSpec(
-            model=model,
-            sigma=as_float(cfg, "noise_sigma"),
-            xi=as_float(cfg, "noise_xi"),
-            kappa=as_float(cfg, "noise_kappa"),
-            target_snr_db=target,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _build(NoiseSpec(), NOISE_KEYS, cfg)
 
 
-def build_penalty(cfg):
-    try:
-        return Penalty(
-            kind=as_choice(cfg, "kind", KINDS),
-            lam=as_float(cfg, "lambda"),
-            shape=as_float(cfg, "shape"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def build_grouping(cfg):
-    try:
-        return GroupingConfig(
-            patch_side=as_int(cfg, "patch"),
-            stride=as_int(cfg, "stride"),
-            window_side=as_int(cfg, "window"),
-            group_size=as_int(cfg, "group_size"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def build_solver_config(cfg, init_image=None):
-    sigma_raw = need(cfg, "sigma_m")
-    sigma_m = None if sigma_raw == "auto" else as_float(cfg, "sigma_m")
-    try:
-        return SolverConfig(
-            lam=as_float(cfg, "solver_lambda"),
-            mu=as_float(cfg, "mu"),
-            penalty=build_penalty(cfg),
-            weighting=as_choice(cfg, "weighting", WEIGHTINGS),
-            grouping=build_grouping(cfg),
-            fidelity=as_choice(cfg, "fidelity", FIDELITIES),
-            sigma_m=sigma_m,
-            outer_iters=as_int(cfg, "outer_iters"),
-            gd_steps=as_int(cfg, "gd_steps"),
-            epsilon=as_float(cfg, "epsilon"),
-            init=as_choice(cfg, "init", INITS),
-            init_image=init_image,
-            init_weights=as_choice(cfg, "init_weights", INIT_WEIGHTS),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def build_solver_config(cfg):
+    penalty = _build(Penalty(), PENALTY_KEYS, cfg)
+    grouping = _build(GroupingConfig(), GROUPING_KEYS, cfg)
+    return _build(SolverConfig(), SOLVER_KEYS, cfg, penalty=penalty, grouping=grouping)

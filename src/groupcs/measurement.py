@@ -39,7 +39,8 @@ class NoiseSpec:
 
     def __post_init__(self):
         if self.model not in NOISE_MODELS:
-            raise ValueError(f"unknown noise model {self.model!r}")
+            raise ValueError(f"noise model must be one of {', '.join(NOISE_MODELS)}; "
+                             f"got {self.model!r}")
         if self.model != "none":
             if not self.sigma >= 0:
                 raise ValueError("noise sigma must be >= 0")
@@ -257,7 +258,7 @@ OPERATOR_KINDS = tuple(_OPS)
 def make_operator(kind, shape, subrate, seed):
     """Instantiate an operator by kind name."""
     if kind not in _OPS:
-        raise ValueError(f"unknown operator kind {kind!r}")
+        raise ValueError(f"operator kind must be one of {', '.join(_OPS)}; got {kind!r}")
     return _OPS[kind](shape, subrate, seed)
 
 
@@ -296,31 +297,3 @@ def add_noise(y, spec: NoiseSpec, seed):
     else:
         realized = 20.0 * math.log10(signal / nn)
     return y + noise, noise, realized
-
-
-def operator_norm_estimate(op, iters=200, tol=1e-4):
-    """Largest singular value of the operator by power iteration.
-
-    Deterministic: the start vector is drawn from the operator's own
-    seed.  Runs at most `iters` iterations, stopping when the estimate
-    moves by less than `tol` relative.
-    """
-    rng = np.random.default_rng(op.seed + 0x9E3779B9)
-    v = rng.standard_normal(op.shape)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        raise ValueError("degenerate start vector")
-    v /= nv
-    est = 0.0
-    for _ in range(iters):
-        z = op.forward(v)
-        new_est = np.linalg.norm(z)
-        v = op.adjoint(z)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return 0.0
-        v /= nv
-        if est > 0 and abs(new_est - est) <= tol * est:
-            return new_est
-        est = new_est
-    return est

@@ -30,13 +30,14 @@ class Penalty:
     otherwise).  Except for lp, the slope d(0) must be finite.
     """
 
-    kind: str
-    lam: float
-    shape: float
+    kind: str = "log"
+    lam: float = 1.0
+    shape: float = 10.0
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown penalty kind {self.kind!r}")
+            raise ValueError(f"penalty kind must be one of {', '.join(KINDS)}; "
+                             f"got {self.kind!r}")
         if not np.isfinite(self.lam) or self.lam < 0:
             raise ValueError(f"penalty lam must be finite and >= 0, got {self.lam}")
         if not np.isfinite(self.shape):

@@ -32,7 +32,6 @@ from .patches import GroupingConfig, aggregate_stack, group_stack, reference_anc
 from .penalties import EPS_WEIGHT, Penalty, rho
 
 FIDELITIES = ("l2", "m_estimator")
-INITS = ("adjoint", "given")
 
 # Lower clamp for the robust weights; keeps extreme outliers from
 # producing exact zeros.
@@ -50,10 +49,6 @@ class ThresholdError(ValueError):
     """The config gives a non-finite group threshold tau for this image."""
 
 
-def _default_penalty():
-    return Penalty(kind="log", lam=1.0, shape=10.0)
-
-
 @dataclass
 class SolverConfig:
     """All recovery knobs.
@@ -63,7 +58,9 @@ class SolverConfig:
     tau = lam * K / (mu * n_pixels) where K counts all group entries.
     sigma_m = None lets the M-estimator rescale from the median absolute
     deviation of the current residual each outer iteration; a float pins
-    it.  weighting "none" is the convex nuclear-norm baseline.
+    it.  weighting "none" is the convex nuclear-norm baseline.  The run
+    starts from init_image when one is given, else from the adjoint of
+    the measurements.
 
     The default lam/mu pair targets 8-bit images sampled well below the
     Nyquist budget (tau near 2e10 on a 64x64 image with the default
@@ -74,7 +71,7 @@ class SolverConfig:
 
     lam: float = 7.5e6
     mu: float = 0.05
-    penalty: Penalty = field(default_factory=_default_penalty)
+    penalty: Penalty = field(default_factory=Penalty)
     weighting: str = "combined"
     grouping: GroupingConfig = field(default_factory=GroupingConfig)
     fidelity: str = "l2"
@@ -82,7 +79,6 @@ class SolverConfig:
     outer_iters: int = 80
     gd_steps: int = 20
     epsilon: float = EPS_WEIGHT
-    init: str = "adjoint"
     init_image: np.ndarray | None = None
     init_weights: str = "observation"
 
@@ -93,16 +89,12 @@ class SolverConfig:
             raise ValueError(f"mu must be finite and > 0, got {self.mu}")
         if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
-        if self.weighting not in WEIGHTINGS:
-            raise ValueError(f"unknown weighting {self.weighting!r}")
-        if self.init_weights not in INIT_WEIGHTS:
-            raise ValueError(f"unknown init_weights {self.init_weights!r}")
-        if self.fidelity not in FIDELITIES:
-            raise ValueError(f"unknown fidelity {self.fidelity!r}")
-        if self.init not in INITS:
-            raise ValueError(f"unknown init {self.init!r}")
-        if self.init == "given" and self.init_image is None:
-            raise ValueError("init 'given' needs init_image")
+        for name, choices in (("weighting", WEIGHTINGS),
+                              ("init_weights", INIT_WEIGHTS),
+                              ("fidelity", FIDELITIES)):
+            if getattr(self, name) not in choices:
+                raise ValueError(f"{name} must be one of {', '.join(choices)}; "
+                                 f"got {getattr(self, name)!r}")
         if self.sigma_m is not None and not self.sigma_m > 0:
             raise ValueError("sigma_m must be positive when fixed")
         if self.outer_iters < 1 or self.gd_steps < 1:
@@ -129,6 +121,16 @@ def tau_from_config(cfg: SolverConfig, n_groups, n_pixels):
     g = cfg.grouping
     k = n_groups * g.group_size * g.patch_side * g.patch_side
     return cfg.lam * k / (cfg.mu * n_pixels)
+
+
+def lam_for_tau(tau, mu, shape, grouping: GroupingConfig):
+    """The lam that gives threshold tau on an image of `shape`.
+
+    Inverts tau_from_config: lam = tau * mu * n_pixels / K.
+    """
+    n_groups = len(reference_anchors(shape, grouping))
+    k = n_groups * grouping.group_size * grouping.patch_side**2
+    return tau * mu * shape[0] * shape[1] / k
 
 
 def robust_sigma(residual):
@@ -220,7 +222,7 @@ def multiplier_update(w, x, z):
 
 
 def _initial_x(y, op, cfg):
-    if cfg.init == "given":
+    if cfg.init_image is not None:
         x0 = np.asarray(cfg.init_image, dtype=float)
         if x0.shape != op.shape:
             raise ValueError(

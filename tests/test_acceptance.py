@@ -29,7 +29,7 @@ from groupcs import (
 from groupcs.lowrank import irnn_denoise_stack
 from groupcs.patches import aggregate_stack, group_stack
 from groupcs.penalties import rho, supergradient
-from groupcs.solver import robust_sigma
+from groupcs.solver import lam_for_tau, robust_sigma
 
 
 def _verdict(num, ok, detail):
@@ -38,14 +38,6 @@ def _verdict(num, ok, detail):
 
 
 BENCH_SIDE = 64
-BENCH_PIXELS = BENCH_SIDE * BENCH_SIDE
-# Default grouping on the benchmark: 256 groups of 60 patches of 36 pixels.
-BENCH_PATCH_TOTAL = 256 * 60 * 36
-
-
-def bench_lam(tau, mu):
-    """Invert the threshold relation tau = lam * K / (mu * N)."""
-    return tau * mu * BENCH_PIXELS / BENCH_PATCH_TOTAL
 
 
 def final_psnr(y, op, cfg, truth):
@@ -275,7 +267,7 @@ def test_criterion_06_robust_equals_standard_under_unit_weights():
     op = make_operator("dense", img.shape, 0.3, 7)
     y = op.forward(img)
     base = dict(
-        lam=bench_lam(2e9, 0.05), mu=0.05,
+        lam=lam_for_tau(2e9, 0.05, img.shape, GroupingConfig()), mu=0.05,
         penalty=Penalty("log", 1.0, 10.0), weighting="combined",
         outer_iters=10, gd_steps=20,
     )
@@ -311,12 +303,12 @@ def test_criterion_07_weighting_beats_unweighted_baseline():
     y = op.forward(img)
 
     weighted = final_psnr(y, op, SolverConfig(
-        lam=bench_lam(2e10, 0.05), mu=0.05,
+        lam=lam_for_tau(2e10, 0.05, img.shape, GroupingConfig()), mu=0.05,
         penalty=Penalty("log", 1.0, 10.0), weighting="combined",
         outer_iters=80, gd_steps=20,
     ), img)
     flat = final_psnr(y, op, SolverConfig(
-        lam=bench_lam(1000.0, 0.05), mu=0.05,
+        lam=lam_for_tau(1000.0, 0.05, img.shape, GroupingConfig()), mu=0.05,
         penalty=Penalty("log", 1.0, 10.0), weighting="none",
         outer_iters=80, gd_steps=20,
     ), img)
@@ -345,7 +337,7 @@ def test_criterion_08_robust_beats_l2_under_impulsive_noise():
     assert realized == pytest.approx(15.0, abs=1e-9)
 
     base = dict(
-        lam=bench_lam(3e7, 0.2), mu=0.2,
+        lam=lam_for_tau(3e7, 0.2, img.shape, GroupingConfig()), mu=0.2,
         penalty=Penalty("log", 1.0, 10.0), weighting="combined",
         outer_iters=100, gd_steps=20,
     )
@@ -371,7 +363,7 @@ def test_criterion_09_convergence_shape():
     op = make_operator("dense", img.shape, 0.1, 7)
     y = op.forward(img)
     _, trace = recover(y, op, SolverConfig(
-        lam=bench_lam(6e10, 0.0125), mu=0.0125,
+        lam=lam_for_tau(6e10, 0.0125, img.shape, GroupingConfig()), mu=0.0125,
         penalty=Penalty("log", 1.0, 10.0), weighting="combined",
         outer_iters=80, gd_steps=20,
     ), ground_truth=img)

@@ -2,20 +2,27 @@
 sweep CSVs, exit codes, and byte-level determinism."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from groupcs import cli
 from groupcs.cli import main
-from groupcs.config import DEFAULTS
+from groupcs.config import KEYS, build_noise_spec, build_solver_config, merge_config
 from groupcs.lowrank import INIT_WEIGHTS, WEIGHTINGS
 from groupcs.measfile import MeasurementFile, read_measurements, write_measurements
 from groupcs.measurement import NOISE_MODELS, OPERATOR_KINDS, NoiseSpec, make_operator
 from groupcs.metrics import psnr
 from groupcs.penalties import KINDS
 from groupcs.pgm import read_pgm, write_pgm
-from groupcs.solver import FIDELITIES, INITS
+from groupcs.solver import FIDELITIES, SolverConfig
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -410,6 +417,40 @@ def test_unknown_config_key_exits_2(tmp_path, flat_image, capsys):
     assert "taau" in err
 
 
+def test_config_defaults_are_library_defaults():
+    cfg = merge_config({}, {})
+    assert build_solver_config(cfg) == SolverConfig()
+    assert build_noise_spec(cfg) == NoiseSpec()
+
+
+@pytest.mark.parametrize(
+    "command, key, value, message",
+    [
+        ("recover", "weighting", "bogus",
+         "weighting must be one of supergradient, combined, none; got 'bogus'"),
+        # at the parent every cell became a failed: row, with exit 0
+        ("sweep", "mu", "-1", "mu must be finite and > 0, got -1.0"),
+    ],
+)
+def test_bad_solver_setting_exits_2_before_operator(tmp_path, flat_image, capsys, monkeypatch,
+                                                    command, key, value, message):
+    img_path, _ = flat_image
+    source = img_path
+    if command == "recover":
+        source = tmp_path / "m.meas"
+        run(capsys, "measure", img_path, "--output", source, "--seed", "0")
+
+    def refuse(*args):
+        raise AssertionError("operator built before the settings were checked")
+
+    monkeypatch.setattr(cli, "make_operator", refuse)
+    out = tmp_path / "out"
+    code, _, err = run(capsys, command, source, "--output", out, f"--{key}", value)
+    assert code == 2
+    assert err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_unknown_penalty_kind_exits_2(tmp_path, flat_image, capsys):
     img_path, _ = flat_image
     code, _, err = run(
@@ -558,36 +599,53 @@ def test_non_finite_measurements_exit_4(tmp_path, capsys):
     )
     meas = tmp_path / "inf.meas"
     write_measurements(meas, mf)
-    with np.errstate(invalid="ignore", over="ignore"):
-        code, _, err = run(
-            capsys, "recover", meas, "--output", tmp_path / "o.pgm",
-            "--outer_iters", "1", "--gd_steps", "1",
-        )
+    code, _, err = run(
+        capsys, "recover", meas, "--output", tmp_path / "o.pgm",
+        "--outer_iters", "1", "--gd_steps", "1",
+    )
     assert code == 4
     assert "numerical failure" in err
 
 
-@pytest.mark.parametrize("fidelity", FIDELITIES)
-def test_overflowing_start_exits_4(tmp_path, capsys, fidelity):
-    # Finite measurements whose adjoint start overflows: HX holds NaN, so
-    # the M-estimator's MAD scale would be NaN too.
+def write_overflowing_file(path):
+    """A dense 32x32 file whose measurements are all 1.7e308: finite, but
+    the adjoint start overflows, so HX holds NaN."""
     op = make_operator("dense", (32, 32), 0.2, 3)
-    mf = MeasurementFile(
+    write_measurements(path, MeasurementFile(
         op_kind="dense", shape=(32, 32), subrate=0.2, seed=3,
         noise=NoiseSpec("none", 1.0, 0.1, 100.0, None),
         snr_db=math.inf, y=np.full(op.m, 1.7e308),
-    )
+    ))
+
+
+@pytest.mark.parametrize("fidelity", FIDELITIES)
+def test_overflowing_start_exits_4(tmp_path, capsys, fidelity):
+    # The M-estimator's MAD scale of that residual would be NaN too.
     meas = tmp_path / "big.meas"
-    write_measurements(meas, mf)
+    write_overflowing_file(meas)
     out = tmp_path / "o.pgm"
-    with np.errstate(invalid="ignore", over="ignore"):
-        code, _, err = run(
-            capsys, "recover", meas, "--output", out,
-            "--outer_iters", "2", "--fidelity", fidelity,
-        )
+    code, _, err = run(
+        capsys, "recover", meas, "--output", out,
+        "--outer_iters", "2", "--fidelity", fidelity,
+    )
     assert code == 4
     assert err.startswith("numerical failure") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_overflowing_start_prints_one_line_from_a_shell(tmp_path):
+    """Run as its own process, so numpy's warnings would reach stderr."""
+    meas = tmp_path / "big.meas"
+    write_overflowing_file(meas)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "groupcs.cli", "recover", str(meas),
+         "--output", str(tmp_path / "o.pgm"), "--outer_iters", "2"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 4
+    assert proc.stderr.splitlines() == ["numerical failure: non-finite HX at iteration 1"]
 
 
 def test_missing_subcommand_exits_2(capsys):
@@ -601,7 +659,7 @@ def test_missing_subcommand_exits_2(capsys):
 
 FUZZ_VALUES = sorted(
     {"0", "-1", "inf", "1e308", "abc", "auto", "none"}
-    | {choice for choices in (KINDS, WEIGHTINGS, INIT_WEIGHTS, FIDELITIES, INITS,
+    | {choice for choices in (KINDS, WEIGHTINGS, INIT_WEIGHTS, FIDELITIES,
                               NOISE_MODELS, OPERATOR_KINDS) for choice in choices}
 )
 
@@ -609,7 +667,7 @@ FUZZ_VALUES = sorted(
 @given(
     command=st.sampled_from(["measure", "recover", "denoise", "sweep", "metrics"]),
     overrides=st.dictionaries(
-        st.sampled_from(sorted(DEFAULTS)), st.sampled_from(FUZZ_VALUES),
+        st.sampled_from(sorted(KEYS)), st.sampled_from(FUZZ_VALUES),
         min_size=1, max_size=3,
     ),
     iters=st.integers(1, 2),
@@ -630,8 +688,7 @@ def test_fuzz_overrides_keep_exit_code_contract(tmp_path, monkeypatch, command,
     for key, value in overrides.items():
         argv += [f"--{key}", value]
     try:
-        with np.errstate(all="ignore"):
-            code = main(argv)
+        code = main(argv)
     except SystemExit as exc:  # argparse rejects its own typed options
         code = exc.code
     assert code in (0, 2, 3, 4), argv
@@ -666,9 +723,8 @@ def test_fuzz_corrupt_measurement_file(tmp_path, flat_image, capsys, cut, edits)
                 raw[pos] ^= byte
     bad = tmp_path / "bad.meas"
     bad.write_bytes(bytes(raw))
-    with np.errstate(all="ignore"):
-        code, _, _ = run(capsys, "recover", bad, "--output", tmp_path / "o.pgm",
-                         "--outer_iters", "1", "--gd_steps", "2")
+    code, _, _ = run(capsys, "recover", bad, "--output", tmp_path / "o.pgm",
+                     "--outer_iters", "1", "--gd_steps", "2")
     if cut is not None:
         assert code == 3
     else:

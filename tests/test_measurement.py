@@ -1,16 +1,11 @@
-"""Measurement operators: adjoint identities, masks, noise model, norms."""
+"""Measurement operators: adjoint identities, masks and the noise model."""
 
 import math
 
 import numpy as np
 import pytest
 
-from groupcs import (
-    NoiseSpec,
-    add_noise,
-    make_operator,
-    operator_norm_estimate,
-)
+from groupcs import NoiseSpec, add_noise, make_operator
 from groupcs.measurement import BLOCK_SIDE, BlockGaussianOp, DenseGaussianOp, MaskedDftOp
 
 KINDS = ("dense", "block", "dft")
@@ -371,23 +366,3 @@ def test_noise_spec_validation():
     with pytest.raises(ValueError):
         NoiseSpec(model="gaussian_mixture", kappa=0.5)
 
-
-# ------------------------------------------------------------- operator norm
-
-
-def test_norm_of_masked_dft():
-    op = make_operator("dft", (32, 32), 0.4, 6)
-    assert operator_norm_estimate(op) == pytest.approx(1.0, abs=0.01)
-
-
-def test_norm_of_single_row():
-    op = DenseGaussianOp((4, 4), 0.05, 8)
-    assert operator_norm_estimate(op) == pytest.approx(
-        float(np.linalg.norm(op.a[0])), rel=1e-3
-    )
-
-
-def test_norm_matches_dense_svd():
-    op = DenseGaussianOp((8, 8), 0.5, 12)
-    exact = np.linalg.svd(op.a, compute_uv=False)[0]
-    assert operator_norm_estimate(op) == pytest.approx(exact, rel=0.01)

@@ -29,7 +29,7 @@ from groupcs import (
 from groupcs import lowrank, patches
 from groupcs.measurement import DenseGaussianOp
 from groupcs.patches import reference_anchors
-from groupcs.solver import NumericalError, ThresholdError, robust_sigma
+from groupcs.solver import NumericalError, ThresholdError, lam_for_tau, robust_sigma
 
 
 class IdentityOp:
@@ -88,6 +88,10 @@ def test_tau_frozen_arithmetic():
     )
     # 64 groups of 60 patches of 36 pixels over 1024 pixels
     assert tau_from_config(cfg, 64, 1024) == pytest.approx(1350.0, rel=1e-12)
+    # a 32x32 image has those 64 groups, and lam_for_tau inverts tau there
+    lam = lam_for_tau(1350.0, 0.001, (32, 32), cfg.grouping)
+    assert tau_from_config(small_cfg(lam=lam, mu=0.001, grouping=cfg.grouping),
+                           64, 1024) == 1350.0
 
 
 def test_tau_mu_homogeneity():
@@ -463,7 +467,7 @@ def test_config_validation():
         small_cfg(lam=-1.0)
     with pytest.raises(ValueError):
         small_cfg(mu=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="supergradient, combined, none; got 'soft'"):
         small_cfg(weighting="soft")
     with pytest.raises(ValueError):
         small_cfg(fidelity="l1")
@@ -471,10 +475,6 @@ def test_config_validation():
         small_cfg(outer_iters=0)
     with pytest.raises(ValueError):
         small_cfg(sigma_m=0.0)
-    with pytest.raises(ValueError):
-        small_cfg(init="given")  # init image missing
-    with pytest.raises(ValueError):
-        small_cfg(init="warm")
     with pytest.raises(ValueError):
         small_cfg(init_weights="spectral")
     with pytest.raises(ValueError):
@@ -540,7 +540,7 @@ def test_recover_given_init_used(rng):
     op = make_operator("dense", (32, 32), 0.2, 3)
     y = op.forward(img)
     cfg = small_cfg(
-        init="given", init_image=img, lam=1e-8,
+        init_image=img, lam=1e-8,
         outer_iters=1, gd_steps=1, grouping=GroupingConfig(6, 4, 20, 60),
     )
     x, _ = recover(y, op, cfg, ground_truth=img)
@@ -583,9 +583,7 @@ def test_recover_deterministic(rng):
 def test_recover_rejects_non_finite_start():
     op = make_operator("dense", (32, 32), 0.2, 3)
     bad = np.full((32, 32), np.inf)
-    cfg = small_cfg(
-        init="given", init_image=bad, grouping=GroupingConfig(6, 4, 20, 60)
-    )
+    cfg = small_cfg(init_image=bad, grouping=GroupingConfig(6, 4, 20, 60))
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericalError):
             recover(np.zeros(op.m), op, cfg)
