@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import math
 import sys
 import time
@@ -26,11 +27,11 @@ import numpy as np
 
 from .config import (
     ConfigError, as_float, as_float_list, as_int, as_str_list, build_noise_spec,
-    build_solver_config, merge_config, need, parse_kv_file,
+    build_solver_config, first_fitting_kind, merge_config, need, parse_kv_file,
 )
 from .measfile import MeasFileError, MeasurementFile, read_measurements, write_measurements
 from .lowrank import WEIGHTINGS
-from .measurement import add_noise, make_operator, measurement_count
+from .measurement import add_noise, check_operator_kind, make_operator, measurement_count
 from .metrics import psnr
 from .patches import GroupingError
 from .penalties import KINDS
@@ -76,8 +77,15 @@ def _load_config(args, extras):
     return merge_config(file_pairs, overrides)
 
 
+def _operator_kind(cfg):
+    try:
+        return check_operator_kind(need(cfg, "op"))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def cmd_measure(cfg):
-    kind = need(cfg, "op")
+    kind = _operator_kind(cfg)
     subrate = as_float(cfg, "subrate")
     seed = as_int(cfg, "seed")
     nspec = build_noise_spec(cfg)
@@ -177,7 +185,9 @@ def cmd_denoise(cfg):
     return 0
 
 
-def _sweep_grid(cfg, nspec, scfg):
+def _sweep_axes(cfg, nspec):
+    """Subrates, SNRs, kinds and weightings of the grid; kinds and
+    weightings are None when not swept."""
     subrates = (
         as_float_list(cfg, "sweep_subrates")
         if cfg.get("sweep_subrates") is not None
@@ -187,23 +197,12 @@ def _sweep_grid(cfg, nspec, scfg):
         snrs = as_float_list(cfg, "sweep_snrs", allow_none_token=True)
     else:
         snrs = [nspec.target_snr_db]
-    kinds = (
-        as_str_list(cfg, "sweep_kinds", KINDS)
-        if cfg.get("sweep_kinds") is not None
-        else [scfg.penalty.kind]
-    )
-    weightings = (
-        as_str_list(cfg, "sweep_weightings", WEIGHTINGS)
-        if cfg.get("sweep_weightings") is not None
-        else [scfg.weighting]
-    )
-    return [
-        (s, t, k, wg)
-        for s in subrates
-        for t in snrs
-        for k in kinds
-        for wg in weightings
-    ]
+    kinds = weightings = None
+    if cfg.get("sweep_kinds") is not None:
+        kinds = as_str_list(cfg, "sweep_kinds", KINDS)
+    if cfg.get("sweep_weightings") is not None:
+        weightings = as_str_list(cfg, "sweep_weightings", WEIGHTINGS)
+    return subrates, snrs, kinds, weightings
 
 
 def _run_cell(image, op_kind, seed, nspec, scfg, cell):
@@ -223,16 +222,22 @@ def _run_cell(image, op_kind, seed, nspec, scfg, cell):
 
 
 def cmd_sweep(cfg):
-    op_kind = need(cfg, "op")
+    op_kind = _operator_kind(cfg)
     seed = as_int(cfg, "seed")
     jobs = as_int(cfg, "jobs")
     nspec = build_noise_spec(cfg)
-    # Built with the first swept kind and weighting, so a bad setting
-    # exits before any work; each cell replaces only those two.
-    firsts = {key: cfg[f"sweep_{key}s"].split(",")[0].strip()
-              for key in ("kind", "weighting") if cfg.get(f"sweep_{key}s") is not None}
-    scfg = build_solver_config({**cfg, **firsts})
-    cells = _sweep_grid(cfg, nspec, scfg)
+    subrates, snrs, kinds, weightings = _sweep_axes(cfg, nspec)
+    # Built with the first fitting swept kind and the first weighting, so
+    # a bad setting exits before any work; each cell replaces only those two.
+    swept = {}
+    if kinds:
+        swept["kind"] = first_fitting_kind(cfg, kinds)
+    if weightings:
+        swept["weighting"] = weightings[0]
+    scfg = build_solver_config({**cfg, **swept})
+    cells = list(itertools.product(
+        subrates, snrs, kinds or [scfg.penalty.kind], weightings or [scfg.weighting],
+    ))
     output = need(cfg, "output")
     image = read_pgm(need(cfg, "input"))
 

@@ -191,6 +191,23 @@ def build_noise_spec(cfg):
     return _build(NoiseSpec(), NOISE_KEYS, cfg)
 
 
+def first_fitting_kind(cfg, kinds):
+    """The first of `kinds` whose penalty fits cfg's lambda and shape.
+
+    A sweep builds its solver settings with this kind, so a swept kind
+    that does not fit fails only its own cells.  If none fits, the first
+    kind's error is raised.
+    """
+    errors = []
+    for kind in kinds:
+        try:
+            _build(Penalty(), PENALTY_KEYS, {**cfg, "kind": kind})
+            return kind
+        except ConfigError as exc:
+            errors.append(exc)
+    raise errors[0]
+
+
 def build_solver_config(cfg):
     penalty = _build(Penalty(), PENALTY_KEYS, cfg)
     grouping = _build(GroupingConfig(), GROUPING_KEYS, cfg)

@@ -255,11 +255,16 @@ _OPS = {op.kind: op for op in (DenseGaussianOp, BlockGaussianOp, MaskedDftOp)}
 OPERATOR_KINDS = tuple(_OPS)
 
 
-def make_operator(kind, shape, subrate, seed):
-    """Instantiate an operator by kind name."""
+def check_operator_kind(kind):
+    """Return `kind` if it names an operator; raise ValueError otherwise."""
     if kind not in _OPS:
         raise ValueError(f"operator kind must be one of {', '.join(_OPS)}; got {kind!r}")
-    return _OPS[kind](shape, subrate, seed)
+    return kind
+
+
+def make_operator(kind, shape, subrate, seed):
+    """Instantiate an operator by kind name."""
+    return _OPS[check_operator_kind(kind)](shape, subrate, seed)
 
 
 def add_noise(y, spec: NoiseSpec, seed):

@@ -1,6 +1,7 @@
 """End-to-end command line flows: subcommand round trips, trace files,
 sweep CSVs, exit codes, and byte-level determinism."""
 
+import csv
 import math
 import os
 import pathlib
@@ -449,6 +450,51 @@ def test_bad_solver_setting_exits_2_before_operator(tmp_path, flat_image, capsys
     assert code == 2
     assert err == f"config error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["measure", "sweep"])
+def test_unknown_operator_kind_exits_2_before_reading_input(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    code, _, err = run(capsys, command, tmp_path / "missing.pgm", "--output", out,
+                       "--op", "bogus")
+    assert code == 2
+    assert err == "config error: operator kind must be one of dense, block, dft; got 'bogus'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kinds", ["lp,log", "log,lp"])
+def test_sweep_kind_that_does_not_fit_shape_is_a_row(tmp_path, flat_image, capsys, kinds):
+    """The default shape 10 fits log but not lp, in either order."""
+    img_path, _ = flat_image
+    csv_path = tmp_path / "g.csv"
+    code, _, _ = run(
+        capsys, "sweep", img_path, "--output", csv_path, "--sweep_kinds", kinds,
+        "--outer_iters", "1", "--gd_steps", "1",
+    )
+    assert code == 0
+    rows = {row[2]: row for row in list(csv.reader(csv_path.read_text().splitlines()))[1:]}
+    assert sorted(rows) == ["log", "lp"]
+    assert rows["log"][6] == "ok"
+    assert rows["lp"][4] == ""
+    assert rows["lp"][6] == "failed: lp exponent must lie in (0, 1), got 10.0"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # no swept kind fits: the first one's error
+        (["--sweep_kinds", "lp,scad", "--shape", "2"], "lp exponent must lie in (0, 1), got 2.0"),
+        # lp does not fit shape 10, but log does, so the error is the one of mu
+        (["--sweep_kinds", "lp,log", "--mu", "-1"], "mu must be finite and > 0, got -1.0"),
+    ],
+)
+def test_sweep_setting_no_cell_can_meet_exits_2(tmp_path, flat_image, capsys, argv, message):
+    img_path, _ = flat_image
+    csv_path = tmp_path / "g.csv"
+    code, _, err = run(capsys, "sweep", img_path, "--output", csv_path, *argv)
+    assert code == 2
+    assert err == f"config error: {message}\n"
+    assert not csv_path.exists()
 
 
 def test_unknown_penalty_kind_exits_2(tmp_path, flat_image, capsys):
