@@ -8,9 +8,10 @@ Subcommands:
     sweep     grid of recover runs, one CSV row per cell
     metrics   PSNR report between two images
 
-Any config key can be overridden on the command line as --key value,
-e.g. --kind mcp --solver_lambda 0.3.  Exit codes: 0 success, 2 config
-error, 3 file I/O error, 4 numerical failure.
+After the subcommand, the one bare argument is the input and every other
+setting is a config key given as --key value, in any order, e.g. --kind mcp
+--solver_lambda 0.3.  Exit codes: 0 success, 2 config error, 3 file I/O
+error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -22,20 +23,23 @@ import itertools
 import math
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .config import (
-    ConfigError, as_float, as_float_list, as_int, as_str_list, build_noise_spec,
+    KEYS, ConfigError, as_float, as_float_list, as_int, as_str_list, build_noise_spec,
     build_solver_config, first_fitting_kind, merge_config, need, parse_kv_file,
 )
 from .measfile import MeasFileError, MeasurementFile, read_measurements, write_measurements
 from .lowrank import WEIGHTINGS
-from .measurement import add_noise, check_operator_kind, make_operator, measurement_count
+from .measurement import (
+    add_noise, check_operator_kind, check_subrate, make_operator, measurement_count,
+)
 from .metrics import psnr
 from .patches import GroupingError
 from .penalties import KINDS
-from .pgm import PgmError, read_pgm, write_pgm
+from .pgm import PgmError, quantize, read_pgm, write_pgm
 from .solver import IterStats, NumericalError, ThresholdError, recover, z_step
 
 
@@ -45,55 +49,58 @@ from .solver import IterStats, NumericalError, ThresholdError, recover, z_step
 _QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 
 
-def _quantize(image):
-    # Must mirror the PGM writer exactly so reported PSNR matches the file.
-    return np.floor(np.clip(image, 0.0, 255.0) + 0.5)
+def _load_config(tokens):
+    """The config given by the command line after the subcommand, or None
+    when it asks for help (-h or --help where a key may stand).
+
+    The one bare token is the input; each --key takes the next token as
+    its value, with '-' in the key read as '_'.  The `config` key names a
+    key=value file, and the command line is applied on top of it.
+    """
+    pairs, inputs = {}, []
+    tokens = iter(tokens)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return None
+        if token.startswith("--"):
+            key, value = token[2:].replace("-", "_"), next(tokens, None)
+            if value is None:
+                raise ConfigError(f"dangling override near {token!r}")
+        else:
+            key, value = "input", token
+            inputs.append(token)
+        pairs[key] = value
+    path = pairs.pop("config", None)
+    cfg = merge_config(parse_kv_file(path) if path else {}, pairs)
+    # After the key check, so '--key=value next' names the unknown key
+    # rather than the value it left bare.
+    if len(inputs) > 1:
+        raise ConfigError(f"expected one input, got {', '.join(map(repr, inputs))}")
+    return cfg
 
 
-def _parse_overrides(extras):
-    if len(extras) % 2 != 0:
-        raise ConfigError(f"dangling override near {extras[-1]!r}")
-    out = {}
-    for flag, value in zip(extras[::2], extras[1::2]):
-        if not flag.startswith("--"):
-            raise ConfigError(f"expected --key value override, got {flag!r}")
-        out[flag[2:].replace("-", "_")] = value
-    return out
-
-
-def _load_config(args, extras):
-    file_pairs = parse_kv_file(args.config) if args.config else {}
-    overrides = _parse_overrides(extras)
-    for key, value in (
-        ("input", args.input),
-        ("seed", args.seed),
-        ("output", args.output),
-        ("trace", args.trace),
-        ("ground_truth", args.ground_truth),
-        ("jobs", args.jobs),
-    ):
-        if value is not None:
-            overrides[key] = str(value)
-    return merge_config(file_pairs, overrides)
-
-
-def _operator_kind(cfg):
+def _checked(fn, *args):
+    """fn(*args), its ValueError reported as a config error."""
     try:
-        return check_operator_kind(need(cfg, "op"))
+        return fn(*args)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _int_at_least(cfg, key, low):
+    value = as_int(cfg, key)
+    if value < low:
+        raise ConfigError(f"{key} must be >= {low}, got {value}")
+    return value
 
 
 def cmd_measure(cfg):
-    kind = _operator_kind(cfg)
-    subrate = as_float(cfg, "subrate")
-    seed = as_int(cfg, "seed")
+    kind = _checked(check_operator_kind, need(cfg, "op"))
+    subrate = _checked(check_subrate, as_float(cfg, "subrate"))
+    seed = _int_at_least(cfg, "seed", 0)
     nspec = build_noise_spec(cfg)
     image = read_pgm(need(cfg, "input"))
-    try:
-        op = make_operator(kind, image.shape, subrate, seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    op = _checked(make_operator, kind, image.shape, subrate, seed)
     y = op.forward(image)
     try:
         noisy, _, snr_db = add_noise(y, nspec, (seed, 1))
@@ -164,7 +171,7 @@ def cmd_recover(cfg):
     if cfg.get("trace"):
         _write_trace(cfg["trace"], trace, scfg.fidelity)
     if gt is not None:
-        print(f"psnr_db={psnr(_quantize(x), gt).psnr_db:.2f}")
+        print(f"psnr_db={psnr(quantize(x), gt).psnr_db:.2f}")
     return 0
 
 
@@ -173,15 +180,13 @@ def cmd_denoise(cfg):
     tau = as_float(cfg, "tau")
     if not (math.isfinite(tau) and tau >= 0):
         raise ConfigError(f"tau must be finite and >= 0, got {tau}")
-    sweeps = as_int(cfg, "sweeps")
-    if sweeps < 1:
-        raise ConfigError(f"sweeps must be >= 1, got {sweeps}")
+    sweeps = _int_at_least(cfg, "sweeps", 1)
     image = read_pgm(need(cfg, "input"))
     z, _ = z_step(image, scfg, tau, sweeps=sweeps)
     write_pgm(need(cfg, "output"), z)
     gt_path = cfg.get("ground_truth")
     if gt_path:
-        print(f"psnr_db={psnr(_quantize(z), read_pgm(gt_path)).psnr_db:.2f}")
+        print(f"psnr_db={psnr(quantize(z), read_pgm(gt_path)).psnr_db:.2f}")
     return 0
 
 
@@ -193,6 +198,7 @@ def _sweep_axes(cfg, nspec):
         if cfg.get("sweep_subrates") is not None
         else [as_float(cfg, "subrate")]
     )
+    subrates = [_checked(check_subrate, s) for s in subrates]
     if cfg.get("sweep_snrs") is not None:
         snrs = as_float_list(cfg, "sweep_snrs", allow_none_token=True)
     else:
@@ -207,10 +213,9 @@ def _sweep_axes(cfg, nspec):
 
 def _run_cell(image, op_kind, seed, nspec, scfg, cell):
     subrate, snr, kind_name, weighting = cell
-    if snr is not None:
-        if nspec.model == "none":
-            raise ConfigError("sweep over SNR needs a noise model")
-        nspec = dataclasses.replace(nspec, target_snr_db=snr)
+    if snr is not None and nspec.model == "none":
+        raise ConfigError("sweep over SNR needs a noise model")
+    nspec = dataclasses.replace(nspec, target_snr_db=snr)
     op = make_operator(op_kind, image.shape, subrate, seed)
     noisy, _, _ = add_noise(op.forward(image), nspec, (seed, 1))
     scfg = dataclasses.replace(
@@ -218,13 +223,13 @@ def _run_cell(image, op_kind, seed, nspec, scfg, cell):
         weighting=weighting,
     )
     x, _ = recover(noisy, op, scfg, ground_truth=image)
-    return psnr(_quantize(x), image).psnr_db
+    return psnr(quantize(x), image).psnr_db
 
 
 def cmd_sweep(cfg):
-    op_kind = _operator_kind(cfg)
-    seed = as_int(cfg, "seed")
-    jobs = as_int(cfg, "jobs")
+    op_kind = _checked(check_operator_kind, need(cfg, "op"))
+    seed = _int_at_least(cfg, "seed", 0)
+    jobs = _int_at_least(cfg, "jobs", 1)
     nspec = build_noise_spec(cfg)
     subrates, snrs, kinds, weightings = _sweep_axes(cfg, nspec)
     # Built with the first fitting swept kind and the first weighting, so
@@ -251,13 +256,8 @@ def cmd_sweep(cfg):
                 np.linalg.LinAlgError) as exc:
             return "", time.monotonic() - start, f"failed: {exc}"
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, cells))
-    else:
-        results = [run(cell) for cell in cells]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        results = list(pool.map(run, cells))
 
     with open(output, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -284,58 +284,51 @@ def cmd_sweep(cfg):
 def cmd_metrics(cfg):
     image = read_pgm(need(cfg, "input"))
     reference = read_pgm(need(cfg, "ground_truth"))
-    try:
-        report = psnr(image, reference)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    report = _checked(psnr, image, reference)
     print(f"psnr_db={report.psnr_db:.2f} mse={report.mse!r}")
     return 0
 
 
 _COMMANDS = {
-    "measure": cmd_measure,
-    "recover": cmd_recover,
-    "denoise": cmd_denoise,
-    "sweep": cmd_sweep,
-    "metrics": cmd_metrics,
+    "measure": (cmd_measure, "compress an image into a measurement file"),
+    "recover": (cmd_recover, "reconstruct an image from a measurement file"),
+    "denoise": (cmd_denoise, "one group low-rank denoising pass over an image"),
+    "sweep": (cmd_sweep, "grid of recoveries, summarized as CSV"),
+    "metrics": (cmd_metrics, "PSNR between two images"),
 }
 
 
 def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("input", nargs="?", help="input file (or config key 'input')")
-    common.add_argument("--config", help="flat key=value config file")
-    common.add_argument("--seed", type=int, help="RNG seed")
-    common.add_argument("--output", help="output file path")
-    common.add_argument("--trace", help="per-iteration CSV trace path")
-    common.add_argument("--ground-truth", dest="ground_truth",
-                        help="reference image for PSNR")
-    common.add_argument("--jobs", type=int, help="sweep cells run in parallel")
+    # argparse reads only the subcommand and prints usage and help; every
+    # setting goes through _load_config.
     parser = argparse.ArgumentParser(
         prog="groupcs",
         description="Compressed-sensing recovery with group low-rank patches.",
-        epilog="Any config key can be overridden as --key value.",
+        epilog="After the subcommand: the input, and any config key as --key value.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("measure", parents=[common],
-                   help="compress an image into a measurement file")
-    sub.add_parser("recover", parents=[common],
-                   help="reconstruct an image from a measurement file")
-    sub.add_parser("denoise", parents=[common],
-                   help="one group low-rank denoising pass over an image")
-    sub.add_parser("sweep", parents=[common],
-                   help="grid of recoveries, summarized as CSV")
-    sub.add_parser("metrics", parents=[common], help="PSNR between two images")
+    for name, (_, text) in _COMMANDS.items():
+        sub.add_parser(
+            name, help=text, description=text,
+            usage="%(prog)s [input] [--key value ...]",
+            epilog="The one bare argument is the input; every other setting is "
+                   "--key value, in any order, applied on top of the key=value "
+                   "file named by --config.  Keys: config, "
+                   + ", ".join(sorted(KEYS)) + ".",
+        )
     return parser
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
-    args, extras = parser.parse_known_args(argv)
+    command = parser.parse_args(argv[:1]).command
     try:
-        cfg = _load_config(args, extras)
+        cfg = _load_config(argv[1:])
+        if cfg is None:
+            parser.parse_args([command, "--help"])  # prints help and exits 0
         with np.errstate(**_QUIET):
-            return _COMMANDS[args.command](cfg)
+            return _COMMANDS[command][0](cfg)
     except (ConfigError, GroupingError, ThresholdError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import OPERATOR_KINDS, NoiseSpec
+from .measurement import NoiseSpec, check_operator_kind
 
 MAGIC = "GSRM1"
 
@@ -87,7 +87,7 @@ def read_measurements(path):
             raise MeasFileError(f"{path}: malformed header line {line!r}")
         fields[key.strip()] = value.strip()
     try:
-        kind = fields["op"]
+        kind = check_operator_kind(fields["op"])
         shape = (int(fields["height"]), int(fields["width"]))
         m = int(fields["m"])
         subrate = float(fields["subrate"])
@@ -103,8 +103,6 @@ def read_measurements(path):
         snr_db = float(fields["snr_db"])
     except (KeyError, ValueError) as exc:
         raise MeasFileError(f"{path}: bad header field ({exc})") from exc
-    if kind not in OPERATOR_KINDS:
-        raise MeasFileError(f"{path}: unknown operator kind {kind!r}")
     data = buf[head_end + len(b"\nend\n") :]
     if len(data) != 8 * m:
         raise MeasFileError(

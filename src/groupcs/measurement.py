@@ -51,16 +51,21 @@ class NoiseSpec:
                     raise ValueError("mixture kappa must be >= 1")
 
 
+def check_subrate(subrate):
+    """Return `subrate` if it lies in (0, 1]; raise ValueError otherwise."""
+    if not 0.0 < subrate <= 1.0:
+        raise ValueError(f"subrate must lie in (0, 1], got {subrate}")
+    return subrate
+
+
 def measurement_count(shape, subrate):
     """Measurements taken of an image of `shape`: round(subrate * n), at least one.
 
     Raises ValueError for a subrate outside (0, 1].  The masked DFT may
     take one more, to complete a conjugate pair.
     """
-    if not 0.0 < subrate <= 1.0:
-        raise ValueError(f"subrate must lie in (0, 1], got {subrate}")
     h, w = shape
-    return max(1, round(subrate * (int(h) * int(w))))
+    return max(1, round(check_subrate(subrate) * (int(h) * int(w))))
 
 
 class MeasurementOp:
@@ -193,43 +198,30 @@ class MaskedDftOp(MeasurementOp):
     def __init__(self, shape, subrate, seed):
         super().__init__(shape, subrate, seed)
         h, w = self.shape
-        orbits = []
-        seen = set()
-        for u in range(h):
-            for v in range(w):
-                partner = ((-u) % h, (-v) % w)
-                rep = min((u, v), partner)
-                if rep not in seen:
-                    seen.add(rep)
-                    orbits.append(rep)
-        rest = [o for o in orbits if o != (0, 0)]
+        # Each conjugate orbit is represented by its smaller flat index;
+        # `rest` holds those of every orbit but DC (index 0), in raster order.
+        flat = np.arange(self.n)
+        u, v = np.divmod(flat, w)
+        mirror = ((-u) % h) * w + (-v) % w
+        rest = np.flatnonzero(flat <= mirror)[1:]
         rng = np.random.default_rng(self.seed)
-        order = rng.permutation(len(rest))
-        chosen = [(0, 0)]
-        count = 1
-        for k in order:
-            if count >= self.m:
-                break
-            u, v = rest[k]
-            chosen.append((u, v))
-            count += 1 if ((-u) % h, (-v) % w) == (u, v) else 2
-        self.reps = sorted(chosen)
-        self.selfconj = [
-            ((-u) % h, (-v) % w) == (u, v) for (u, v) in self.reps
-        ]
+        drawn = rest[rng.permutation(len(rest))]
+        # Drawn orbits are taken while the count before each (DC's one
+        # measurement plus the widths taken so far) is still below m.
+        drawn_widths = np.where(mirror[drawn] == drawn, 1, 2)
+        before = 1 + np.cumsum(drawn_widths) - drawn_widths
+        taken = np.count_nonzero(before < self.m)
+        reps = np.sort(np.concatenate(([0], drawn[:taken])))
         # Gather and scatter indices into the flattened spectrum, and the
         # measurement slot of each representative in sorted order: one for
         # a self-conjugate frequency, two (real, imaginary) for a pair.
-        reps = np.array(self.reps, dtype=np.intp)
-        sc = np.array(self.selfconj)
+        sc = mirror[reps] == reps
         widths = np.where(sc, 1, 2)
         pos = np.cumsum(widths) - widths
-        flat = reps[:, 0] * w + reps[:, 1]
-        mirror = (-reps[~sc]) % np.array([h, w])
-        self._self_flat, self._self_pos = flat[sc], pos[sc]
-        self._pair_flat, self._pair_pos = flat[~sc], pos[~sc]
-        self._mirror_flat = mirror[:, 0] * w + mirror[:, 1]
-        self.m = count
+        self._self_flat, self._self_pos = reps[sc], pos[sc]
+        self._pair_flat, self._pair_pos = reps[~sc], pos[~sc]
+        self._mirror_flat = mirror[reps[~sc]]
+        self.m = int(widths.sum())
 
     def forward(self, image):
         x = self._check_image(image)

@@ -58,17 +58,20 @@ def read_pgm(path):
     )
 
 
-def write_pgm(path, image):
-    """Write a float image as binary P5, maxval 255.
+def quantize(image):
+    """The pixel values `write_pgm` stores: clamped to [0, 255] and
+    rounded half away from zero, as floats."""
+    return np.floor(np.clip(image, 0.0, 255.0) + 0.5)
 
-    Values are clamped to [0, 255] and rounded half away from zero.
-    """
+
+def write_pgm(path, image):
+    """Write a float image as binary P5, maxval 255, quantized by `quantize`."""
     img = np.asarray(image, dtype=float)
     if img.ndim != 2:
         raise PgmError("image must be 2-D")
     if np.any(~np.isfinite(img)):
         raise PgmError("image has non-finite values")
-    quant = np.floor(np.clip(img, 0.0, 255.0) + 0.5).astype(np.uint8)
+    quant = quantize(img).astype(np.uint8)
     h, w = img.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))

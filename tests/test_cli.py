@@ -17,7 +17,9 @@ from groupcs.cli import main
 from groupcs.config import KEYS, build_noise_spec, build_solver_config, merge_config
 from groupcs.lowrank import INIT_WEIGHTS, WEIGHTINGS
 from groupcs.measfile import MeasurementFile, read_measurements, write_measurements
-from groupcs.measurement import NOISE_MODELS, OPERATOR_KINDS, NoiseSpec, make_operator
+from groupcs.measurement import (
+    NOISE_MODELS, OPERATOR_KINDS, NoiseSpec, add_noise, make_operator,
+)
 from groupcs.metrics import psnr
 from groupcs.penalties import KINDS
 from groupcs.pgm import read_pgm, write_pgm
@@ -370,6 +372,25 @@ def test_sweep_failed_cells_become_rows(tmp_path, flat_image, capsys):
         assert "failed" in row[6] and "noise" in row[6]
 
 
+def test_sweep_none_snr_cell_has_no_target(tmp_path, flat_image, capsys, monkeypatch):
+    """A swept SNR of none replaces the configured target, as 15 does."""
+    img_path, _ = flat_image
+    specs = []
+
+    def record(y, spec, seed):
+        specs.append(spec.target_snr_db)
+        return add_noise(y, spec, seed)
+
+    monkeypatch.setattr(cli, "add_noise", record)
+    code, _, err = run(
+        capsys, "sweep", img_path, "--output", tmp_path / "g.csv",
+        "--noise", "gaussian", "--target_snr_db", "15", "--sweep_snrs", "none,15",
+        "--outer_iters", "1", "--gd_steps", "1",
+    )
+    assert code == 0, err
+    assert specs == [None, 15.0]
+
+
 # ------------------------------------------------------------------- metrics
 
 
@@ -406,6 +427,48 @@ def test_metrics_shape_mismatch_is_config_error(tmp_path, flat_image, capsys):
 
 
 # ---------------------------------------------------------------- exit codes
+
+
+@pytest.mark.parametrize("order", [
+    ["--tau", "0", "IN", "--output", "OUT"],
+    ["--output", "OUT", "--tau", "0", "IN"],
+    ["--input", "IN", "--tau", "0", "--output", "OUT"],
+])
+def test_input_and_settings_in_any_order(tmp_path, flat_image, capsys, order):
+    img_path, _ = flat_image
+    out = tmp_path / "o.pgm"
+    argv = [{"IN": img_path, "OUT": out}.get(token, token) for token in order]
+    code, _, err = run(capsys, "denoise", *argv)
+    assert code == 0, err
+    assert out.read_bytes() == img_path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "--seed", "abc"], "key 'seed' wants an integer, got 'abc'"),
+        (["measure", "--seed", "abc"], "key 'seed' wants an integer, got 'abc'"),
+        (["sweep", "--jobs", "abc"], "key 'jobs' wants an integer, got 'abc'"),
+        # keys are never abbreviated, and --key=value is not a key
+        (["denoise", "--out", "x"], "unknown config key 'out'"),
+        (["denoise", "--seed=1", "--tau", "0"], "unknown config key 'seed=1'"),
+        (["denoise", "--tau", "0", "y"], "expected one input, got '{input}', 'y'"),
+    ],
+)
+def test_bad_command_line_exits_2_with_one_line(tmp_path, flat_image, capsys, argv, message):
+    command, *rest = argv
+    code, _, err = run(capsys, command, flat_image[0], "--output", tmp_path / "o", *rest)
+    assert code == 2
+    assert err == f"config error: {message.format(input=flat_image[0])}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["denoise", "-h"], ["sweep", "in.pgm", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: groupcs")
 
 
 def test_unknown_config_key_exits_2(tmp_path, flat_image, capsys):
@@ -459,6 +522,25 @@ def test_unknown_operator_kind_exits_2_before_reading_input(tmp_path, capsys, co
                        "--op", "bogus")
     assert code == 2
     assert err == "config error: operator kind must be one of dense, block, dft; got 'bogus'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, argv, message",
+    [
+        ("measure", ["--subrate", "5"], "subrate must lie in (0, 1], got 5.0"),
+        ("measure", ["--seed", "-1"], "seed must be >= 0, got -1"),
+        ("sweep", ["--subrate", "5"], "subrate must lie in (0, 1], got 5.0"),
+        ("sweep", ["--sweep_subrates", "0.3,0"], "subrate must lie in (0, 1], got 0.0"),
+        ("sweep", ["--seed", "-1"], "seed must be >= 0, got -1"),
+        ("sweep", ["--jobs", "0"], "jobs must be >= 1, got 0"),
+    ],
+)
+def test_bad_run_setting_exits_2_before_reading_input(tmp_path, capsys, command, argv, message):
+    out = tmp_path / "out"
+    code, _, err = run(capsys, command, tmp_path / "missing.pgm", "--output", out, *argv)
+    assert code == 2
+    assert err == f"config error: {message}\n"
     assert not out.exists()
 
 
@@ -717,26 +799,26 @@ FUZZ_VALUES = sorted(
         min_size=1, max_size=3,
     ),
     iters=st.integers(1, 2),
+    where=st.integers(0, 8),
 )
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_fuzz_overrides_keep_exit_code_contract(tmp_path, monkeypatch, command,
-                                                overrides, iters):
-    """Any mix of bad and good override values exits 0, 2, 3 or 4."""
+                                                overrides, iters, where):
+    """Any mix of bad and good override values, with the input anywhere
+    among them, exits 0, 2, 3 or 4."""
     monkeypatch.chdir(tmp_path)
     img_path = tmp_path / "in.pgm"
     if not img_path.exists():
         write_pgm(img_path, np.random.default_rng(5).uniform(0, 255, (32, 32)))
         assert main(["measure", str(img_path), "--output", "in.meas", "--seed", "1"]) == 0
     source = "in.meas" if command == "recover" else str(img_path)
-    argv = [command, source, "--output", "out", "--ground-truth", str(img_path),
-            "--tau", "1e3", "--outer_iters", str(iters), "--gd_steps", str(iters)]
-    for key, value in overrides.items():
-        argv += [f"--{key}", value]
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse rejects its own typed options
-        code = exc.code
+    pairs = [("--output", "out"), ("--ground-truth", str(img_path)), ("--tau", "1e3"),
+             ("--outer_iters", str(iters)), ("--gd_steps", str(iters))]
+    pairs += [(f"--{key}", value) for key, value in overrides.items()]
+    pairs.insert(min(where, len(pairs)), (source,))
+    argv = [command, *(token for pair in pairs for token in pair)]
+    code = main(argv)
     assert code in (0, 2, 3, 4), argv
 
 

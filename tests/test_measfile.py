@@ -107,7 +107,7 @@ def test_rejects_short_payload(tmp_path):
 def test_rejects_unknown_operator(tmp_path):
     p, _ = sample(tmp_path)
     p.write_bytes(p.read_bytes().replace(b"op=dense", b"op=wavelet"))
-    with pytest.raises(MeasFileError):
+    with pytest.raises(MeasFileError, match="operator kind must be one of dense, block, dft"):
         read_measurements(p)
 
 

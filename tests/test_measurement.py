@@ -220,12 +220,42 @@ def test_dft_full_mask_round_trip(rng):
     assert np.linalg.norm(back - x) <= 1e-9
 
 
-def loop_dft_forward(op, image):
+def loop_dft_mask(shape, subrate, seed):
+    """Reference: the per-frequency orbit loop that draws the mask.
+
+    Returns the sorted representatives, whether each is self-conjugate,
+    and the measurement count.
+    """
+    h, w = shape
+    orbits = []
+    seen = set()
+    for u in range(h):
+        for v in range(w):
+            rep = min((u, v), ((-u) % h, (-v) % w))
+            if rep not in seen:
+                seen.add(rep)
+                orbits.append(rep)
+    rest = [o for o in orbits if o != (0, 0)]
+    order = np.random.default_rng(seed).permutation(len(rest))
+    m = max(1, round(subrate * h * w))
+    chosen, count = [(0, 0)], 1
+    for k in order:
+        if count >= m:
+            break
+        u, v = rest[k]
+        chosen.append((u, v))
+        count += 1 if ((-u) % h, (-v) % w) == (u, v) else 2
+    reps = sorted(chosen)
+    return reps, [((-u) % h, (-v) % w) == (u, v) for (u, v) in reps], count
+
+
+def loop_dft_forward(mask, image):
     """Reference: the per-frequency loop over the mask representatives."""
+    reps, selfconj, m = mask
     spec = np.fft.fft2(np.asarray(image, dtype=float), norm="ortho")
-    out = np.empty(op.m)
+    out = np.empty(m)
     pos = 0
-    for (u, v), sc in zip(op.reps, op.selfconj):
+    for (u, v), sc in zip(reps, selfconj):
         if sc:
             out[pos] = spec[u, v].real
             pos += 1
@@ -236,11 +266,12 @@ def loop_dft_forward(op, image):
     return out
 
 
-def loop_dft_adjoint(op, y):
-    h, w = op.shape
+def loop_dft_adjoint(mask, shape, y):
+    reps, selfconj, _ = mask
+    h, w = shape
     spec = np.zeros((h, w), dtype=complex)
     pos = 0
-    for (fu, fv), sc in zip(op.reps, op.selfconj):
+    for (fu, fv), sc in zip(reps, selfconj):
         if sc:
             spec[fu, fv] = y[pos]
             pos += 1
@@ -252,14 +283,16 @@ def loop_dft_adjoint(op, y):
     return np.fft.ifft2(spec, norm="ortho").real
 
 
-@pytest.mark.parametrize("shape", [(16, 16), (15, 21), (9, 12), (1, 7)])
+@pytest.mark.parametrize("shape", [(16, 16), (15, 21), (9, 12), (1, 7), (1, 1), (2, 2)])
 @pytest.mark.parametrize("subrate", [0.05, 0.3, 1.0])
 def test_dft_index_arrays_match_frequency_loop(shape, subrate, rng):
     op = MaskedDftOp(shape, subrate, 8)
+    mask = loop_dft_mask(shape, subrate, 8)
+    assert op.m == mask[2]
     x = rng.normal(0, 50, shape)
     y = rng.normal(0, 50, op.m)
-    np.testing.assert_array_equal(op.forward(x), loop_dft_forward(op, x))
-    np.testing.assert_array_equal(op.adjoint(y), loop_dft_adjoint(op, y))
+    np.testing.assert_array_equal(op.forward(x), loop_dft_forward(mask, x))
+    np.testing.assert_array_equal(op.adjoint(y), loop_dft_adjoint(mask, shape, y))
 
 
 def test_dft_rows_orthonormal(rng):
