@@ -20,25 +20,17 @@ import argparse
 import csv
 import dataclasses
 import itertools
-import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .config import (
-    KEYS, ConfigError, as_float, as_float_list, as_int, as_str_list, build_noise_spec,
-    build_solver_config, first_fitting_kind, merge_config, need, parse_kv_file,
-)
+from .config import KEYS, ConfigError, build_settings, merge_config, parse_kv_file
 from .measfile import MeasFileError, MeasurementFile, read_measurements, write_measurements
-from .lowrank import WEIGHTINGS
-from .measurement import (
-    add_noise, check_operator_kind, check_subrate, make_operator, measurement_count,
-)
+from .measurement import add_noise, make_operator, measurement_count
 from .metrics import psnr
 from .patches import GroupingError
-from .penalties import KINDS
 from .pgm import PgmError, quantize, read_pgm, write_pgm
 from .solver import IterStats, NumericalError, ThresholdError, recover, z_step
 
@@ -87,30 +79,20 @@ def _checked(fn, *args):
         raise ConfigError(str(exc)) from exc
 
 
-def _int_at_least(cfg, key, low):
-    value = as_int(cfg, key)
-    if value < low:
-        raise ConfigError(f"{key} must be >= {low}, got {value}")
-    return value
-
-
-def cmd_measure(cfg):
-    kind = _checked(check_operator_kind, need(cfg, "op"))
-    subrate = _checked(check_subrate, as_float(cfg, "subrate"))
-    seed = _int_at_least(cfg, "seed", 0)
-    nspec = build_noise_spec(cfg)
-    image = read_pgm(need(cfg, "input"))
-    op = _checked(make_operator, kind, image.shape, subrate, seed)
+def cmd_measure(run, scfg, nspec):
+    output = run.required("output")
+    image = read_pgm(run.required("input"))
+    op = _checked(make_operator, run.op, image.shape, run.subrate, run.seed)
     y = op.forward(image)
     try:
-        noisy, _, snr_db = add_noise(y, nspec, (seed, 1))
+        noisy, _, snr_db = add_noise(y, nspec, (run.seed, 1))
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"cannot add {nspec.model} noise: {exc}") from exc
     mf = MeasurementFile(
-        op_kind=kind, shape=op.shape, subrate=subrate, seed=seed,
+        op_kind=run.op, shape=op.shape, subrate=run.subrate, seed=run.seed,
         noise=nspec, snr_db=snr_db, y=noisy,
     )
-    write_measurements(need(cfg, "output"), mf)
+    write_measurements(output, mf)
     print(f"m={op.m} n={op.n} snr_db={snr_db!r}")
     return 0
 
@@ -160,64 +142,35 @@ def _operator_for(mf, meas_path):
     return op
 
 
-def cmd_recover(cfg):
-    scfg = build_solver_config(cfg)
-    gt_path = cfg.get("ground_truth")
-    gt = read_pgm(gt_path) if gt_path else None
-    meas_path = need(cfg, "input")
+def cmd_recover(run, scfg, nspec):
+    output = run.required("output")
+    gt = read_pgm(run.ground_truth) if run.ground_truth else None
+    meas_path = run.required("input")
     mf = read_measurements(meas_path)
     x, trace = recover(mf.y, _operator_for(mf, meas_path), scfg, ground_truth=gt)
-    write_pgm(need(cfg, "output"), x)
-    if cfg.get("trace"):
-        _write_trace(cfg["trace"], trace, scfg.fidelity)
+    write_pgm(output, x)
+    if run.trace:
+        _write_trace(run.trace, trace, scfg.fidelity)
     if gt is not None:
         print(f"psnr_db={psnr(quantize(x), gt).psnr_db:.2f}")
     return 0
 
 
-def cmd_denoise(cfg):
-    scfg = build_solver_config(cfg)
-    tau = as_float(cfg, "tau")
-    if not (math.isfinite(tau) and tau >= 0):
-        raise ConfigError(f"tau must be finite and >= 0, got {tau}")
-    sweeps = _int_at_least(cfg, "sweeps", 1)
-    image = read_pgm(need(cfg, "input"))
-    z, _ = z_step(image, scfg, tau, sweeps=sweeps)
-    write_pgm(need(cfg, "output"), z)
-    gt_path = cfg.get("ground_truth")
-    if gt_path:
-        print(f"psnr_db={psnr(quantize(z), read_pgm(gt_path)).psnr_db:.2f}")
+def cmd_denoise(run, scfg, nspec):
+    tau, output = run.required("tau"), run.required("output")
+    image = read_pgm(run.required("input"))
+    z, _ = z_step(image, scfg, tau, sweeps=run.sweeps)
+    write_pgm(output, z)
+    if run.ground_truth:
+        print(f"psnr_db={psnr(quantize(z), read_pgm(run.ground_truth)).psnr_db:.2f}")
     return 0
 
 
-def _sweep_axes(cfg, nspec):
-    """Subrates, SNRs, kinds and weightings of the grid; kinds and
-    weightings are None when not swept."""
-    subrates = (
-        as_float_list(cfg, "sweep_subrates")
-        if cfg.get("sweep_subrates") is not None
-        else [as_float(cfg, "subrate")]
-    )
-    subrates = [_checked(check_subrate, s) for s in subrates]
-    if cfg.get("sweep_snrs") is not None:
-        snrs = as_float_list(cfg, "sweep_snrs", allow_none_token=True)
-    else:
-        snrs = [nspec.target_snr_db]
-    kinds = weightings = None
-    if cfg.get("sweep_kinds") is not None:
-        kinds = as_str_list(cfg, "sweep_kinds", KINDS)
-    if cfg.get("sweep_weightings") is not None:
-        weightings = as_str_list(cfg, "sweep_weightings", WEIGHTINGS)
-    return subrates, snrs, kinds, weightings
-
-
-def _run_cell(image, op_kind, seed, nspec, scfg, cell):
+def _run_cell(image, run, nspec, scfg, cell):
     subrate, snr, kind_name, weighting = cell
-    if snr is not None and nspec.model == "none":
-        raise ConfigError("sweep over SNR needs a noise model")
     nspec = dataclasses.replace(nspec, target_snr_db=snr)
-    op = make_operator(op_kind, image.shape, subrate, seed)
-    noisy, _, _ = add_noise(op.forward(image), nspec, (seed, 1))
+    op = make_operator(run.op, image.shape, subrate, run.seed)
+    noisy, _, _ = add_noise(op.forward(image), nspec, (run.seed, 1))
     scfg = dataclasses.replace(
         scfg, penalty=dataclasses.replace(scfg.penalty, kind=kind_name),
         weighting=weighting,
@@ -226,38 +179,25 @@ def _run_cell(image, op_kind, seed, nspec, scfg, cell):
     return psnr(quantize(x), image).psnr_db
 
 
-def cmd_sweep(cfg):
-    op_kind = _checked(check_operator_kind, need(cfg, "op"))
-    seed = _int_at_least(cfg, "seed", 0)
-    jobs = _int_at_least(cfg, "jobs", 1)
-    nspec = build_noise_spec(cfg)
-    subrates, snrs, kinds, weightings = _sweep_axes(cfg, nspec)
-    # Built with the first fitting swept kind and the first weighting, so
-    # a bad setting exits before any work; each cell replaces only those two.
-    swept = {}
-    if kinds:
-        swept["kind"] = first_fitting_kind(cfg, kinds)
-    if weightings:
-        swept["weighting"] = weightings[0]
-    scfg = build_solver_config({**cfg, **swept})
+def cmd_sweep(run, scfg, nspec):
     cells = list(itertools.product(
-        subrates, snrs, kinds or [scfg.penalty.kind], weightings or [scfg.weighting],
+        run.sweep_subrates or [run.subrate], run.sweep_snrs or [nspec.target_snr_db],
+        run.sweep_kinds or [scfg.penalty.kind], run.sweep_weightings or [scfg.weighting],
     ))
-    output = need(cfg, "output")
-    image = read_pgm(need(cfg, "input"))
+    output = run.required("output")
+    image = read_pgm(run.required("input"))
 
-    def run(cell):
+    def timed(cell):
         start = time.monotonic()
         try:
             with np.errstate(**_QUIET):  # worker threads start from numpy's defaults
-                value = _run_cell(image, op_kind, seed, nspec, scfg, cell)
+                value = _run_cell(image, run, nspec, scfg, cell)
             return f"{value:.2f}", time.monotonic() - start, "ok"
-        except (ConfigError, ValueError, OverflowError, NumericalError,
-                np.linalg.LinAlgError) as exc:
+        except (ValueError, OverflowError, NumericalError, np.linalg.LinAlgError) as exc:
             return "", time.monotonic() - start, f"failed: {exc}"
 
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(run, cells))
+    with ThreadPoolExecutor(max_workers=run.jobs) as pool:
+        results = list(pool.map(timed, cells))
 
     with open(output, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -281,9 +221,9 @@ def cmd_sweep(cfg):
     return 0
 
 
-def cmd_metrics(cfg):
-    image = read_pgm(need(cfg, "input"))
-    reference = read_pgm(need(cfg, "ground_truth"))
+def cmd_metrics(run, scfg, nspec):
+    image = read_pgm(run.required("input"))
+    reference = read_pgm(run.required("ground_truth"))
     report = _checked(psnr, image, reference)
     print(f"psnr_db={report.psnr_db:.2f} mse={report.mse!r}")
     return 0
@@ -327,8 +267,9 @@ def main(argv=None):
         cfg = _load_config(argv[1:])
         if cfg is None:
             parser.parse_args([command, "--help"])  # prints help and exits 0
+        settings = build_settings(cfg, sweep=command == "sweep")
         with np.errstate(**_QUIET):
-            return _COMMANDS[command][0](cfg)
+            return _COMMANDS[command][0](*settings)
     except (ConfigError, GroupingError, ThresholdError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

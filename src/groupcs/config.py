@@ -4,21 +4,23 @@ A config file holds one key=value pair per line; blank lines and lines
 starting with '#' are ignored.  Command-line overrides (--key value) are
 applied on top.  Unknown keys are rejected so typos fail loudly.
 
-The settings types (SolverConfig, Penalty, GroupingConfig, NoiseSpec)
-own their defaults and their checks.  Each has one table here mapping a
-config key to its field and parser; a key left unset keeps the type's
-default, and the type's __post_init__ is the only check of its choices
-and bounds.
+The settings types (RunConfig here, SolverConfig, Penalty,
+GroupingConfig, NoiseSpec) own their defaults and their checks.  Each
+has one table here mapping a config key to its field and parser; a key
+left unset keeps the type's default, and the type's __post_init__ is the
+only check of its choices and bounds.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from dataclasses import dataclass
 
-from .measurement import NoiseSpec
+from .lowrank import WEIGHTINGS
+from .measurement import NoiseSpec, check_operator_kind, check_subrate
 from .patches import GroupingConfig
-from .penalties import Penalty
+from .penalties import KINDS, Penalty
 from .solver import SolverConfig
 
 
@@ -26,46 +28,65 @@ class ConfigError(Exception):
     pass
 
 
-# Keys no settings type holds, with their defaults (None = no default,
-# must be given when the subcommand needs it).
-RUN_DEFAULTS = {
-    "input": None,
-    "output": None,
-    "trace": None,
-    "ground_truth": None,
-    "seed": "0",
-    "jobs": "1",
-    # measurement
-    "op": "dense",
-    "subrate": "0.3",
-    # denoise
-    "tau": None,
-    "sweeps": "1",
-    # sweep grids (comma separated; "none" allowed in sweep_snrs)
-    "sweep_subrates": None,
-    "sweep_snrs": None,
-    "sweep_kinds": None,
-    "sweep_weightings": None,
-}
+@dataclass(frozen=True)
+class RunConfig:
+    """The settings no library type holds: the paths, the seed, the sweep's
+    worker count, the operator, denoise's tau and sweeps, and the sweep
+    grid.  A path or tau of None was not given; a sweep list of None is
+    not swept, and a None entry of sweep_snrs is a cell with no target.
+    """
+
+    input: str | None = None
+    output: str | None = None
+    trace: str | None = None
+    ground_truth: str | None = None
+    seed: int = 0
+    jobs: int = 1
+    op: str = "dense"
+    subrate: float = 0.3
+    tau: float | None = None
+    sweeps: int = 1
+    sweep_subrates: tuple | None = None
+    sweep_snrs: tuple | None = None
+    sweep_kinds: tuple | None = None
+    sweep_weightings: tuple | None = None
+
+    def __post_init__(self):
+        check_operator_kind(self.op)
+        for subrate in (self.subrate, *(self.sweep_subrates or ())):
+            check_subrate(subrate)
+        for name, low in (("seed", 0), ("jobs", 1), ("sweeps", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if self.tau is not None and not (math.isfinite(self.tau) and self.tau >= 0):
+            raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
+        for name, choices in (("sweep_kinds", KINDS), ("sweep_weightings", WEIGHTINGS)):
+            for entry in getattr(self, name) or ():
+                if entry not in choices:
+                    raise ValueError(f"{name} entries must be one of "
+                                     f"{', '.join(choices)}; got {entry!r}")
+
+    def required(self, name):
+        """The value of `name`, which this subcommand cannot run without."""
+        value = getattr(self, name)
+        if value is None:
+            raise ConfigError(f"missing required config key {name!r}")
+        return value
 
 
-def need(cfg, key):
-    value = cfg.get(key)
-    if value is None:
-        raise ConfigError(f"missing required config key {key!r}")
-    return value
+# Parsers take the key, for their messages, and its raw string value.
+def as_str(key, raw):
+    return raw
 
 
-def as_int(cfg, key):
-    raw = need(cfg, key)
+def as_int(key, raw):
     try:
         return int(raw)
     except ValueError as exc:
         raise ConfigError(f"key {key!r} wants an integer, got {raw!r}") from exc
 
 
-def as_float(cfg, key):
-    raw = need(cfg, key)
+def as_float(key, raw):
     try:
         value = float(raw)
     except ValueError as exc:
@@ -75,43 +96,35 @@ def as_float(cfg, key):
     return value
 
 
-def as_float_or_auto(cfg, key):
-    return None if need(cfg, key) == "auto" else as_float(cfg, key)
+def as_float_or(token):
+    """A number, or None for the word `token`."""
+    return lambda key, raw: None if raw == token else as_float(key, raw)
 
 
-def as_float_list(cfg, key, allow_none_token=False):
-    raw = need(cfg, key)
-    out = []
-    for part in raw.split(","):
-        part = part.strip()
-        if allow_none_token and part == "none":
-            out.append(None)
-            continue
-        try:
-            out.append(float(part))
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r}: bad list entry {part!r}") from exc
-    if not out:
-        raise ConfigError(f"key {key!r}: empty list")
-    return out
-
-
-def as_str_list(cfg, key, choices):
-    raw = need(cfg, key)
-    out = []
-    for part in raw.split(","):
-        part = part.strip()
-        if part not in choices:
-            raise ConfigError(
-                f"key {key!r}: entry {part!r} not one of {', '.join(choices)}"
-            )
-        out.append(part)
-    return out
+def as_list(parse):
+    """Comma-separated entries, each read by `parse`."""
+    return lambda key, raw: tuple(parse(key, part.strip()) for part in raw.split(","))
 
 
 # config key -> (field, parser), one table per settings type
+RUN_KEYS = {
+    "input": ("input", as_str),
+    "output": ("output", as_str),
+    "trace": ("trace", as_str),
+    "ground_truth": ("ground_truth", as_str),
+    "seed": ("seed", as_int),
+    "jobs": ("jobs", as_int),
+    "op": ("op", as_str),
+    "subrate": ("subrate", as_float),
+    "tau": ("tau", as_float),
+    "sweeps": ("sweeps", as_int),
+    "sweep_subrates": ("sweep_subrates", as_list(as_float)),
+    "sweep_snrs": ("sweep_snrs", as_list(as_float_or("none"))),
+    "sweep_kinds": ("sweep_kinds", as_list(as_str)),
+    "sweep_weightings": ("sweep_weightings", as_list(as_str)),
+}
 PENALTY_KEYS = {
-    "kind": ("kind", need),
+    "kind": ("kind", as_str),
     "lambda": ("lam", as_float),
     "shape": ("shape", as_float),
 }
@@ -124,23 +137,23 @@ GROUPING_KEYS = {
 SOLVER_KEYS = {
     "solver_lambda": ("lam", as_float),
     "mu": ("mu", as_float),
-    "weighting": ("weighting", need),
-    "fidelity": ("fidelity", need),
-    "sigma_m": ("sigma_m", as_float_or_auto),
+    "weighting": ("weighting", as_str),
+    "fidelity": ("fidelity", as_str),
+    "sigma_m": ("sigma_m", as_float_or("auto")),
     "outer_iters": ("outer_iters", as_int),
     "gd_steps": ("gd_steps", as_int),
     "epsilon": ("epsilon", as_float),
-    "init_weights": ("init_weights", need),
+    "init_weights": ("init_weights", as_str),
 }
 NOISE_KEYS = {
-    "noise": ("model", need),
+    "noise": ("model", as_str),
     "noise_sigma": ("sigma", as_float),
     "noise_xi": ("xi", as_float),
     "noise_kappa": ("kappa", as_float),
     "target_snr_db": ("target_snr_db", as_float),
 }
 
-KEYS = frozenset(RUN_DEFAULTS).union(PENALTY_KEYS, GROUPING_KEYS, SOLVER_KEYS, NOISE_KEYS)
+KEYS = frozenset(RUN_KEYS).union(PENALTY_KEYS, GROUPING_KEYS, SOLVER_KEYS, NOISE_KEYS)
 
 
 def parse_kv_file(path):
@@ -163,11 +176,11 @@ def parse_kv_file(path):
 
 
 def merge_config(file_pairs, override_pairs):
-    """Run defaults, then file values, then CLI overrides; keys must be known.
+    """File values, then CLI overrides, as one string dict; keys must be known.
 
-    Settings keys left unset are absent, so they keep the type's default.
+    Keys left unset are absent, so they keep their type's default.
     """
-    cfg = dict(RUN_DEFAULTS)
+    cfg = {}
     for source in (file_pairs, override_pairs):
         for key, value in source.items():
             if key not in KEYS:
@@ -179,8 +192,8 @@ def merge_config(file_pairs, override_pairs):
 def _build(default, table, cfg, **fields):
     """Replace the fields of `default` that cfg sets; the type checks them."""
     for key, (name, parse) in table.items():
-        if cfg.get(key) is not None:
-            fields[name] = parse(cfg, key)
+        if key in cfg:
+            fields[name] = parse(key, cfg[key])
     try:
         return dataclasses.replace(default, **fields)
     except ValueError as exc:
@@ -194,9 +207,7 @@ def build_noise_spec(cfg):
 def first_fitting_kind(cfg, kinds):
     """The first of `kinds` whose penalty fits cfg's lambda and shape.
 
-    A sweep builds its solver settings with this kind, so a swept kind
-    that does not fit fails only its own cells.  If none fits, the first
-    kind's error is raised.
+    If none fits, the first kind's error is raised.
     """
     errors = []
     for kind in kinds:
@@ -212,3 +223,18 @@ def build_solver_config(cfg):
     penalty = _build(Penalty(), PENALTY_KEYS, cfg)
     grouping = _build(GroupingConfig(), GROUPING_KEYS, cfg)
     return _build(SolverConfig(), SOLVER_KEYS, cfg, penalty=penalty, grouping=grouping)
+
+
+def build_settings(cfg, sweep=False):
+    """(RunConfig, SolverConfig, NoiseSpec) from cfg, every key given checked.
+
+    A sweep builds its solver settings with the first swept kind that fits
+    and the first swept weighting, so a swept kind that does not fit fails
+    only its own cells; each cell replaces only those two.
+    """
+    run = _build(RunConfig(), RUN_KEYS, cfg)
+    if sweep and run.sweep_kinds:
+        cfg = {**cfg, "kind": first_fitting_kind(cfg, run.sweep_kinds)}
+    if sweep and run.sweep_weightings:
+        cfg = {**cfg, "weighting": run.sweep_weightings[0]}
+    return run, build_solver_config(cfg), build_noise_spec(cfg)

@@ -28,7 +28,8 @@ class NoiseSpec:
     xi (sparse large outliers on top of a small-noise floor).  When
     target_snr_db is set the drawn noise vector is rescaled so the
     realized signal-to-noise ratio hits the target exactly; sigma then
-    only fixes the shape of the mixture, not its scale.
+    only fixes the shape of the mixture, not its scale.  Model "none"
+    takes no target.
     """
 
     model: str = "none"
@@ -49,6 +50,8 @@ class NoiseSpec:
                     raise ValueError("mixture xi must lie in [0, 1]")
                 if not self.kappa >= 1.0:
                     raise ValueError("mixture kappa must be >= 1")
+        elif self.target_snr_db is not None:
+            raise ValueError("a target SNR needs a noise model")
 
 
 def check_subrate(subrate):

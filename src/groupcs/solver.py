@@ -58,9 +58,10 @@ class SolverConfig:
     tau = lam * K / (mu * n_pixels) where K counts all group entries.
     sigma_m = None lets the M-estimator rescale from the median absolute
     deviation of the current residual each outer iteration; a float pins
-    it.  weighting "none" is the convex nuclear-norm baseline.  The run
-    starts from init_image when one is given, else from the adjoint of
-    the measurements.
+    it, and needs the m_estimator fidelity, as l2 has no scale to pin.
+    weighting "none" is the convex nuclear-norm baseline.  The run starts
+    from init_image when one is given, else from the adjoint of the
+    measurements.
 
     The default lam/mu pair targets 8-bit images sampled well below the
     Nyquist budget (tau near 2e10 on a 64x64 image with the default
@@ -95,8 +96,11 @@ class SolverConfig:
             if getattr(self, name) not in choices:
                 raise ValueError(f"{name} must be one of {', '.join(choices)}; "
                                  f"got {getattr(self, name)!r}")
-        if self.sigma_m is not None and not self.sigma_m > 0:
-            raise ValueError("sigma_m must be positive when fixed")
+        if self.sigma_m is not None:
+            if not self.sigma_m > 0:
+                raise ValueError("sigma_m must be positive when fixed")
+            if self.fidelity == "l2":
+                raise ValueError("a fixed sigma_m needs fidelity m_estimator, got l2")
         if self.outer_iters < 1 or self.gd_steps < 1:
             raise ValueError("iteration counts must be >= 1")
 

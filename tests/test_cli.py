@@ -14,7 +14,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from groupcs import cli
 from groupcs.cli import main
-from groupcs.config import KEYS, build_noise_spec, build_solver_config, merge_config
+from groupcs.config import (
+    KEYS, RunConfig, build_noise_spec, build_settings, build_solver_config, merge_config,
+)
 from groupcs.lowrank import INIT_WEIGHTS, WEIGHTINGS
 from groupcs.measfile import MeasurementFile, read_measurements, write_measurements
 from groupcs.measurement import (
@@ -485,6 +487,7 @@ def test_config_defaults_are_library_defaults():
     cfg = merge_config({}, {})
     assert build_solver_config(cfg) == SolverConfig()
     assert build_noise_spec(cfg) == NoiseSpec()
+    assert build_settings(cfg) == (RunConfig(), SolverConfig(), NoiseSpec())
 
 
 @pytest.mark.parametrize(
@@ -534,6 +537,9 @@ def test_unknown_operator_kind_exits_2_before_reading_input(tmp_path, capsys, co
         ("sweep", ["--sweep_subrates", "0.3,0"], "subrate must lie in (0, 1], got 0.0"),
         ("sweep", ["--seed", "-1"], "seed must be >= 0, got -1"),
         ("sweep", ["--jobs", "0"], "jobs must be >= 1, got 0"),
+        # l2 has no scale for a fixed sigma_m to pin
+        ("recover", ["--sigma_m", "5"], "a fixed sigma_m needs fidelity m_estimator, got l2"),
+        ("measure", ["--op", "dft", "--target_snr_db", "15"], "a target SNR needs a noise model"),
     ],
 )
 def test_bad_run_setting_exits_2_before_reading_input(tmp_path, capsys, command, argv, message):
@@ -542,6 +548,37 @@ def test_bad_run_setting_exits_2_before_reading_input(tmp_path, capsys, command,
     assert code == 2
     assert err == f"config error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["measure", "recover", "denoise", "sweep", "metrics"])
+@pytest.mark.parametrize("key, value", [
+    ("seed", "abc"), ("seed", "-1"), ("jobs", "0"), ("sweeps", "0"), ("subrate", "7"),
+    ("op", "bogus"), ("tau", "inf"), ("sweep_kinds", "bogus"), ("mu", "-1"),
+    ("noise", "bogus"),
+])
+def test_every_key_is_checked_on_every_subcommand(tmp_path, capsys, command, key, value):
+    """A key the subcommand does not use is still parsed and checked, before
+    the input is read (reading it would exit 3)."""
+    out = tmp_path / "out"
+    code, _, err = run(capsys, command, tmp_path / "missing.pgm", "--output", out,
+                       f"--{key}", value)
+    assert code == 2
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_recover_ignores_sweep_kinds(tmp_path, flat_image, capsys):
+    """Only a sweep builds its settings with a swept kind."""
+    meas = tmp_path / "m.meas"
+    run(capsys, "measure", flat_image[0], "--output", meas, "--op", "dft", "--seed", "0")
+    outs = []
+    for extra in ([], ["--sweep_kinds", "log"]):
+        out = tmp_path / f"r{len(outs)}.pgm"
+        code, _, err = run(capsys, "recover", meas, "--output", out, "--kind", "mcp",
+                           "--shape", "5", "--outer_iters", "2", "--gd_steps", "3", *extra)
+        assert code == 0, err
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("kinds", ["lp,log", "log,lp"])
@@ -803,10 +840,11 @@ FUZZ_VALUES = sorted(
 )
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_fuzz_overrides_keep_exit_code_contract(tmp_path, monkeypatch, command,
+def test_fuzz_overrides_keep_exit_code_contract(tmp_path, monkeypatch, capsys, command,
                                                 overrides, iters, where):
     """Any mix of bad and good override values, with the input anywhere
-    among them, exits 0, 2, 3 or 4."""
+    among them, exits 0, 2, 3 or 4, with one line on stderr when it fails
+    and none when it succeeds."""
     monkeypatch.chdir(tmp_path)
     img_path = tmp_path / "in.pgm"
     if not img_path.exists():
@@ -818,8 +856,11 @@ def test_fuzz_overrides_keep_exit_code_contract(tmp_path, monkeypatch, command,
     pairs += [(f"--{key}", value) for key, value in overrides.items()]
     pairs.insert(min(where, len(pairs)), (source,))
     argv = [command, *(token for pair in pairs for token in pair)]
+    capsys.readouterr()
     code = main(argv)
+    err = capsys.readouterr().err
     assert code in (0, 2, 3, 4), argv
+    assert err == "" if code == 0 else err.endswith("\n") and err.count("\n") == 1, (argv, err)
 
 
 @given(

@@ -111,6 +111,13 @@ def test_rejects_unknown_operator(tmp_path):
         read_measurements(p)
 
 
+def test_rejects_target_snr_without_noise(tmp_path):
+    p, _ = sample(tmp_path, noise=NoiseSpec(model="gaussian", target_snr_db=15.0))
+    p.write_bytes(p.read_bytes().replace(b"noise=gaussian", b"noise=none"))
+    with pytest.raises(MeasFileError, match="bad header field"):
+        read_measurements(p)
+
+
 def test_rejects_malformed_line(tmp_path):
     p, _ = sample(tmp_path)
     p.write_bytes(p.read_bytes().replace(b"seed=7", b"seed 7"))

@@ -398,4 +398,6 @@ def test_noise_spec_validation():
         NoiseSpec(model="gaussian_mixture", xi=1.5)
     with pytest.raises(ValueError):
         NoiseSpec(model="gaussian_mixture", kappa=0.5)
+    with pytest.raises(ValueError, match="a target SNR needs a noise model"):
+        NoiseSpec(target_snr_db=15.0)
 

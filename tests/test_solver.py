@@ -475,6 +475,11 @@ def test_config_validation():
         small_cfg(outer_iters=0)
     with pytest.raises(ValueError):
         small_cfg(sigma_m=0.0)
+    # l2 has no scale to pin; auto (None) stays allowed with it
+    with pytest.raises(ValueError, match="fixed sigma_m needs fidelity m_estimator"):
+        small_cfg(sigma_m=5.0)
+    small_cfg(sigma_m=None)
+    small_cfg(fidelity="m_estimator", sigma_m=5.0)
     with pytest.raises(ValueError):
         small_cfg(init_weights="spectral")
     with pytest.raises(ValueError):
