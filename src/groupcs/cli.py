@@ -8,19 +8,20 @@ Subcommands:
     sweep     grid of recover runs, one CSV row per cell
     metrics   PSNR report between two images
 
-After the subcommand, the one bare argument is the input and every other
-setting is a config key given as --key value, in any order, e.g. --kind mcp
---solver_lambda 0.3.  Exit codes: 0 success, 2 config error, 3 file I/O
-error, 4 numerical failure.
+The first argument is the subcommand, or -h/--help for usage.  After it,
+the one bare argument is the input and every other setting is a config key
+given as --key value, in any order, e.g. --kind mcp --solver_lambda 0.3.
+Exit codes: 0 success, 2 config error, 3 file I/O error, 4 numerical
+failure.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import dataclasses
 import itertools
 import sys
+import textwrap
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -28,9 +29,9 @@ import numpy as np
 
 from .config import KEYS, ConfigError, build_settings, merge_config, parse_kv_file
 from .measfile import MeasFileError, MeasurementFile, read_measurements, write_measurements
-from .measurement import add_noise, make_operator, measurement_count
-from .metrics import psnr
-from .patches import GroupingError
+from .measurement import add_noise, make_operator, measurement_count, physical_memory
+from .metrics import check_shapes, psnr
+from .patches import GroupingError, stack_bytes
 from .pgm import PgmError, quantize, read_pgm, write_pgm
 from .solver import IterStats, NumericalError, ThresholdError, recover, z_step
 
@@ -79,15 +80,24 @@ def _checked(fn, *args):
         raise ConfigError(str(exc)) from exc
 
 
+def _measure(image, run, subrate, nspec):
+    """(operator, noisy measurements, realized SNR) of image at subrate.
+
+    The operator is run's op at run's seed; the noise is drawn with the
+    seed (run.seed, 1).  Raises ValueError when either cannot be made.
+    """
+    op = make_operator(run.op, image.shape, subrate, run.seed)
+    try:
+        noisy, _, snr_db = add_noise(op.forward(image), nspec, (run.seed, 1))
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"cannot add {nspec.model} noise: {exc}") from exc
+    return op, noisy, snr_db
+
+
 def cmd_measure(run, scfg, nspec):
     output = run.required("output")
     image = read_pgm(run.required("input"))
-    op = _checked(make_operator, run.op, image.shape, run.subrate, run.seed)
-    y = op.forward(image)
-    try:
-        noisy, _, snr_db = add_noise(y, nspec, (run.seed, 1))
-    except (ValueError, OverflowError) as exc:
-        raise ConfigError(f"cannot add {nspec.model} noise: {exc}") from exc
+    op, noisy, snr_db = _checked(_measure, image, run, run.subrate, nspec)
     mf = MeasurementFile(
         op_kind=run.op, shape=op.shape, subrate=run.subrate, seed=run.seed,
         noise=nspec, snr_db=snr_db, y=noisy,
@@ -118,8 +128,9 @@ def _write_trace(path, trace, fidelity):
             writer.writerow([_format_stat(n, getattr(st, n)) for n in names])
 
 
-def _operator_for(mf, meas_path):
-    """Rebuild the operator of a measurement file, checking its header."""
+def _operator_for(mf, meas_path, grouping):
+    """Rebuild the operator of a measurement file, checking its header and
+    that a recovery at its shape fits in physical memory."""
     m, (h, w) = mf.y.shape[0], mf.shape
     # Checked before the operator is built, so a damaged header cannot
     # start a large allocation.  The masked DFT may take one more.
@@ -131,6 +142,13 @@ def _operator_for(mf, meas_path):
         raise MeasFileError(
             f"{meas_path}: {m} measurements do not fit subrate {mf.subrate} "
             f"of a {h}x{w} image"
+        )
+    # group_stack's arrays, and some ten image-sized ones (x, z, w, the FFT's)
+    need, have = stack_bytes(mf.shape, grouping) + 80 * h * w, physical_memory()
+    if need > have:
+        raise MeasFileError(
+            f"{meas_path}: recovering a {h}x{w} image needs {need / 2**30:.1f} GiB, "
+            f"more than the {have / 2**30:.1f} GiB of physical memory"
         )
     try:
         op = make_operator(mf.op_kind, mf.shape, mf.subrate, mf.seed)
@@ -147,7 +165,10 @@ def cmd_recover(run, scfg, nspec):
     gt = read_pgm(run.ground_truth) if run.ground_truth else None
     meas_path = run.required("input")
     mf = read_measurements(meas_path)
-    x, trace = recover(mf.y, _operator_for(mf, meas_path), scfg, ground_truth=gt)
+    if gt is not None:
+        _checked(check_shapes, mf.shape, gt.shape)
+    x, trace = recover(mf.y, _operator_for(mf, meas_path, scfg.grouping), scfg,
+                       ground_truth=gt)
     write_pgm(output, x)
     if run.trace:
         _write_trace(run.trace, trace, scfg.fidelity)
@@ -159,22 +180,21 @@ def cmd_recover(run, scfg, nspec):
 def cmd_denoise(run, scfg, nspec):
     tau, output = run.required("tau"), run.required("output")
     image = read_pgm(run.required("input"))
+    gt = read_pgm(run.ground_truth) if run.ground_truth else None
+    if gt is not None:
+        _checked(check_shapes, image.shape, gt.shape)
     z, _ = z_step(image, scfg, tau, sweeps=run.sweeps)
     write_pgm(output, z)
-    if run.ground_truth:
-        print(f"psnr_db={psnr(quantize(z), read_pgm(run.ground_truth)).psnr_db:.2f}")
+    if gt is not None:
+        print(f"psnr_db={psnr(quantize(z), gt).psnr_db:.2f}")
     return 0
 
 
 def _run_cell(image, run, nspec, scfg, cell):
     subrate, snr, kind_name, weighting = cell
-    nspec = dataclasses.replace(nspec, target_snr_db=snr)
-    op = make_operator(run.op, image.shape, subrate, run.seed)
-    noisy, _, _ = add_noise(op.forward(image), nspec, (run.seed, 1))
-    scfg = dataclasses.replace(
-        scfg, penalty=dataclasses.replace(scfg.penalty, kind=kind_name),
-        weighting=weighting,
-    )
+    op, noisy, _ = _measure(image, run, subrate, dataclasses.replace(nspec, target_snr_db=snr))
+    penalty = dataclasses.replace(scfg.penalty, kind=kind_name)
+    scfg = dataclasses.replace(scfg, penalty=penalty, weighting=weighting)
     x, _ = recover(noisy, op, scfg, ground_truth=image)
     return psnr(quantize(x), image).psnr_db
 
@@ -201,23 +221,10 @@ def cmd_sweep(run, scfg, nspec):
 
     with open(output, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["subrate", "snr_db", "kind", "weighting", "psnr_db", "wall_s", "status"]
-        )
-        for (subrate, snr, kind_name, weighting), (val, wall, status) in zip(
-            cells, results
-        ):
-            writer.writerow(
-                [
-                    repr(subrate),
-                    "" if snr is None else repr(snr),
-                    kind_name,
-                    weighting,
-                    val,
-                    f"{wall:.3f}",
-                    status,
-                ]
-            )
+        writer.writerow(["subrate", "snr_db", "kind", "weighting", "psnr_db", "wall_s", "status"])
+        for (subrate, snr, kind_name, weighting), (val, wall, status) in zip(cells, results):
+            writer.writerow([repr(subrate), "" if snr is None else repr(snr), kind_name,
+                             weighting, val, f"{wall:.3f}", status])
     return 0
 
 
@@ -238,38 +245,35 @@ _COMMANDS = {
 }
 
 
-def _build_parser():
-    # argparse reads only the subcommand and prints usage and help; every
-    # setting goes through _load_config.
-    parser = argparse.ArgumentParser(
-        prog="groupcs",
-        description="Compressed-sensing recovery with group low-rank patches.",
-        epilog="After the subcommand: the input, and any config key as --key value.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, text) in _COMMANDS.items():
-        sub.add_parser(
-            name, help=text, description=text,
-            usage="%(prog)s [input] [--key value ...]",
-            epilog="The one bare argument is the input; every other setting is "
-                   "--key value, in any order, applied on top of the key=value "
-                   "file named by --config.  Keys: config, "
-                   + ", ".join(sorted(KEYS)) + ".",
-        )
-    return parser
+def _usage(command=None):
+    """Usage text of groupcs, or of one of its subcommands."""
+    names = [command] if command else list(_COMMANDS)
+    head = command or "{" + ",".join(names) + "}"
+    lines = [f"usage: groupcs {head} [input] [--key value ...]", "",
+             *(f"  {name:<9}{_COMMANDS[name][1]}" for name in names), ""]
+    return "\n".join(lines) + "\n" + textwrap.fill(
+        "The one bare argument is the input; every other setting is --key value, in any "
+        "order, applied on top of the key=value file named by --config.  Keys: config, "
+        + ", ".join(sorted(KEYS)) + ".")
 
 
 def main(argv=None):
+    """Run the subcommand argv[0] on the settings after it; return the exit code."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser()
-    command = parser.parse_args(argv[:1]).command
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        print(_usage())
+        return 0
     try:
+        if command not in _COMMANDS:
+            raise ConfigError(f"subcommand must be one of {', '.join(_COMMANDS)}; "
+                              f"got {'none' if command is None else repr(command)}")
         cfg = _load_config(argv[1:])
         if cfg is None:
-            parser.parse_args([command, "--help"])  # prints help and exits 0
-        settings = build_settings(cfg, sweep=command == "sweep")
+            print(_usage(command))
+            return 0
         with np.errstate(**_QUIET):
-            return _COMMANDS[command][0](*settings)
+            return _COMMANDS[command][0](*build_settings(cfg))
     except (ConfigError, GroupingError, ThresholdError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -277,8 +281,7 @@ def main(argv=None):
         print(f"file error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
-        name = getattr(exc, "filename", None)
-        where = f" ({name})" if name else ""
+        where = f" ({exc.filename})" if exc.filename else ""
         print(f"file error: {exc}{where}", file=sys.stderr)
         return 3
     except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:

@@ -142,7 +142,6 @@ SOLVER_KEYS = {
     "sigma_m": ("sigma_m", as_float_or("auto")),
     "outer_iters": ("outer_iters", as_int),
     "gd_steps": ("gd_steps", as_int),
-    "epsilon": ("epsilon", as_float),
     "init_weights": ("init_weights", as_str),
 }
 NOISE_KEYS = {
@@ -204,37 +203,12 @@ def build_noise_spec(cfg):
     return _build(NoiseSpec(), NOISE_KEYS, cfg)
 
 
-def first_fitting_kind(cfg, kinds):
-    """The first of `kinds` whose penalty fits cfg's lambda and shape.
-
-    If none fits, the first kind's error is raised.
-    """
-    errors = []
-    for kind in kinds:
-        try:
-            _build(Penalty(), PENALTY_KEYS, {**cfg, "kind": kind})
-            return kind
-        except ConfigError as exc:
-            errors.append(exc)
-    raise errors[0]
-
-
 def build_solver_config(cfg):
     penalty = _build(Penalty(), PENALTY_KEYS, cfg)
     grouping = _build(GroupingConfig(), GROUPING_KEYS, cfg)
     return _build(SolverConfig(), SOLVER_KEYS, cfg, penalty=penalty, grouping=grouping)
 
 
-def build_settings(cfg, sweep=False):
-    """(RunConfig, SolverConfig, NoiseSpec) from cfg, every key given checked.
-
-    A sweep builds its solver settings with the first swept kind that fits
-    and the first swept weighting, so a swept kind that does not fit fails
-    only its own cells; each cell replaces only those two.
-    """
-    run = _build(RunConfig(), RUN_KEYS, cfg)
-    if sweep and run.sweep_kinds:
-        cfg = {**cfg, "kind": first_fitting_kind(cfg, run.sweep_kinds)}
-    if sweep and run.sweep_weightings:
-        cfg = {**cfg, "weighting": run.sweep_weightings[0]}
-    return run, build_solver_config(cfg), build_noise_spec(cfg)
+def build_settings(cfg):
+    """(RunConfig, SolverConfig, NoiseSpec) from cfg, every key given checked."""
+    return _build(RunConfig(), RUN_KEYS, cfg), build_solver_config(cfg), build_noise_spec(cfg)

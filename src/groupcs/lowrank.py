@@ -65,14 +65,13 @@ def wsvt(mat, weights, tau):
     return (u * _shrink(s, _check_weights(weights, s.shape[0]), tau)) @ vt
 
 
-def group_weights(spectrum, pen: Penalty, weighting, epsilon=EPS_WEIGHT):
+def group_weights(spectrum, pen: Penalty, weighting):
     """Weights for one sweep, from a nonincreasing spectrum.
 
     spectrum is one spectrum or a (G, r) stack of them, one per row.
 
     "supergradient" uses d(sigma_i) directly, "combined" divides the
-    super-gradient by sigma_i + epsilon (reweighted-L1 flavor; a zero
-    super-gradient gives weight 0), "none"
+    super-gradient by sigma_i + EPS_WEIGHT (reweighted-L1 flavor), "none"
     gives all-ones weights, the convex nuclear-norm baseline.  The result
     is clipped to be nondecreasing, guarding against float wiggle on
     near-equal singular values.
@@ -82,9 +81,7 @@ def group_weights(spectrum, pen: Penalty, weighting, epsilon=EPS_WEIGHT):
         return np.ones_like(s)
     d = np.asarray(supergradient(pen, s), dtype=float)
     if weighting == "combined":
-        # A zero super-gradient gives weight 0, also over a zero
-        # denominator (sigma_i = epsilon = 0), where d / 0 would be NaN.
-        w = np.divide(d, np.abs(s) + epsilon, out=np.zeros_like(d), where=d != 0)
+        w = d / (s + EPS_WEIGHT)
     elif weighting == "supergradient":
         w = d
     else:
@@ -98,7 +95,7 @@ def _row_norms(x):
     return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
 
 
-def _irnn(mats, pen, tau, weighting, sweeps, init_weights, epsilon, tol):
+def _irnn(mats, pen, tau, weighting, sweeps, init_weights, tol):
     """Reweighted shrinkage of a (G, n, k) stack for tau > 0.
 
     Returns (denoised stack, final spectra).  A group stops once its
@@ -109,7 +106,7 @@ def _irnn(mats, pen, tau, weighting, sweeps, init_weights, epsilon, tol):
     spec = s if init_weights == "observation" else np.zeros_like(s)
     active = np.ones(len(s), dtype=bool)
     for _ in range(sweeps):
-        w = group_weights(spec, pen, weighting, epsilon)
+        w = group_weights(spec, pen, weighting)
         step = _shrink(s, w, tau)
         moved = _row_norms(step - spec) / np.maximum(1.0, _row_norms(spec))
         spec = np.where(active[:, None], step, spec)
@@ -121,7 +118,7 @@ def _irnn(mats, pen, tau, weighting, sweeps, init_weights, epsilon, tol):
 
 
 def irnn_denoise_stack(mats, pen: Penalty, tau, weighting="combined", sweeps=1,
-                       init_weights="observation", epsilon=EPS_WEIGHT, tol=1e-6):
+                       init_weights="observation", tol=1e-6):
     """Denoise every matrix of a (G, n, k) stack in place, as one batch.
 
     Each group gets iteratively reweighted singular value shrinkage.
@@ -150,5 +147,5 @@ def irnn_denoise_stack(mats, pen: Penalty, tau, weighting="combined", sweeps=1,
     for c0 in range(0, len(mats), _SVD_CHUNK):
         part = slice(c0, c0 + _SVD_CHUNK)
         mats[part], spectra[part] = _irnn(mats[part], pen, tau, weighting, sweeps,
-                                          init_weights, epsilon, tol)
+                                          init_weights, tol)
     return spectra

@@ -54,6 +54,11 @@ class NoiseSpec:
             raise ValueError("a target SNR needs a noise model")
 
 
+def physical_memory():
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def check_subrate(subrate):
     """Return `subrate` if it lies in (0, 1]; raise ValueError otherwise."""
     if not 0.0 < subrate <= 1.0:
@@ -128,7 +133,7 @@ class BlockGaussianOp(MeasurementOp):
         if h % bh or w % bw:
             raise ValueError(f"image shape {shape} not a multiple of {bh}x{bw}")
         need = (self.m * bh * bw + self.n) * 8  # matrices and pixel indices
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        have = physical_memory()
         if need > have:
             raise ValueError(
                 f"{self.kind} operator needs {need / 2**30:.1f} GiB for {self.m} "

@@ -17,6 +17,13 @@ class QualityReport:
     psnr_db: float
 
 
+def check_shapes(shape, reference_shape):
+    """Raise ValueError unless an image of `shape` can be scored against
+    a reference of `reference_shape`."""
+    if tuple(shape) != tuple(reference_shape):
+        raise ValueError(f"shape mismatch {tuple(shape)} vs {tuple(reference_shape)}")
+
+
 def psnr(image, reference):
     """PSNR of image against reference, peak fixed at 255.
 
@@ -24,8 +31,7 @@ def psnr(image, reference):
     """
     a = np.asarray(image, dtype=float)
     b = np.asarray(reference, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
+    check_shapes(a.shape, b.shape)
     mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
         return QualityReport(mse=0.0, psnr_db=math.inf)

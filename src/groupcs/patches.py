@@ -175,6 +175,22 @@ def group_stack(image, cfg):
     return _match(img, _lattice(img.shape, cfg), cfg)
 
 
+def stack_bytes(shape, cfg):
+    """Bytes of the float64 arrays group_stack holds for an image of
+    `shape`: the patch vector at every anchor, and the group stack.
+
+    The lattice is counted, not built, so a huge shape costs nothing.
+    """
+    s = cfg.patch_side
+    if s > min(shape):
+        return 0  # group_stack refuses this grouping before any allocation
+    groups = 1
+    for dim in shape:
+        last, step = dim - s, min(cfg.stride, s)  # the rule of _anchor_axis
+        groups *= last // step + 1 + (last % step != 0)
+    return ((shape[0] - s + 1) * (shape[1] - s + 1) + groups * cfg.group_size) * s * s * 8
+
+
 def aggregate_stack(patches, positions, shape, patch_side):
     """Average patches back into an image of the given shape.
 

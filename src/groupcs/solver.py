@@ -29,7 +29,7 @@ import numpy as np
 from .lowrank import INIT_WEIGHTS, WEIGHTINGS, irnn_denoise_stack
 from .metrics import psnr
 from .patches import GroupingConfig, aggregate_stack, group_stack, reference_anchors
-from .penalties import EPS_WEIGHT, Penalty, rho
+from .penalties import Penalty, rho
 
 FIDELITIES = ("l2", "m_estimator")
 
@@ -79,7 +79,6 @@ class SolverConfig:
     sigma_m: float | None = None
     outer_iters: int = 80
     gd_steps: int = 20
-    epsilon: float = EPS_WEIGHT
     init_image: np.ndarray | None = None
     init_weights: str = "observation"
 
@@ -88,8 +87,6 @@ class SolverConfig:
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if not (math.isfinite(self.mu) and self.mu > 0):
             raise ValueError(f"mu must be finite and > 0, got {self.mu}")
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
-            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         for name, choices in (("weighting", WEIGHTINGS),
                               ("init_weights", INIT_WEIGHTS),
                               ("fidelity", FIDELITIES)):
@@ -212,7 +209,7 @@ def z_step(r_img, cfg: SolverConfig, tau, sweeps=1):
     patches, positions = group_stack(img, cfg.grouping)
     spectra = irnn_denoise_stack(
         patches.transpose(0, 2, 1), cfg.penalty, tau, weighting=cfg.weighting,
-        sweeps=sweeps, init_weights=cfg.init_weights, epsilon=cfg.epsilon,
+        sweeps=sweeps, init_weights=cfg.init_weights,
     )
     # Group totals added left to right (np.sum would pair them up), the
     # same float total as a loop over the groups.

@@ -5,6 +5,7 @@ import csv
 import math
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 
@@ -28,6 +29,12 @@ from groupcs.pgm import read_pgm, write_pgm
 from groupcs.solver import FIDELITIES, SolverConfig
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def src_env():
+    """The environment of a child process that imports this tree's groupcs."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
 
 
 def run(capsys, *argv):
@@ -202,15 +209,15 @@ def test_denoise_zero_tau_is_identity(tmp_path, flat_image, capsys):
     assert out_img.read_bytes() == img_path.read_bytes()
 
 
-def test_denoise_all_zero_image_zero_lambda_epsilon(tmp_path, capsys):
-    """Zero spectra with lam = 0 and epsilon = 0 give zero weights, not
-    0/0, and a flat image still has every reference in its own group."""
+def test_denoise_all_zero_image_zero_lambda(tmp_path, capsys):
+    """Zero spectra with lam = 0 give zero weights, not NaN, and a flat
+    image still has every reference in its own group."""
     img_path = tmp_path / "zero.pgm"
     out_img = tmp_path / "out.pgm"
     write_pgm(img_path, np.zeros((32, 32)))
     code, _, err = run(
         capsys, "denoise", img_path, "--output", out_img, "--tau", "1",
-        "--lambda", "0", "--epsilon", "0",
+        "--lambda", "0",
     )
     assert code == 0, err
     assert out_img.read_bytes() == img_path.read_bytes()
@@ -428,6 +435,30 @@ def test_metrics_shape_mismatch_is_config_error(tmp_path, flat_image, capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("command", ["recover", "denoise"])
+def test_ground_truth_of_another_shape_exits_2_before_work(tmp_path, flat_image, capsys,
+                                                           monkeypatch, command):
+    img_path, _ = flat_image
+    source = img_path
+    if command == "recover":
+        source = tmp_path / "m.meas"
+        run(capsys, "measure", img_path, "--output", source, "--op", "dft", "--seed", "0")
+    truth = tmp_path / "big.pgm"
+    write_pgm(truth, np.zeros((64, 64)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the ground truth was checked")
+
+    monkeypatch.setattr(cli, "make_operator", refuse)
+    monkeypatch.setattr(cli, "z_step", refuse)
+    out = tmp_path / "o.pgm"
+    code, _, err = run(capsys, command, source, "--output", out, "--ground-truth", truth,
+                       "--tau", "1")
+    assert code == 2
+    assert err == "config error: shape mismatch (32, 32) vs (64, 64)\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- exit codes
 
 
@@ -467,10 +498,12 @@ def test_bad_command_line_exits_2_with_one_line(tmp_path, flat_image, capsys, ar
 
 @pytest.mark.parametrize("argv", [["-h"], ["denoise", "-h"], ["sweep", "in.pgm", "--help"]])
 def test_help_exits_0(capsys, argv):
-    with pytest.raises(SystemExit) as info:
-        main(argv)
-    assert info.value.code == 0
-    assert capsys.readouterr().out.startswith("usage: groupcs")
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    usage = "usage: groupcs {measure," if argv[0] == "-h" else f"usage: groupcs {argv[0]} "
+    assert out.startswith(usage)
+    assert "Keys: config, fidelity" in out
+    assert err == ""
 
 
 def test_unknown_config_key_exits_2(tmp_path, flat_image, capsys):
@@ -568,7 +601,7 @@ def test_every_key_is_checked_on_every_subcommand(tmp_path, capsys, command, key
 
 
 def test_recover_ignores_sweep_kinds(tmp_path, flat_image, capsys):
-    """Only a sweep builds its settings with a swept kind."""
+    """Only a sweep's cells run with a swept kind."""
     meas = tmp_path / "m.meas"
     run(capsys, "measure", flat_image[0], "--output", meas, "--op", "dft", "--seed", "0")
     outs = []
@@ -601,10 +634,18 @@ def test_sweep_kind_that_does_not_fit_shape_is_a_row(tmp_path, flat_image, capsy
 @pytest.mark.parametrize(
     "argv, message",
     [
-        # no swept kind fits: the first one's error
-        (["--sweep_kinds", "lp,scad", "--shape", "2"], "lp exponent must lie in (0, 1), got 2.0"),
-        # lp does not fit shape 10, but log does, so the error is the one of mu
+        # kind and weighting are checked as given, whatever the cells sweep
+        (["--kind", "lp", "--shape", "2", "--sweep_kinds", "log"],
+         "lp exponent must lie in (0, 1), got 2.0"),
         (["--sweep_kinds", "lp,log", "--mu", "-1"], "mu must be finite and > 0, got -1.0"),
+        (["--kind", "bogus", "--sweep_kinds", "log"],
+         "penalty kind must be one of lp, scad, log, mcp, etp, capped_l1, geman, laplace; "
+         "got 'bogus'"),
+        (["--weighting", "bogus", "--sweep_weightings", "none"],
+         "weighting must be one of supergradient, combined, none; got 'bogus'"),
+        # the unset kind is log, whose slope overflows here
+        (["--lambda", "1.5e308", "--shape", "0.5", "--sweep_kinds", "lp"],
+         "log penalty with lam=1.5e+308, shape=0.5 has an infinite slope at 0"),
     ],
 )
 def test_sweep_setting_no_cell_can_meet_exits_2(tmp_path, flat_image, capsys, argv, message):
@@ -614,6 +655,20 @@ def test_sweep_setting_no_cell_can_meet_exits_2(tmp_path, flat_image, capsys, ar
     assert code == 2
     assert err == f"config error: {message}\n"
     assert not csv_path.exists()
+
+
+def test_sweep_with_no_fitting_kind_writes_failed_rows(tmp_path, flat_image, capsys):
+    """A swept kind that does not fit shape fails its own cells, also when
+    no swept kind fits."""
+    csv_path = tmp_path / "g.csv"
+    code, _, err = run(capsys, "sweep", flat_image[0], "--output", csv_path,
+                       "--sweep_kinds", "lp,scad", "--shape", "2")
+    assert code == 0, err
+    rows = list(csv.reader(csv_path.read_text().splitlines()))[1:]
+    assert [(row[2], row[4], row[6]) for row in rows] == [
+        ("lp", "", "failed: lp exponent must lie in (0, 1), got 2.0"),
+        ("scad", "", "failed: scad gamma must exceed 2, got 2.0"),
+    ]
 
 
 def test_unknown_penalty_kind_exits_2(tmp_path, flat_image, capsys):
@@ -655,8 +710,6 @@ def test_measure_dense_beyond_memory_exits_2(tmp_path, capsys):
         ("window", "5"),          # 25 candidates for a group of 60
         ("group_size", "1000"),   # more than any window holds
         ("patch", "100"),         # patch larger than the 32x32 image
-        ("epsilon", "-1"),
-        ("epsilon", "inf"),       # lp weights would be inf / inf at sigma 0
         ("lambda", "1e308"),      # the log penalty's slope overflows
         ("solver_lambda", "inf"),
     ],
@@ -755,6 +808,32 @@ def test_header_with_overflowing_shape_exits_3(tmp_path, flat_image, capsys):
     assert err.startswith("file error") and err.count("\n") == 1
 
 
+def test_header_claiming_a_huge_shape_exits_3(tmp_path, flat_image, capsys):
+    """A 307-value 32x32 file that claims 20000x20000 passes the count
+    check, but its group stack alone would take over 400 GB.  Run as its
+    own process under a 2 GiB address-space limit, so a recovery that
+    starts anyway fails at once instead of filling the machine."""
+    meas = tmp_path / "m.meas"
+    run(capsys, "measure", flat_image[0], "--output", meas, "--op", "dft", "--seed", "0")
+    raw = meas.read_bytes()
+    for old, new in ((b"height=32", b"height=20000"), (b"width=32", b"width=20000"),
+                     (b"subrate=0.3", f"subrate={307 / 4e8!r}".encode())):
+        raw = raw.replace(old, new, 1)
+    meas.write_bytes(raw)
+    out = tmp_path / "o.pgm"
+    limit = 2 << 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "groupcs.cli", "recover", str(meas), "--output", str(out)],
+        env=src_env(), capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 3, proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith(f"file error: {meas}: recovering a 20000x20000 image needs")
+    assert line.endswith("GiB of physical memory")
+    assert not out.exists()
+
+
 def test_non_finite_measurements_exit_4(tmp_path, capsys):
     op = make_operator("dense", (32, 32), 0.2, 3)
     mf = MeasurementFile(
@@ -802,21 +881,40 @@ def test_overflowing_start_prints_one_line_from_a_shell(tmp_path):
     """Run as its own process, so numpy's warnings would reach stderr."""
     meas = tmp_path / "big.meas"
     write_overflowing_file(meas)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "groupcs.cli", "recover", str(meas),
          "--output", str(tmp_path / "o.pgm"), "--outer_iters", "2"],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=src_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 4
     assert proc.stderr.splitlines() == ["numerical failure: non-finite HX at iteration 1"]
 
 
+SUBCOMMAND_ERROR = "config error: subcommand must be one of measure, recover, denoise, sweep, metrics"
+
+
 def test_missing_subcommand_exits_2(capsys):
-    with pytest.raises(SystemExit) as info:
-        main([])
-    assert info.value.code == 2
+    code, out, err = run(capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"{SUBCOMMAND_ERROR}; got none\n"
+
+
+@pytest.mark.parametrize("argv", [["bogus"], ["--tau", "1", "denoise"], ["Measure"]])
+def test_unknown_subcommand_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"{SUBCOMMAND_ERROR}; got {argv[0]!r}\n"
+
+
+def test_unknown_subcommand_prints_one_line_from_a_shell():
+    proc = subprocess.run(
+        [sys.executable, "-m", "groupcs.cli", "bogus"],
+        env=src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [f"{SUBCOMMAND_ERROR}; got 'bogus'"]
 
 
 # ---------------------------------------------------------------------- fuzz
@@ -829,8 +927,12 @@ FUZZ_VALUES = sorted(
 )
 
 
+SUBCOMMANDS = ["measure", "recover", "denoise", "sweep", "metrics"]
+
+
 @given(
-    command=st.sampled_from(["measure", "recover", "denoise", "sweep", "metrics"]),
+    # None leaves the subcommand out, so argv starts with a setting
+    command=st.sampled_from(SUBCOMMANDS + [None, "bogus", "-h", "--help", "--tau"]),
     overrides=st.dictionaries(
         st.sampled_from(sorted(KEYS)), st.sampled_from(FUZZ_VALUES),
         min_size=1, max_size=3,
@@ -838,13 +940,14 @@ FUZZ_VALUES = sorted(
     iters=st.integers(1, 2),
     where=st.integers(0, 8),
 )
-@settings(max_examples=150, deadline=None,
+@settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_fuzz_overrides_keep_exit_code_contract(tmp_path, monkeypatch, capsys, command,
                                                 overrides, iters, where):
     """Any mix of bad and good override values, with the input anywhere
     among them, exits 0, 2, 3 or 4, with one line on stderr when it fails
-    and none when it succeeds."""
+    and none when it succeeds.  Without a subcommand first it exits 2, or
+    0 with usage on stdout for -h and --help."""
     monkeypatch.chdir(tmp_path)
     img_path = tmp_path / "in.pgm"
     if not img_path.exists():
@@ -855,11 +958,12 @@ def test_fuzz_overrides_keep_exit_code_contract(tmp_path, monkeypatch, capsys, c
              ("--outer_iters", str(iters)), ("--gd_steps", str(iters))]
     pairs += [(f"--{key}", value) for key, value in overrides.items()]
     pairs.insert(min(where, len(pairs)), (source,))
-    argv = [command, *(token for pair in pairs for token in pair)]
+    argv = [*([command] if command else []), *(token for pair in pairs for token in pair)]
     capsys.readouterr()
     code = main(argv)
     err = capsys.readouterr().err
-    assert code in (0, 2, 3, 4), argv
+    assert code in ((0, 2, 3, 4) if command in SUBCOMMANDS else
+                    (0,) if command in ("-h", "--help") else (2,)), argv
     assert err == "" if code == 0 else err.endswith("\n") and err.count("\n") == 1, (argv, err)
 
 

@@ -12,6 +12,7 @@ from groupcs import (
     supergradient,
     wsvt,
 )
+from groupcs.penalties import EPS_WEIGHT
 
 
 def compose(u, s, vt):
@@ -126,25 +127,24 @@ def test_weights_supergradient_formula():
 def test_weights_combined_formula():
     pen = Penalty("log", 1.0, 1.5)
     s = np.array([4.0, 2.0, 0.5])
-    eps = 1e-3
-    w = group_weights(s, pen, "combined", epsilon=eps)
-    expected = 1.5 / (np.log(2.5) * (1.5 * s + 1)) / (s + eps)
+    w = group_weights(s, pen, "combined")
+    expected = 1.5 / (np.log(2.5) * (1.5 * s + 1)) / (s + EPS_WEIGHT)
     np.testing.assert_allclose(w, expected, rtol=1e-12)
     assert np.all(np.diff(w) >= 0)
 
 
 def test_weights_combined_zero_supergradient_is_zero(rng):
-    """A zero super-gradient over a zero denominator gives weight 0, not
-    0/0; every other weight keeps the bits of d / (sigma + epsilon)."""
+    """A zero super-gradient gives weight 0, also at a zero singular
+    value; every weight keeps the bits of d / (sigma + EPS_WEIGHT)."""
     s = np.array([[3.0, 1.0, 0.0], [2.0, 0.0, 0.0]])
-    w = group_weights(s, Penalty("log", 0.0, 10.0), "combined", epsilon=0.0)
+    w = group_weights(s, Penalty("log", 0.0, 10.0), "combined")
     np.testing.assert_array_equal(w, np.zeros_like(s))
     pen = Penalty("mcp", 1.0, 1.5)
     s = np.sort(rng.uniform(0.0, 3.0, (4, 6)), axis=1)[:, ::-1]
     s[:, -1] = 0.0
     d = supergradient(pen, s)
-    want = np.maximum.accumulate(d / (s + 1e-3), axis=-1)
-    np.testing.assert_array_equal(group_weights(s, pen, "combined", 1e-3), want)
+    want = np.maximum.accumulate(d / (s + EPS_WEIGHT), axis=-1)
+    np.testing.assert_array_equal(group_weights(s, pen, "combined"), want)
 
 
 def test_weights_clipped_nondecreasing():

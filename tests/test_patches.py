@@ -7,7 +7,7 @@ from conftest import brute_force_match, patch_at
 from hypothesis import given, settings, strategies as st
 
 from groupcs import GroupingConfig, aggregate_stack, group_stack
-from groupcs.patches import GroupingError, reference_anchors
+from groupcs.patches import GroupingError, reference_anchors, stack_bytes
 
 
 def stride_one_groups(image, cfg):
@@ -140,6 +140,22 @@ def test_lattice_covers_awkward_sizes():
         for r, c in reference_anchors((dim, dim), cfg):
             covered[r : r + 3, c : c + 3] = True
         assert covered.all(), dim
+
+
+@pytest.mark.parametrize("shape", [(6, 6), (7, 100), (33, 47), (64, 64)])
+@pytest.mark.parametrize("patch_side, stride", [(1, 1), (4, 3), (6, 4), (6, 9)])
+def test_stack_bytes_counts_what_group_stack_holds(rng, shape, patch_side, stride):
+    """The counted lattice is the built one, and the bytes are those of
+    group_stack's patch stack plus the patch vector at every anchor."""
+    cfg = GroupingConfig(patch_side=patch_side, stride=stride, window_side=200, group_size=1)
+    patches, _ = group_stack(rng.uniform(0, 255, shape), cfg)
+    assert len(patches) == len(reference_anchors(shape, cfg))
+    anchors = (shape[0] - patch_side + 1) * (shape[1] - patch_side + 1)
+    assert stack_bytes(shape, cfg) == patches.nbytes + anchors * patch_side**2 * 8
+
+
+def test_stack_bytes_of_a_patch_that_does_not_fit_is_zero():
+    assert stack_bytes((5, 10**12), GroupingConfig(patch_side=6)) == 0
 
 
 # --------------------------------------------------------------- aggregation

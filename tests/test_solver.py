@@ -358,7 +358,7 @@ def per_group_z_step(img, cfg, tau, sweeps):
         u, s, vt = np.linalg.svd(mat, full_matrices=False)
         spec = s if cfg.init_weights == "observation" else np.zeros_like(s)
         for _ in range(sweeps):
-            w = group_weights(spec, cfg.penalty, cfg.weighting, cfg.epsilon)
+            w = group_weights(spec, cfg.penalty, cfg.weighting)
             s_new = np.maximum(s - tau * w, 0.0)
             moved = np.linalg.norm(s_new - spec) / max(1.0, np.linalg.norm(spec))
             spec = s_new
@@ -482,15 +482,11 @@ def test_config_validation():
     small_cfg(fidelity="m_estimator", sigma_m=5.0)
     with pytest.raises(ValueError):
         small_cfg(init_weights="spectral")
-    with pytest.raises(ValueError):
-        small_cfg(epsilon=-1.0)
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError):
             small_cfg(lam=bad)
         with pytest.raises(ValueError):
             small_cfg(mu=bad)
-        with pytest.raises(ValueError):
-            small_cfg(epsilon=bad)
 
 
 # ------------------------------------------------------------------- recover
