@@ -216,10 +216,10 @@ def cmd_sweep(run, scfg, nspec):
         except (ValueError, OverflowError, NumericalError, np.linalg.LinAlgError) as exc:
             return "", time.monotonic() - start, f"failed: {exc}"
 
-    with ThreadPoolExecutor(max_workers=run.jobs) as pool:
-        results = list(pool.map(timed, cells))
-
+    # Opened before any cell runs, so a bad output path fails before the work.
     with open(output, "w", newline="") as fh:
+        with ThreadPoolExecutor(max_workers=run.jobs) as pool:
+            results = list(pool.map(timed, cells))
         writer = csv.writer(fh)
         writer.writerow(["subrate", "snr_db", "kind", "weighting", "psnr_db", "wall_s", "status"])
         for (subrate, snr, kind_name, weighting), (val, wall, status) in zip(cells, results):
@@ -281,8 +281,7 @@ def main(argv=None):
         print(f"file error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
-        where = f" ({exc.filename})" if exc.filename else ""
-        print(f"file error: {exc}{where}", file=sys.stderr)
+        print(f"file error: {exc}", file=sys.stderr)
         return 3
     except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -89,46 +89,17 @@ def group_weights(spectrum, pen: Penalty, weighting):
     return np.maximum.accumulate(w, axis=-1)
 
 
-def _row_norms(x):
-    # Each row through BLAS dot, as np.linalg.norm does for one vector, so
-    # the early stop below decides exactly as a per-group loop would.
-    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
-
-
-def _irnn(mats, pen, tau, weighting, sweeps, init_weights, tol):
-    """Reweighted shrinkage of a (G, n, k) stack for tau > 0.
-
-    Returns (denoised stack, final spectra).  A group stops once its
-    spectrum moves by less than tol (relative) and keeps that spectrum
-    while the others go on; the loop ends when every group has stopped.
-    """
-    u, s, vt = np.linalg.svd(mats, full_matrices=False)
-    spec = s if init_weights == "observation" else np.zeros_like(s)
-    active = np.ones(len(s), dtype=bool)
-    for _ in range(sweeps):
-        w = group_weights(spec, pen, weighting)
-        step = _shrink(s, w, tau)
-        moved = _row_norms(step - spec) / np.maximum(1.0, _row_norms(spec))
-        spec = np.where(active[:, None], step, spec)
-        active &= ~(moved < tol)
-        if not active.any():
-            break
-    # u * diag(s') * vt does not depend on the SVD's sign convention.
-    return (u * spec[:, None, :]) @ vt, spec
-
-
 def irnn_denoise_stack(mats, pen: Penalty, tau, weighting="combined", sweeps=1,
-                       init_weights="observation", tol=1e-6):
+                       init_weights="observation"):
     """Denoise every matrix of a (G, n, k) stack in place, as one batch.
 
-    Each group gets iteratively reweighted singular value shrinkage.
-    Each sweep computes weights from the current spectrum and solves the
-    weighted thresholding subproblem against the original matrix.  With
+    Each group gets `sweeps` sweeps of iteratively reweighted singular
+    value shrinkage; every group runs every sweep.  Each sweep computes
+    weights from the current spectrum and solves the weighted
+    thresholding subproblem against the original matrix.  With
     init_weights="observation" the first sweep weights come from the
     spectrum of the input itself; "zero" starts from an all-zero
-    spectrum, so every singular value initially gets the weight d(0).  A
-    group stops early when its spectrum moves by less than tol
-    (relative); tol=0 runs every sweep.
+    spectrum, so every singular value initially gets the weight d(0).
 
     mats may be a strided view, such as a transposed patch stack.
     Returns the (G, min(n, k)) final spectra; with tau == 0 the stack is
@@ -146,6 +117,11 @@ def irnn_denoise_stack(mats, pen: Penalty, tau, weighting="combined", sweeps=1,
     spectra = np.empty((len(mats), min(mats.shape[1:])))
     for c0 in range(0, len(mats), _SVD_CHUNK):
         part = slice(c0, c0 + _SVD_CHUNK)
-        mats[part], spectra[part] = _irnn(mats[part], pen, tau, weighting, sweeps,
-                                          init_weights, tol)
+        u, s, vt = np.linalg.svd(mats[part], full_matrices=False)
+        spec = s if init_weights == "observation" else np.zeros_like(s)
+        for _ in range(sweeps):
+            spec = _shrink(s, group_weights(spec, pen, weighting), tau)
+        # u * diag(s') * vt does not depend on the SVD's sign convention.
+        mats[part] = (u * spec[:, None, :]) @ vt
+        spectra[part] = spec
     return spectra

@@ -28,8 +28,9 @@ class NoiseSpec:
     xi (sparse large outliers on top of a small-noise floor).  When
     target_snr_db is set the drawn noise vector is rescaled so the
     realized signal-to-noise ratio hits the target exactly; sigma then
-    only fixes the shape of the mixture, not its scale.  Model "none"
-    takes no target.
+    only fixes the shape of the mixture, not its scale, and sigma = 0
+    draws no noise.  sigma, kappa and target_snr_db must be finite.
+    Model "none" takes no target.
     """
 
     model: str = "none"
@@ -43,13 +44,15 @@ class NoiseSpec:
             raise ValueError(f"noise model must be one of {', '.join(NOISE_MODELS)}; "
                              f"got {self.model!r}")
         if self.model != "none":
-            if not self.sigma >= 0:
-                raise ValueError("noise sigma must be >= 0")
+            if not 0.0 <= self.sigma < math.inf:
+                raise ValueError("noise sigma must be finite and >= 0")
+            if self.target_snr_db is not None and not math.isfinite(self.target_snr_db):
+                raise ValueError("target SNR must be finite")
             if self.model == "gaussian_mixture":
                 if not 0.0 <= self.xi <= 1.0:
                     raise ValueError("mixture xi must lie in [0, 1]")
-                if not self.kappa >= 1.0:
-                    raise ValueError("mixture kappa must be >= 1")
+                if not 1.0 <= self.kappa < math.inf:
+                    raise ValueError("mixture kappa must be finite and >= 1")
         elif self.target_snr_db is not None:
             raise ValueError("a target SNR needs a noise model")
 
@@ -274,27 +277,26 @@ def add_noise(y, spec: NoiseSpec, seed):
     snr_db = 20*log10(||y - mean(y)|| / ||noise||); the mean removal
     treats the empirical mean of the clean measurements as the signal
     baseline.  When target_snr_db is set the noise is rescaled to hit it
-    exactly.  With model "none" the realized SNR is +inf.
+    exactly.  With model "none", or sigma = 0 and no target, no noise is
+    added and the realized SNR is +inf.
     """
     y = np.asarray(y, dtype=float)
     if spec.model == "none":
         return y.copy(), np.zeros_like(y), math.inf
     rng = np.random.default_rng(seed)
-    sigma = spec.sigma if spec.sigma > 0 else 1.0
     if spec.model == "gaussian":
-        noise = rng.normal(0.0, sigma, y.shape)
+        noise = rng.normal(0.0, spec.sigma, y.shape)
     else:
         outlier = rng.random(y.shape) < spec.xi
-        scales = np.where(outlier, sigma * math.sqrt(spec.kappa), sigma)
+        scales = np.where(outlier, spec.sigma * math.sqrt(spec.kappa), spec.sigma)
         noise = rng.standard_normal(y.shape) * scales
     signal = np.linalg.norm(y - np.mean(y))
-    if spec.target_snr_db is not None:
-        want = signal * 10.0 ** (-spec.target_snr_db / 20.0)
-        nn = np.linalg.norm(noise)
-        if nn == 0.0 or signal == 0.0:
-            raise ValueError("cannot rescale noise to a target SNR here")
-        noise = noise * (want / nn)
     nn = np.linalg.norm(noise)
+    if spec.target_snr_db is not None:
+        if not 0.0 < nn < math.inf or signal == 0.0:
+            raise ValueError("cannot rescale noise to a target SNR here")
+        noise = noise * (signal * 10.0 ** (-spec.target_snr_db / 20.0) / nn)
+        nn = np.linalg.norm(noise)
     if nn == 0.0:
         realized = math.inf
     elif signal == 0.0:

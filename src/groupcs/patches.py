@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .measurement import physical_memory
+
 # Candidate patch entries gathered per matching pass (8 MB of float64);
 # bounds the distance temporaries whatever the window and patch size.
 _MATCH_ENTRIES = 1 << 20
@@ -120,24 +122,33 @@ def _match(img, anchors, cfg):
     return patches, positions
 
 
-def _anchor_axis(dim, patch_side, stride):
-    last = dim - patch_side
-    # Consecutive anchors may be at most patch_side apart or pixels between
-    # reference patches would go uncovered, so the effective step is capped.
-    step = min(stride, patch_side)
-    xs = list(range(0, last + 1, step))
-    if xs[-1] != last:
-        xs.append(last)
-    return xs
+def _anchor_count(dim, cfg):
+    # (count, step) of the anchors along one axis: multiples of step, then
+    # the last anchor dim - patch_side.  Consecutive anchors may be at most
+    # patch_side apart or pixels between reference patches would go
+    # uncovered, so the step is capped.
+    step = min(cfg.stride, cfg.patch_side)
+    return -(-(dim - cfg.patch_side) // step) + 1, step
+
+
+def _anchor_axis(dim, cfg):
+    count, step = _anchor_count(dim, cfg)
+    return np.minimum(np.arange(count) * step, dim - cfg.patch_side)
 
 
 def _lattice(shape, cfg):
     # (G, 2) reference anchors in raster order, checked against the shape:
-    # the patch must fit, and every clipped window must hold a group.
+    # the patch must fit, group_stack's arrays must fit in physical memory,
+    # and every clipped window must hold a group.
     if cfg.patch_side > shape[0] or cfg.patch_side > shape[1]:
         raise GroupingError(f"image {tuple(shape)} smaller than patch side {cfg.patch_side}")
-    rows = _anchor_axis(shape[0], cfg.patch_side, cfg.stride)
-    cols = _anchor_axis(shape[1], cfg.patch_side, cfg.stride)
+    need, have = stack_bytes(shape, cfg), physical_memory()
+    if need > have:
+        raise GroupingError(
+            f"grouping a {shape[0]}x{shape[1]} image needs {need / 2**30:.1f} GiB, "
+            f"more than the {have / 2**30:.1f} GiB of physical memory"
+        )
+    rows, cols = (_anchor_axis(dim, cfg) for dim in shape)
     anchors = np.stack(np.meshgrid(rows, cols, indexing="ij"), axis=-1).reshape(-1, 2)
     last = np.array([shape[0] - cfg.patch_side, shape[1] - cfg.patch_side])
     n_cand = np.prod(_clipped_windows(anchors, cfg.window_side, last)[1], axis=1)
@@ -184,10 +195,7 @@ def stack_bytes(shape, cfg):
     s = cfg.patch_side
     if s > min(shape):
         return 0  # group_stack refuses this grouping before any allocation
-    groups = 1
-    for dim in shape:
-        last, step = dim - s, min(cfg.stride, s)  # the rule of _anchor_axis
-        groups *= last // step + 1 + (last % step != 0)
+    groups = _anchor_count(shape[0], cfg)[0] * _anchor_count(shape[1], cfg)[0]
     return ((shape[0] - s + 1) * (shape[1] - s + 1) + groups * cfg.group_size) * s * s * 8
 
 

@@ -159,7 +159,6 @@ def test_criterion_03_majorization_descent():
                 weighting="combined" if i % 2 == 0 else "supergradient",
                 sweeps=sweeps,
                 init_weights="observation" if i % 4 < 2 else "zero",
-                tol=0.0,
             )[0]
             trace.append(0.5 * float(np.sum((s - spec) ** 2))
                          + tau * float(np.sum(rho(pen, spec))))

@@ -93,6 +93,27 @@ def test_measure_hits_target_snr(tmp_path, flat_image, capsys):
     assert mf.noise.target_snr_db == 15.0
 
 
+def test_measure_zero_sigma_adds_no_noise(tmp_path, flat_image, capsys):
+    """sigma = 0 draws no noise: the clean measurements at infinite SNR.
+    No scale of zero noise meets a target SNR, so a target exits 2."""
+    img_path, img = flat_image
+    meas = tmp_path / "clean.meas"
+    code, out, _ = run(capsys, "measure", img_path, "--output", meas, "--op", "dft",
+                       "--noise", "gaussian", "--noise_sigma", "0")
+    assert code == 0
+    mf = read_measurements(meas)
+    assert mf.snr_db == math.inf
+    assert mf.noise.sigma == 0.0
+    np.testing.assert_array_equal(mf.y, make_operator("dft", (32, 32), 0.3, 0).forward(img))
+    meas = tmp_path / "target.meas"
+    code, _, err = run(capsys, "measure", img_path, "--output", meas, "--op", "dft",
+                       "--noise", "gaussian", "--noise_sigma", "0", "--target_snr_db", "15")
+    assert code == 2
+    assert err == ("config error: cannot add gaussian noise: "
+                   "cannot rescale noise to a target SNR here\n")
+    assert not meas.exists()
+
+
 # ------------------------------------------------------------------- recover
 
 
@@ -573,6 +594,12 @@ def test_unknown_operator_kind_exits_2_before_reading_input(tmp_path, capsys, co
         # l2 has no scale for a fixed sigma_m to pin
         ("recover", ["--sigma_m", "5"], "a fixed sigma_m needs fidelity m_estimator, got l2"),
         ("measure", ["--op", "dft", "--target_snr_db", "15"], "a target SNR needs a noise model"),
+        ("measure", ["--noise", "gaussian", "--noise_sigma", "inf", "--target_snr_db", "15"],
+         "noise sigma must be finite and >= 0"),
+        ("measure", ["--noise", "gaussian_mixture", "--noise_kappa", "inf",
+                     "--target_snr_db", "15"], "mixture kappa must be finite and >= 1"),
+        ("measure", ["--noise", "gaussian", "--target_snr_db", "-inf"],
+         "target SNR must be finite"),
     ],
 )
 def test_bad_run_setting_exits_2_before_reading_input(tmp_path, capsys, command, argv, message):
@@ -757,6 +784,57 @@ def test_threshold_arguments_exit_2(tmp_path, flat_image, capsys, command, argv)
     assert code == 2
     assert err.startswith("config error") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_grouping_beyond_physical_memory_is_refused(tmp_path):
+    """At stride 1 with 500-patch groups, a 1024x1024 image needs a 139 GiB
+    stack: denoise exits 2 and a sweep cell fails, before any allocation.
+    Run as its own process under a 2 GiB address-space limit, so a stack
+    allocated anyway fails at once instead of filling the machine."""
+    img_path = tmp_path / "big.pgm"
+    write_pgm(img_path, np.random.default_rng(2).uniform(0, 255, (1024, 1024)))
+    grouping = ["--stride", "1", "--window", "60", "--group_size", "500"]
+    message = "grouping a 1024x1024 image needs 139."
+    limit = 2 << 30
+
+    def child(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "groupcs.cli", *map(str, argv), *grouping],
+            env=src_env(), capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+
+    out = tmp_path / "o.pgm"
+    proc = child("denoise", img_path, "--output", out, "--tau", "1")
+    assert proc.returncode == 2, proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith(f"config error: {message}")
+    assert line.endswith("GiB of physical memory")
+    assert not out.exists()
+
+    csv_path = tmp_path / "g.csv"
+    proc = child("sweep", img_path, "--output", csv_path, "--op", "dft", "--outer_iters", "1")
+    assert proc.returncode == 0, proc.stderr
+    [row] = list(csv.DictReader(csv_path.open()))
+    assert row["status"].startswith(f"failed: {message}")
+
+
+def test_unwritable_output_names_the_path_once(tmp_path, flat_image, capsys):
+    out = tmp_path / "missing" / "o.pgm"
+    code, _, err = run(capsys, "denoise", flat_image[0], "--output", out, "--tau", "1e3")
+    assert code == 3
+    assert err == f"file error: [Errno 2] No such file or directory: '{out}'\n"
+
+
+def test_sweep_unwritable_output_exits_3_before_any_cell(tmp_path, flat_image, capsys,
+                                                          monkeypatch):
+    cells = []
+    monkeypatch.setattr(cli, "_run_cell", lambda *args: cells.append(args))
+    out = tmp_path / "missing" / "g.csv"
+    code, _, err = run(capsys, "sweep", flat_image[0], "--output", out)
+    assert code == 3
+    assert err.startswith("file error: ") and err.count("\n") == 1
+    assert cells == []
 
 
 def test_missing_input_exits_3(tmp_path, capsys):
@@ -947,7 +1025,8 @@ def test_fuzz_overrides_keep_exit_code_contract(tmp_path, monkeypatch, capsys, c
     """Any mix of bad and good override values, with the input anywhere
     among them, exits 0, 2, 3 or 4, with one line on stderr when it fails
     and none when it succeeds.  Without a subcommand first it exits 2, or
-    0 with usage on stdout for -h and --help."""
+    0 with usage on stdout for -h and --help.  A measurement file that
+    measure writes holds finite measurements and an SNR that is not NaN."""
     monkeypatch.chdir(tmp_path)
     img_path = tmp_path / "in.pgm"
     if not img_path.exists():
@@ -965,6 +1044,9 @@ def test_fuzz_overrides_keep_exit_code_contract(tmp_path, monkeypatch, capsys, c
     assert code in ((0, 2, 3, 4) if command in SUBCOMMANDS else
                     (0,) if command in ("-h", "--help") else (2,)), argv
     assert err == "" if code == 0 else err.endswith("\n") and err.count("\n") == 1, (argv, err)
+    if code == 0 and command == "measure":
+        mf = read_measurements(overrides.get("output", "out"))
+        assert np.all(np.isfinite(mf.y)) and not math.isnan(mf.snr_db), argv
 
 
 @given(

@@ -171,8 +171,8 @@ def denoise_one(m, pen, tau, weighting="combined", sweeps=1, **kw):
 
 
 def sweep_spectra(m, pen, tau, weighting, sweeps):
-    """Spectrum after each sweep, from runs of 1..sweeps sweeps (tol=0)."""
-    return [denoise_one(m, pen, tau, weighting, k, tol=0.0)[1]
+    """Spectrum after each sweep, from runs of 1..sweeps sweeps."""
+    return [denoise_one(m, pen, tau, weighting, k)[1]
             for k in range(1, sweeps + 1)]
 
 
@@ -244,6 +244,24 @@ def test_denoise_objective_nonincreasing(rng):
                         for sp in sweep_spectra(m, pen, tau, "supergradient", 8)])
         scale = max(1.0, abs(obj[0]))
         assert np.all(np.diff(obj) <= 1e-8 * scale)
+
+
+def test_every_group_runs_every_sweep(rng):
+    """A group whose spectrum moves by under 1e-6 (relative) in its first
+    sweep still runs the rest: k sweeps are k explicit reweighting steps."""
+    pen, tau = Penalty("log", 1.0, 10.0), 0.1
+    m = random_with_spectrum(rng, (6, 10), [1e4, 3e3, 1e3, 300, 100, 30])
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    spec, steps = s, []
+    for _ in range(3):
+        spec = np.maximum(s - tau * group_weights(spec, pen, "supergradient"), 0.0)
+        steps.append(spec)
+    assert np.linalg.norm(steps[0] - s) < 1e-6 * np.linalg.norm(s)
+    assert np.any(steps[2] != steps[0])
+    for k, expect_s in enumerate(steps, 1):
+        out, got = denoise_one(m, pen, tau, "supergradient", k)
+        np.testing.assert_array_equal(got, expect_s)
+        np.testing.assert_allclose(out, compose(u, expect_s, vt), rtol=0, atol=1e-9)
 
 
 def test_denoise_rejects_bad_arguments(rng):

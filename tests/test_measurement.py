@@ -400,4 +400,12 @@ def test_noise_spec_validation():
         NoiseSpec(model="gaussian_mixture", kappa=0.5)
     with pytest.raises(ValueError, match="a target SNR needs a noise model"):
         NoiseSpec(target_snr_db=15.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            NoiseSpec(model="gaussian", sigma=bad)
+        with pytest.raises(ValueError, match="kappa must be finite"):
+            NoiseSpec(model="gaussian_mixture", kappa=bad)
+    for bad in (math.inf, -math.inf):
+        with pytest.raises(ValueError, match="target SNR must be finite"):
+            NoiseSpec(model="gaussian", target_snr_db=bad)
 

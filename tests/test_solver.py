@@ -359,11 +359,7 @@ def per_group_z_step(img, cfg, tau, sweeps):
         spec = s if cfg.init_weights == "observation" else np.zeros_like(s)
         for _ in range(sweeps):
             w = group_weights(spec, cfg.penalty, cfg.weighting)
-            s_new = np.maximum(s - tau * w, 0.0)
-            moved = np.linalg.norm(s_new - spec) / max(1.0, np.linalg.norm(spec))
-            spec = s_new
-            if moved < 1e-6:
-                break
+            spec = np.maximum(s - tau * w, 0.0)
         patches.append(((u * spec) @ vt).T)
         positions.append(pos)
         reg += float(np.sum(rho(cfg.penalty, spec)))
