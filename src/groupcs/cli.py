@@ -31,15 +31,19 @@ from .config import KEYS, ConfigError, build_settings, merge_config, parse_kv_fi
 from .measfile import MeasFileError, MeasurementFile, read_measurements, write_measurements
 from .measurement import add_noise, make_operator, measurement_count, physical_memory
 from .metrics import check_shapes, psnr
-from .patches import GroupingError, stack_bytes
+from .patches import stack_bytes
 from .pgm import PgmError, quantize, read_pgm, write_pgm
-from .solver import IterStats, NumericalError, ThresholdError, recover, z_step
+from .solver import IterStats, NumericalError, recover, z_step
 
 
 # Floating-point errors end as NumericalError or a failed sweep cell, so
 # numpy's warnings would only add lines to stderr.  Not "raise": block
 # matching lets distances overflow to +inf on purpose.
 _QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
+# Refusals (exit 2) and numerical failures (exit 4); either fails a sweep
+# cell.  LinAlgError is a ValueError, so main sorts _NUMERICAL first.
+_REFUSED = (ValueError, OverflowError)
+_NUMERICAL = (NumericalError, np.linalg.LinAlgError)
 
 
 def _load_config(tokens):
@@ -72,14 +76,6 @@ def _load_config(tokens):
     return cfg
 
 
-def _checked(fn, *args):
-    """fn(*args), its ValueError reported as a config error."""
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _measure(image, run, subrate, nspec):
     """(operator, noisy measurements, realized SNR) of image at subrate.
 
@@ -89,7 +85,7 @@ def _measure(image, run, subrate, nspec):
     op = make_operator(run.op, image.shape, subrate, run.seed)
     try:
         noisy, _, snr_db = add_noise(op.forward(image), nspec, (run.seed, 1))
-    except (ValueError, OverflowError) as exc:
+    except _REFUSED as exc:
         raise ValueError(f"cannot add {nspec.model} noise: {exc}") from exc
     return op, noisy, snr_db
 
@@ -97,7 +93,7 @@ def _measure(image, run, subrate, nspec):
 def cmd_measure(run, scfg, nspec):
     output = run.required("output")
     image = read_pgm(run.required("input"))
-    op, noisy, snr_db = _checked(_measure, image, run, run.subrate, nspec)
+    op, noisy, snr_db = _measure(image, run, run.subrate, nspec)
     mf = MeasurementFile(
         op_kind=run.op, shape=op.shape, subrate=run.subrate, seed=run.seed,
         noise=nspec, snr_db=snr_db, y=noisy,
@@ -136,7 +132,7 @@ def _operator_for(mf, meas_path, grouping):
     # start a large allocation.  The masked DFT may take one more.
     try:
         want = measurement_count(mf.shape, mf.subrate)
-    except (ValueError, OverflowError) as exc:
+    except _REFUSED as exc:
         raise MeasFileError(f"{meas_path}: {exc}") from exc
     if not 0 <= m - want <= 1:
         raise MeasFileError(
@@ -166,7 +162,7 @@ def cmd_recover(run, scfg, nspec):
     meas_path = run.required("input")
     mf = read_measurements(meas_path)
     if gt is not None:
-        _checked(check_shapes, mf.shape, gt.shape)
+        check_shapes(mf.shape, gt.shape)
     x, trace = recover(mf.y, _operator_for(mf, meas_path, scfg.grouping), scfg,
                        ground_truth=gt)
     write_pgm(output, x)
@@ -182,7 +178,7 @@ def cmd_denoise(run, scfg, nspec):
     image = read_pgm(run.required("input"))
     gt = read_pgm(run.ground_truth) if run.ground_truth else None
     if gt is not None:
-        _checked(check_shapes, image.shape, gt.shape)
+        check_shapes(image.shape, gt.shape)
     z, _ = z_step(image, scfg, tau, sweeps=run.sweeps)
     write_pgm(output, z)
     if gt is not None:
@@ -213,7 +209,7 @@ def cmd_sweep(run, scfg, nspec):
             with np.errstate(**_QUIET):  # worker threads start from numpy's defaults
                 value = _run_cell(image, run, nspec, scfg, cell)
             return f"{value:.2f}", time.monotonic() - start, "ok"
-        except (ValueError, OverflowError, NumericalError, np.linalg.LinAlgError) as exc:
+        except _REFUSED + _NUMERICAL as exc:
             return "", time.monotonic() - start, f"failed: {exc}"
 
     # Opened before any cell runs, so a bad output path fails before the work.
@@ -231,7 +227,7 @@ def cmd_sweep(run, scfg, nspec):
 def cmd_metrics(run, scfg, nspec):
     image = read_pgm(run.required("input"))
     reference = read_pgm(run.required("ground_truth"))
-    report = _checked(psnr, image, reference)
+    report = psnr(image, reference)
     print(f"psnr_db={report.psnr_db:.2f} mse={report.mse!r}")
     return 0
 
@@ -274,18 +270,15 @@ def main(argv=None):
             return 0
         with np.errstate(**_QUIET):
             return _COMMANDS[command][0](*build_settings(cfg))
-    except (ConfigError, GroupingError, ThresholdError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (PgmError, MeasFileError) as exc:
+    except (PgmError, MeasFileError, OSError) as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"file error: {exc}", file=sys.stderr)
-        return 3
-    except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except _NUMERICAL as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
+    except _REFUSED as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

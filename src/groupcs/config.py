@@ -24,8 +24,8 @@ from .penalties import KINDS, Penalty
 from .solver import SolverConfig
 
 
-class ConfigError(Exception):
-    pass
+class ConfigError(ValueError):
+    """A config or command line that cannot be read."""
 
 
 @dataclass(frozen=True)
@@ -193,10 +193,7 @@ def _build(default, table, cfg, **fields):
     for key, (name, parse) in table.items():
         if key in cfg:
             fields[name] = parse(key, cfg[key])
-    try:
-        return dataclasses.replace(default, **fields)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return dataclasses.replace(default, **fields)
 
 
 def build_noise_spec(cfg):
