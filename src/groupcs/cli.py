@@ -17,10 +17,15 @@ failure.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
+import errno
 import itertools
+import os
+import shutil
 import sys
+import tempfile
 import textwrap
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -76,6 +81,48 @@ def _load_config(tokens):
     return cfg
 
 
+@contextlib.contextmanager
+def _outputs(*paths):
+    """Temporary files beside each output path (None for an output not
+    asked for), made before any input is read so a bad path fails before
+    the work.  Each is moved onto its output if the block succeeds, and
+    removed otherwise, so a failed run leaves the old output or none."""
+    temps = []
+    try:
+        for path in paths:
+            temps.append(path and _temp_beside(path))
+        yield temps
+        for temp, path in zip(temps, paths):
+            if temp:
+                os.replace(temp, path)
+    finally:
+        for temp in temps:
+            if temp:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(temp)
+
+
+def _temp_beside(path):
+    # An empty file with the mode writing `path` would give: an existing
+    # output's own, else 0666 less the umask.  A failure names the output,
+    # not the temporary file; a directory would only fail at the replace.
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    try:
+        fd, temp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp",
+                                    dir=os.path.dirname(path) or ".")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    os.close(fd)
+    try:
+        shutil.copymode(path, temp)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(temp, 0o666 & ~umask)
+    return temp
+
+
 def _measure(image, run, subrate, nspec):
     """(operator, noisy measurements, realized SNR) of image at subrate.
 
@@ -91,14 +138,13 @@ def _measure(image, run, subrate, nspec):
 
 
 def cmd_measure(run, scfg, nspec):
-    output = run.required("output")
-    image = read_pgm(run.required("input"))
-    op, noisy, snr_db = _measure(image, run, run.subrate, nspec)
-    mf = MeasurementFile(
-        op_kind=run.op, shape=op.shape, subrate=run.subrate, seed=run.seed,
-        noise=nspec, snr_db=snr_db, y=noisy,
-    )
-    write_measurements(output, mf)
+    with _outputs(run.required("output")) as (output,):
+        image = read_pgm(run.required("input"))
+        op, noisy, snr_db = _measure(image, run, run.subrate, nspec)
+        write_measurements(output, MeasurementFile(
+            op_kind=run.op, shape=op.shape, subrate=run.subrate, seed=run.seed,
+            noise=nspec, snr_db=snr_db, y=noisy,
+        ))
     print(f"m={op.m} n={op.n} snr_db={snr_db!r}")
     return 0
 
@@ -157,30 +203,31 @@ def _operator_for(mf, meas_path, grouping):
 
 
 def cmd_recover(run, scfg, nspec):
-    output = run.required("output")
-    gt = read_pgm(run.ground_truth) if run.ground_truth else None
-    meas_path = run.required("input")
-    mf = read_measurements(meas_path)
-    if gt is not None:
-        check_shapes(mf.shape, gt.shape)
-    x, trace = recover(mf.y, _operator_for(mf, meas_path, scfg.grouping), scfg,
-                       ground_truth=gt)
-    write_pgm(output, x)
-    if run.trace:
-        _write_trace(run.trace, trace, scfg.fidelity)
+    with _outputs(run.required("output"), run.trace) as (output, trace_path):
+        gt = read_pgm(run.ground_truth) if run.ground_truth else None
+        meas_path = run.required("input")
+        mf = read_measurements(meas_path)
+        if gt is not None:
+            check_shapes(mf.shape, gt.shape)
+        x, trace = recover(mf.y, _operator_for(mf, meas_path, scfg.grouping), scfg,
+                           ground_truth=gt)
+        write_pgm(output, x)
+        if trace_path:
+            _write_trace(trace_path, trace, scfg.fidelity)
     if gt is not None:
         print(f"psnr_db={psnr(quantize(x), gt).psnr_db:.2f}")
     return 0
 
 
 def cmd_denoise(run, scfg, nspec):
-    tau, output = run.required("tau"), run.required("output")
-    image = read_pgm(run.required("input"))
-    gt = read_pgm(run.ground_truth) if run.ground_truth else None
-    if gt is not None:
-        check_shapes(image.shape, gt.shape)
-    z, _ = z_step(image, scfg, tau, sweeps=run.sweeps)
-    write_pgm(output, z)
+    tau = run.required("tau")
+    with _outputs(run.required("output")) as (output,):
+        image = read_pgm(run.required("input"))
+        gt = read_pgm(run.ground_truth) if run.ground_truth else None
+        if gt is not None:
+            check_shapes(image.shape, gt.shape)
+        z, _ = z_step(image, scfg, tau, sweeps=run.sweeps)
+        write_pgm(output, z)
     if gt is not None:
         print(f"psnr_db={psnr(quantize(z), gt).psnr_db:.2f}")
     return 0
@@ -200,10 +247,8 @@ def cmd_sweep(run, scfg, nspec):
         run.sweep_subrates or [run.subrate], run.sweep_snrs or [nspec.target_snr_db],
         run.sweep_kinds or [scfg.penalty.kind], run.sweep_weightings or [scfg.weighting],
     ))
-    output = run.required("output")
-    image = read_pgm(run.required("input"))
 
-    def timed(cell):
+    def timed(image, cell):
         start = time.monotonic()
         try:
             with np.errstate(**_QUIET):  # worker threads start from numpy's defaults
@@ -212,15 +257,17 @@ def cmd_sweep(run, scfg, nspec):
         except _REFUSED + _NUMERICAL as exc:
             return "", time.monotonic() - start, f"failed: {exc}"
 
-    # Opened before any cell runs, so a bad output path fails before the work.
-    with open(output, "w", newline="") as fh:
+    with _outputs(run.required("output")) as (output,):
+        image = read_pgm(run.required("input"))
         with ThreadPoolExecutor(max_workers=run.jobs) as pool:
-            results = list(pool.map(timed, cells))
-        writer = csv.writer(fh)
-        writer.writerow(["subrate", "snr_db", "kind", "weighting", "psnr_db", "wall_s", "status"])
-        for (subrate, snr, kind_name, weighting), (val, wall, status) in zip(cells, results):
-            writer.writerow([repr(subrate), "" if snr is None else repr(snr), kind_name,
-                             weighting, val, f"{wall:.3f}", status])
+            results = list(pool.map(timed, itertools.repeat(image), cells))
+        with open(output, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["subrate", "snr_db", "kind", "weighting", "psnr_db", "wall_s",
+                             "status"])
+            for (subrate, snr, kind_name, weighting), (val, wall, status) in zip(cells, results):
+                writer.writerow([repr(subrate), "" if snr is None else repr(snr), kind_name,
+                                 weighting, val, f"{wall:.3f}", status])
     return 0
 
 

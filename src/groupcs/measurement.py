@@ -278,7 +278,8 @@ def add_noise(y, spec: NoiseSpec, seed):
     treats the empirical mean of the clean measurements as the signal
     baseline.  When target_snr_db is set the noise is rescaled to hit it
     exactly.  With model "none", or sigma = 0 and no target, no noise is
-    added and the realized SNR is +inf.
+    added and the realized SNR is +inf.  Raises ValueError when the
+    noise norm overflows, or when no scale of the noise meets the target.
     """
     y = np.asarray(y, dtype=float)
     if spec.model == "none":
@@ -292,8 +293,10 @@ def add_noise(y, spec: NoiseSpec, seed):
         noise = rng.standard_normal(y.shape) * scales
     signal = np.linalg.norm(y - np.mean(y))
     nn = np.linalg.norm(noise)
+    if not math.isfinite(nn):
+        raise ValueError("noise norm overflows: noise_sigma or noise_kappa is too large")
     if spec.target_snr_db is not None:
-        if not 0.0 < nn < math.inf or signal == 0.0:
+        if nn == 0.0 or signal == 0.0:
             raise ValueError("cannot rescale noise to a target SNR here")
         noise = noise * (signal * 10.0 ** (-spec.target_snr_db / 20.0) / nn)
         nn = np.linalg.norm(noise)

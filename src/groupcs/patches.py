@@ -136,10 +136,15 @@ def _anchor_axis(dim, cfg):
     return np.minimum(np.arange(count) * step, dim - cfg.patch_side)
 
 
-def _lattice(shape, cfg):
-    # (G, 2) reference anchors in raster order, checked against the shape:
-    # the patch must fit, group_stack's arrays must fit in physical memory,
-    # and every clipped window must hold a group.
+def reference_anchors(shape, cfg):
+    """Reference lattice: multiples of the stride plus edge-snapped anchors,
+    as a (G, 2) array in raster order.
+
+    Raises GroupingError when the grouping cannot be applied to an image
+    of this shape: the patch does not fit, group_stack's arrays would not
+    fit in physical memory, or some reference window holds fewer than
+    group_size candidates.
+    """
     if cfg.patch_side > shape[0] or cfg.patch_side > shape[1]:
         raise GroupingError(f"image {tuple(shape)} smaller than patch side {cfg.patch_side}")
     need, have = stack_bytes(shape, cfg), physical_memory()
@@ -161,16 +166,6 @@ def _lattice(shape, cfg):
     return anchors
 
 
-def reference_anchors(shape, cfg):
-    """Reference lattice: multiples of the stride plus edge-snapped anchors.
-
-    Raises GroupingError when the grouping cannot be applied to an image
-    of this shape: the patch does not fit, or some reference window holds
-    fewer than group_size candidates.
-    """
-    return [tuple(a) for a in _lattice(shape, cfg).tolist()]
-
-
 def group_stack(image, cfg):
     """Match one group per reference-lattice anchor, all as one stack.
 
@@ -183,7 +178,7 @@ def group_stack(image, cfg):
     img = np.asarray(image, dtype=float)
     if img.ndim != 2:
         raise ValueError("image must be 2-D")
-    return _match(img, _lattice(img.shape, cfg), cfg)
+    return _match(img, reference_anchors(img.shape, cfg), cfg)
 
 
 def stack_bytes(shape, cfg):

@@ -114,6 +114,16 @@ def test_measure_zero_sigma_adds_no_noise(tmp_path, flat_image, capsys):
     assert not meas.exists()
 
 
+def test_measure_noise_norm_overflow_exits_2(tmp_path, flat_image, capsys):
+    meas = tmp_path / "t.meas"
+    code, _, err = run(capsys, "measure", flat_image[0], "--output", meas, "--op", "dft",
+                       "--noise", "gaussian", "--noise_sigma", "1e200")
+    assert code == 2
+    assert err == ("config error: cannot add gaussian noise: noise norm overflows: "
+                   "noise_sigma or noise_kappa is too large\n")
+    assert not meas.exists()
+
+
 # ------------------------------------------------------------------- recover
 
 
@@ -281,6 +291,17 @@ def test_denoise_config_file_with_cli_override(tmp_path, flat_image, capsys):
     )
     assert code == 0
     assert kept.read_bytes() == img_path.read_bytes()
+
+
+def test_config_file_that_is_not_utf8_exits_2(tmp_path, flat_image, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"tau=1e3\n\xff\xfe=1\n")
+    out = tmp_path / "o.pgm"
+    code, _, err = run(capsys, "denoise", flat_image[0], "--output", out, "--config", cfg)
+    assert code == 2
+    assert err.startswith(f"config error: cannot read config {cfg}: 'utf-8' codec")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 # --------------------------------------------------------------------- sweep
@@ -752,6 +773,15 @@ def test_bad_solver_settings_exit_2(tmp_path, flat_image, capsys, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["patch", "stride", "window", "group_size"])
+def test_huge_grouping_value_keeps_exit_code_contract(tmp_path, flat_image, capsys, key):
+    """A grouping value past any C integer is run or refused, never a crash."""
+    code, _, err = run(capsys, "denoise", flat_image[0], "--output", tmp_path / "o.pgm",
+                       "--tau", "1e3", f"--{key}", "100000000000000000000")
+    assert code in (0, 2)
+    assert err == "" if code == 0 else err.startswith("config error") and err.count("\n") == 1
+
+
 def test_recover_infeasible_grouping_exits_2(tmp_path, flat_image, capsys):
     img_path, _ = flat_image
     meas = tmp_path / "m.meas"
@@ -824,6 +854,57 @@ def test_unwritable_output_names_the_path_once(tmp_path, flat_image, capsys):
     code, _, err = run(capsys, "denoise", flat_image[0], "--output", out, "--tau", "1e3")
     assert code == 3
     assert err == f"file error: [Errno 2] No such file or directory: '{out}'\n"
+
+
+MISSING = "[Errno 2] No such file or directory"
+
+
+@pytest.mark.parametrize("command, outputs, error", [
+    ("measure", ["--output", "missing/m.meas"], f"{MISSING}: 'missing/m.meas'"),
+    ("denoise", ["--output", "missing/o.pgm"], f"{MISSING}: 'missing/o.pgm'"),
+    ("recover", ["--output", "missing/r.pgm"], f"{MISSING}: 'missing/r.pgm'"),
+    ("recover", ["--output", "r.pgm", "--trace", "missing/t.csv"], f"{MISSING}: 'missing/t.csv'"),
+    ("recover", ["--output", "."], "[Errno 21] Is a directory: '.'"),
+], ids=["measure", "denoise", "recover", "recover-trace", "recover-directory"])
+def test_unwritable_output_exits_3_before_any_work(tmp_path, flat_image, capsys, monkeypatch,
+                                                   command, outputs, error):
+    """Every output is checked before the input is read: a path that
+    cannot be written exits 3 without running the work, and leaves the
+    old output as it was and no temporary file."""
+    meas = tmp_path / "m.meas"
+    run(capsys, "measure", flat_image[0], "--output", meas, "--op", "dft", "--seed", "0")
+    old = tmp_path / "r.pgm"
+    old.write_bytes(b"an earlier output")
+    before = sorted(tmp_path.iterdir())
+    work = []
+    for name in ("make_operator", "z_step", "recover"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, real=real, **k: work.append(a) or real(*a, **k))
+    monkeypatch.chdir(tmp_path)
+    source = meas if command == "recover" else flat_image[0]
+    code, _, err = run(capsys, command, source, *outputs, "--tau", "1e3")
+    assert code == 3
+    assert err == f"file error: {error}\n"
+    assert work == []
+    assert sorted(tmp_path.iterdir()) == before
+    assert old.read_bytes() == b"an earlier output"
+
+
+@pytest.mark.parametrize("existing", [None, 0o600])
+def test_output_file_mode(tmp_path, flat_image, capsys, existing):
+    """A new output gets 0666 less the umask; an existing one keeps its mode."""
+    out = tmp_path / "o.pgm"
+    if existing is not None:
+        out.write_bytes(b"")
+        out.chmod(existing)
+    umask = os.umask(0o022)
+    try:
+        code, _, _ = run(capsys, "denoise", flat_image[0], "--output", out, "--tau", "0")
+    finally:
+        os.umask(umask)
+    assert code == 0
+    assert out.read_bytes() == flat_image[0].read_bytes()
+    assert out.stat().st_mode & 0o777 == (existing or 0o644)
 
 
 def test_sweep_unwritable_output_exits_3_before_any_cell(tmp_path, flat_image, capsys,

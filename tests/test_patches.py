@@ -109,7 +109,7 @@ def test_reference_lattice_with_edge_snap():
     cfg = GroupingConfig(patch_side=6, stride=4, window_side=20, group_size=60)
     anchors = reference_anchors((32, 32), cfg)
     axis = [0, 4, 8, 12, 16, 20, 24, 26]
-    assert anchors == [(r, c) for r in axis for c in axis]
+    np.testing.assert_array_equal(anchors, [(r, c) for r in axis for c in axis])
     assert len(anchors) == 64
 
 
@@ -119,7 +119,7 @@ def test_huge_stride_still_covers():
     covered = np.zeros((16, 16), dtype=bool)
     for r, c in anchors:
         covered[r : r + 4, c : c + 4] = True
-    assert anchors[0] == (0, 0)
+    np.testing.assert_array_equal(anchors[0], (0, 0))
     assert covered.all()
 
 
@@ -130,7 +130,7 @@ def test_infeasible_grouping_rejected_by_lattice():
     # an 8x8 window holds 64 candidates mid-image but only 16 at a corner
     with pytest.raises(GroupingError, match="holds 16 candidates"):
         reference_anchors((32, 32), GroupingConfig(patch_side=2, stride=2, window_side=8, group_size=30))
-    assert reference_anchors((32, 32), GroupingConfig(patch_side=2, stride=2, window_side=8, group_size=16))
+    assert len(reference_anchors((32, 32), GroupingConfig(patch_side=2, stride=2, window_side=8, group_size=16)))
 
 
 def test_lattice_covers_awkward_sizes():
