@@ -62,6 +62,10 @@ class GroupingConfig:
 def _clipped_windows(anchors, window_side, last):
     # First candidate and candidate count of the search window around each
     # anchor, clipped to [0, last]; broadcasts over any array of anchors.
+    # Every window at least 2 * max(last) + 1 wide clips to all of [0, last],
+    # so a wider one is narrowed to that before it reaches numpy, where a
+    # value past a C long would not convert.
+    window_side = min(window_side, 2 * int(np.max(last)) + 1)
     lo = anchors - window_side // 2
     start = np.maximum(0, lo)
     return start, np.minimum(last, lo + window_side - 1) - start + 1
@@ -75,6 +79,26 @@ def _all_patch_vectors(img, s):
     )
 
 
+def _smallest_k(dist, k):
+    """Slots of the k smallest entries of each row of `dist`, in order:
+    the first k columns of a stable argsort, without sorting each row.
+
+    A partition finds the k-th smallest value; every slot below it and
+    the first (in slot order) of the slots equal to it make up the k, and
+    only those k are then stably sorted.  NaN counts as larger than any
+    number, +inf included, as in np.sort.
+    """
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1, None]
+    nan_kth, nan = np.isnan(kth), np.isnan(dist)
+    below = (dist < kth) | (nan_kth & ~nan)
+    tie = (dist == kth) | (nan_kth & nan)
+    need = k - np.count_nonzero(below, axis=1)
+    keep = below | (tie & (np.cumsum(tie, axis=1) <= need[:, None]))
+    slots = np.nonzero(keep)[1].reshape(len(dist), k)
+    order = np.argsort(np.take_along_axis(dist, slots, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(slots, order, axis=1)
+
+
 def _match(img, anchors, cfg):
     """Block matching for a (G, 2) array of checked reference anchors.
 
@@ -83,12 +107,12 @@ def _match(img, anchors, cfg):
     anchors of those patches.  Every clipped search window fits a box of
     min(window_side, candidates per axis) slots per axis, set at the
     window's first candidate; slots past the window's end are padding
-    and get a NaN distance, which a sort places after every real
-    candidate (even one whose distance overflowed to +inf).  The
-    reference itself ranks first, ahead of any exact duplicate, so every
-    reference patch lies in its own group and aggregation covers the
-    image.  Other candidates keep their raster order in the box, so the
-    stable sort breaks distance ties toward lower row, then lower column.
+    and get a NaN distance, which ranks after every real candidate (even
+    one whose distance overflowed to +inf).  The reference itself ranks
+    first, ahead of any exact duplicate, so every reference patch lies in
+    its own group and aggregation covers the image.  Other candidates
+    keep their raster order in the box, so distance ties break toward
+    lower row, then lower column.
     """
     s, k = cfg.patch_side, cfg.group_size
     vecs = _all_patch_vectors(img, s)
@@ -115,8 +139,7 @@ def _match(img, anchors, cfg):
         dist[pad] = np.nan
         ref_slot = (a[:, 0] - start[part, 0]) * wc + a[:, 1] - start[part, 1]
         dist[np.arange(len(a)), ref_slot] = -np.inf
-        order = np.argsort(dist, axis=1, kind="stable")[:, :k]
-        chosen = np.take_along_axis(flat, order, axis=1)
+        chosen = np.take_along_axis(flat, _smallest_k(dist, k), axis=1)
         patches[part] = vecs[chosen]
         positions[part] = np.stack(divmod(chosen, nc), axis=-1)
     return patches, positions

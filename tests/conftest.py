@@ -51,3 +51,36 @@ def brute_force_match(image, ref_pos, cfg):
             scored.append((d, len(scored), (r, c)))
     scored.sort(key=lambda t: (t[0], t[1]))
     return [t[2] for t in scored[: cfg.group_size]]
+
+
+
+def gram_spectrum(mat):
+    """Reference: (u, s) of one matrix with no more rows than columns,
+    from the eigendecomposition of its Gram mat @ mat.T, in order of
+    decreasing singular value.
+
+    The matrix is scaled by the power of two that brings its largest
+    entry into [0.5, 1) before the Gram is formed, and the singular
+    values sqrt(max(eigenvalue, 0)) are scaled back.
+    """
+    exp = np.frexp(np.max(np.abs(mat)))[1]
+    scaled = np.ldexp(mat, -exp)
+    lam, u = np.linalg.eigh(scaled @ scaled.T)
+    s = np.ldexp(np.sqrt(np.maximum(lam[::-1], 0.0)), exp)
+    return np.ascontiguousarray(u[:, ::-1]), s
+
+
+def gram_shrink(mat, pen, tau, weighting, sweeps, init_weights="observation"):
+    """Reference: reweighted shrinkage of one group matrix through the
+    Gram of its shorter side, as irnn_denoise_stack does it for a whole
+    stack; tau > 0.  Returns (shrunk matrix, final spectrum)."""
+    from groupcs import group_weights
+
+    m = mat if mat.shape[0] <= mat.shape[1] else mat.T
+    u, s = gram_spectrum(m)
+    spec = s if init_weights == "observation" else np.zeros_like(s)
+    for _ in range(sweeps):
+        spec = np.maximum(s - tau * group_weights(spec, pen, weighting), 0.0)
+    ratio = np.divide(spec, s, out=np.zeros_like(s), where=s > 0)
+    z = (u * ratio) @ (u.T @ m)
+    return (z if m is mat else z.T), spec

@@ -775,7 +775,17 @@ def test_bad_solver_settings_exit_2(tmp_path, flat_image, capsys, key, value):
 
 @pytest.mark.parametrize("key", ["patch", "stride", "window", "group_size"])
 def test_huge_grouping_value_keeps_exit_code_contract(tmp_path, flat_image, capsys, key):
-    """A grouping value past any C integer is run or refused, never a crash."""
+    """A grouping value past any C integer is run or refused, never a crash.
+    A window that wide searches the whole image, as one of 2 * 64 + 1 does
+    on a 64x64 image."""
+    if key == "window":
+        image = tmp_path / "m64.pgm"
+        write_pgm(image, np.round(np.random.default_rng(5).uniform(0, 255, (64, 64))))
+        for value, out in (("100000000000000000000", "o.pgm"), ("129", "w.pgm")):
+            assert run(capsys, "denoise", image, "--output", tmp_path / out,
+                       "--tau", "1e7", "--window", value) == (0, "", "")
+        assert (tmp_path / "o.pgm").read_bytes() == (tmp_path / "w.pgm").read_bytes()
+        return
     code, _, err = run(capsys, "denoise", flat_image[0], "--output", tmp_path / "o.pgm",
                        "--tau", "1e3", f"--{key}", "100000000000000000000")
     assert code in (0, 2)

@@ -3,6 +3,7 @@ checked against spectrum-level oracles built from plain numpy SVDs."""
 
 import numpy as np
 import pytest
+from conftest import gram_spectrum
 
 from groupcs import (
     Penalty,
@@ -248,10 +249,12 @@ def test_denoise_objective_nonincreasing(rng):
 
 def test_every_group_runs_every_sweep(rng):
     """A group whose spectrum moves by under 1e-6 (relative) in its first
-    sweep still runs the rest: k sweeps are k explicit reweighting steps."""
+    sweep still runs the rest: k sweeps are k explicit reweighting steps
+    from the spectrum of the Gram route."""
     pen, tau = Penalty("log", 1.0, 10.0), 0.1
     m = random_with_spectrum(rng, (6, 10), [1e4, 3e3, 1e3, 300, 100, 30])
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    u, _, vt = np.linalg.svd(m, full_matrices=False)
+    s = gram_spectrum(m)[1]
     spec, steps = s, []
     for _ in range(3):
         spec = np.maximum(s - tau * group_weights(spec, pen, "supergradient"), 0.0)
@@ -262,6 +265,54 @@ def test_every_group_runs_every_sweep(rng):
         out, got = denoise_one(m, pen, tau, "supergradient", k)
         np.testing.assert_array_equal(got, expect_s)
         np.testing.assert_allclose(out, compose(u, expect_s, vt), rtol=0, atol=1e-9)
+
+
+def low_rank(rng, shape, rank):
+    return rng.normal(size=(shape[0], rank)) @ rng.normal(size=(rank, shape[1]))
+
+
+def gram_oracle_stacks(rng):
+    """(name, stack, tau) cases for the Gram route: tau zeroes part of the
+    spectrum of every nonzero group."""
+    wide = rng.normal(size=(6, 36, 60))
+    degenerate = np.stack([low_rank(rng, (36, 60), 5), low_rank(rng, (36, 60), 1),
+                           np.full((36, 60), 7.0), np.zeros((36, 60))])
+    cases = [("well-conditioned", wide, 3.0),
+             ("rank-deficient, constant and zero", degenerate, 1.0),
+             # patch_side 8, group_size 30: the Gram is taken of M.T @ M
+             ("tall", rng.normal(size=(6, 64, 30)), 3.0)]
+    for scale in (1e160, 1e-160):
+        cases += [(f"well-conditioned x {scale:g}", wide * scale, 3.0 * scale),
+                  (f"degenerate x {scale:g}", degenerate * scale, 1.0 * scale)]
+    return cases
+
+
+def test_gram_route_matches_svd_oracle(rng):
+    """irnn_denoise_stack shrinks through the eigendecomposition of each
+    group's smaller Gram; it agrees with shrinking each group's own SVD.
+
+    Nuclear-norm weights make the shrink 1-Lipschitz, so only the
+    route's own error shows.  Forming and decomposing the Gram perturbs
+    it by about (r + l) * eps * sigma_1**2 in norm for an r x l group
+    (r <= l), and its square root by at most the square root of that,
+    tol = sqrt((r + l) * eps) * sigma_1; so a singular value near zero
+    can move by tol.  The rebuilt group is within tol of the exact shrink
+    of a group with the perturbed Gram, which lies within tol of M, and
+    the shrink is 1-Lipschitz: the rebuilt group is within 2 * tol of
+    the oracle in spectral norm, hence in every entry.  An all-zero group
+    has sigma_1 = 0, so it must come back exactly zero.
+    """
+    eps = np.finfo(float).eps
+    for name, stack, tau in gram_oracle_stacks(rng):
+        r, l = sorted(stack.shape[1:])
+        mats = stack.copy()
+        spectra = irnn_denoise_stack(mats, Penalty(), tau, weighting="none")
+        for g, m in enumerate(stack):
+            u, s, vt = np.linalg.svd(m, full_matrices=False)
+            expect_s = np.maximum(s - tau, 0.0)
+            tol = np.sqrt((r + l) * eps) * s[0]
+            assert np.max(np.abs(spectra[g] - expect_s)) <= tol, name
+            assert np.max(np.abs(mats[g] - compose(u, expect_s, vt))) <= 2 * tol, name
 
 
 def test_denoise_rejects_bad_arguments(rng):

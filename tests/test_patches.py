@@ -7,7 +7,7 @@ from conftest import brute_force_match, patch_at
 from hypothesis import given, settings, strategies as st
 
 from groupcs import GroupingConfig, aggregate_stack, group_stack
-from groupcs.patches import GroupingError, reference_anchors, stack_bytes
+from groupcs.patches import GroupingError, _smallest_k, reference_anchors, stack_bytes
 
 
 def stride_one_groups(image, cfg):
@@ -46,6 +46,26 @@ def test_extract_out_of_bounds():
 
 def small_cfg():
     return GroupingConfig(patch_side=2, stride=2, window_side=6, group_size=8)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_smallest_k_is_a_stable_sort_prefix(data):
+    """The exact top-k picks and orders the same slots as a full stable
+    argsort, on rows with heavy ties, NaN padding, distances that
+    overflowed to +inf and a -inf reference, for every k up to the row
+    width."""
+    rows = data.draw(st.integers(1, 4))
+    width = data.draw(st.integers(1, 24))
+    values = st.sampled_from([0.0, 1.0, 1.0, 2.0, 2.5, np.inf, np.nan])
+    dist = np.array(data.draw(st.lists(st.lists(values, min_size=width, max_size=width),
+                                       min_size=rows, max_size=rows)))
+    ref = data.draw(st.lists(st.integers(0, width - 1), min_size=rows, max_size=rows))
+    if data.draw(st.booleans()):
+        dist[np.arange(rows), ref] = -np.inf
+    k = data.draw(st.one_of(st.just(width), st.integers(1, width)))
+    want = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    np.testing.assert_array_equal(_smallest_k(dist, k), want)
 
 
 def test_constant_image_raster_tiebreak():

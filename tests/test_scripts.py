@@ -17,6 +17,7 @@ CSV_RUNS = {
     "denoise_benchmark": ["--sigmas", "20", "--kinds", "log", "mcp"],
     "robust_noise_benchmark": ["--iters", "2", "--snrs", "20"],
     "weighting_benchmark": ["--iters", "2", "--subrates", "0.3"],
+    "zstep_split": ["--repeats", "1"],
 }
 
 

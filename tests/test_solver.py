@@ -6,14 +6,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import brute_force_match, patch_at
+from conftest import brute_force_match, gram_shrink, patch_at
 
 from groupcs import (
     GroupingConfig,
     Penalty,
     SolverConfig,
     aggregate_stack,
-    group_weights,
     make_motif_image,
     make_operator,
     multiplier_update,
@@ -348,19 +347,15 @@ def test_z_step_denoises_low_rank_texture(motif_benchmark):
 
 def per_group_z_step(img, cfg, tau, sweeps):
     """Reference Z-step: one group at a time, each matched by the
-    brute-force oracle and shrunk with its own SVD."""
+    brute-force oracle and shrunk through its own Gram eigendecomposition."""
     s_side = cfg.grouping.patch_side
     patches, positions = [], []
     reg = 0.0
     for a in reference_anchors(img.shape, cfg.grouping):
         pos = brute_force_match(img, a, cfg.grouping)
         mat = np.stack([patch_at(img, p, s_side) for p in pos], axis=1)
-        u, s, vt = np.linalg.svd(mat, full_matrices=False)
-        spec = s if cfg.init_weights == "observation" else np.zeros_like(s)
-        for _ in range(sweeps):
-            w = group_weights(spec, cfg.penalty, cfg.weighting)
-            spec = np.maximum(s - tau * w, 0.0)
-        patches.append(((u * spec) @ vt).T)
+        z, spec = gram_shrink(mat, cfg.penalty, tau, cfg.weighting, sweeps, cfg.init_weights)
+        patches.append(z.T)
         positions.append(pos)
         reg += float(np.sum(rho(cfg.penalty, spec)))
     return aggregate_stack(np.array(patches), np.array(positions), img.shape, s_side), reg
@@ -409,7 +404,7 @@ def test_z_step_independent_of_pass_sizes(monkeypatch, motif_benchmark):
     z, reg = z_step(motif_benchmark, cfg, 1.5e7, sweeps=3)
     monkeypatch.setattr(patches, "_MATCH_ENTRIES", 50_000)  # 3 anchors a pass
     monkeypatch.setattr(patches, "_AGGREGATE_CHUNK", 333)
-    monkeypatch.setattr(lowrank, "_SVD_CHUNK", 5)
+    monkeypatch.setattr(lowrank, "_GRAM_CHUNK", 5)
     z_small, reg_small = z_step(motif_benchmark, cfg, 1.5e7, sweeps=3)
     assert z_small.tobytes() == z.tobytes()
     assert reg_small == reg
@@ -426,6 +421,17 @@ def test_z_step_memory_at_256():
     finally:
         tracemalloc.stop()
     assert peak < 300 * 2**20
+
+
+def test_z_step_on_huge_values():
+    """Groups near 1e162 square past the float range in their Gram; the
+    Z-step scales each group first.  With tau = 1 nothing is shrunk, so
+    z is the input up to the rounding of u @ u.T @ m and aggregation."""
+    rng = np.random.default_rng(4)
+    img = 1e160 * (make_motif_image(32, 3) + rng.normal(0, 10, (32, 32)))
+    z, reg = z_step(img, SolverConfig(), 1.0)
+    assert np.isfinite(reg)
+    assert np.max(np.abs(z - img)) <= 1e-12 * np.max(np.abs(img))
 
 
 def test_z_step_rejects_non_finite(rng):
