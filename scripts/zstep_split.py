@@ -36,7 +36,7 @@ def split_once(noisy, cfg):
     """Seconds of each stage, then of the whole z_step, for one run."""
     grouping = cfg.grouping
     t_match, (patches, positions) = timed(group_stack, noisy, grouping)
-    t_shrink, _ = timed(irnn_denoise_stack, patches.transpose(0, 2, 1), cfg.penalty, TAU,
+    t_shrink, _ = timed(irnn_denoise_stack, patches, cfg.penalty, TAU,
                         weighting=cfg.weighting, init_weights=cfg.init_weights)
     t_aggregate, _ = timed(aggregate_stack, patches, positions, noisy.shape,
                            grouping.patch_side)

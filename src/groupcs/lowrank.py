@@ -16,14 +16,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from .patches import passes
 from .penalties import EPS_WEIGHT, Penalty, supergradient
 
 WEIGHTINGS = ("supergradient", "combined", "none")
 INIT_WEIGHTS = ("observation", "zero")
-
-# Groups per eigendecomposition pass in irnn_denoise_stack; bounds the
-# scaled copy, Gram, eigenvector and output temporaries.
-_GRAM_CHUNK = 512
 
 
 def _check_weights(weights, k):
@@ -101,11 +98,16 @@ def irnn_denoise_stack(mats, pen: Penalty, tau, weighting="combined", sweeps=1,
     spectrum of the input itself; "zero" starts from an all-zero
     spectrum, so every singular value initially gets the weight d(0).
     The spectra come from each group's smaller Gram (_gram_spectrum), not
-    from an SVD; wsvt keeps the SVD.
+    from an SVD; wsvt keeps the SVD.  Each group is viewed with its
+    shorter side first, and a square one transposed: for a (G,
+    group_size, patch_side**2) patch stack that is each group matrix,
+    patches as columns, or its transpose when it is tall.  The groups run
+    in passes of patches.PASS_ENTRIES entries.
 
-    mats may be a strided view, such as a transposed patch stack.
-    Returns the (G, min(n, k)) final spectra; with tau == 0 the stack is
-    left unchanged and its spectra are returned.  tau must be finite.
+    mats may be a strided view.  Returns the (G, min(n, k)) final
+    spectra; tau must be finite.  With tau == 0 the returned spectra are
+    the Gram spectra of the input, and the stack is left bitwise
+    unchanged: the sweeps and the rebuild are skipped.
     """
     _check_tau(tau)
     if weighting not in WEIGHTINGS:
@@ -114,15 +116,16 @@ def irnn_denoise_stack(mats, pen: Penalty, tau, weighting="combined", sweeps=1,
         raise ValueError("sweeps must be >= 1")
     if init_weights not in INIT_WEIGHTS:
         raise ValueError(f"unknown init_weights {init_weights!r}")
-    if tau == 0.0:
-        return np.linalg.svd(mats, compute_uv=False)
     spectra = np.empty((len(mats), min(mats.shape[1:])))
-    for c0 in range(0, len(mats), _GRAM_CHUNK):
-        part = slice(c0, c0 + _GRAM_CHUNK)
-        # m views each group with its shorter side first, so m @ m.T is
-        # the smaller Gram; writing into m writes into mats.
-        m = mats[part] if mats.shape[1] <= mats.shape[2] else mats[part].swapaxes(1, 2)
+    for part in passes(len(mats), mats.shape[1] * mats.shape[2]):
+        # m views each group with its shorter side first (a square one
+        # transposed), so m @ m.T is the smaller Gram; writing into m
+        # writes into mats.
+        m = mats[part] if mats.shape[1] < mats.shape[2] else mats[part].swapaxes(1, 2)
         u, s = _gram_spectrum(m)
+        if tau == 0.0:
+            spectra[part] = s
+            continue
         spec = s if init_weights == "observation" else np.zeros_like(s)
         for _ in range(sweeps):
             spec = _shrink(s, group_weights(spec, pen, weighting), tau)

@@ -21,11 +21,11 @@ import numpy as np
 
 from .measurement import physical_memory
 
-# Candidate patch entries gathered per matching pass (8 MB of float64);
-# bounds the distance temporaries whatever the window and patch size.
-_MATCH_ENTRIES = 1 << 20
-# Patches aggregated per pass; bounds the per-entry index temporaries.
-_AGGREGATE_CHUNK = 4096
+# Entries one Z-step pass may hold in each of its temporaries (4 MB of
+# float64).  Matching, group shrinkage and aggregation all loop over
+# passes(); each pass holds a fixed number of such temporaries, so the
+# Z-step needs stack_bytes plus a fixed allowance whatever the grouping.
+PASS_ENTRIES = 1 << 19
 
 
 class GroupingError(ValueError):
@@ -57,6 +57,15 @@ class GroupingConfig:
             raise ValueError("window_side must be >= 1")
         if self.group_size < 1:
             raise ValueError("group_size must be >= 1")
+
+
+def passes(count, entries_each):
+    """Slices of range(count) in order, each holding as many items of
+    `entries_each` entries as fit in PASS_ENTRIES, and at least one item.
+    An item of zero entries counts as one."""
+    step = max(1, PASS_ENTRIES // max(1, entries_each))
+    for start in range(0, count, step):
+        yield slice(start, start + step)
 
 
 def _clipped_windows(anchors, window_side, last):
@@ -121,11 +130,9 @@ def _match(img, anchors, cfg):
     start, count = _clipped_windows(anchors, cfg.window_side, np.array([nr - 1, nc - 1]))
     wr, wc = min(cfg.window_side, nr), min(cfg.window_side, nc)
     slot_r, slot_c = np.arange(wr), np.arange(wc)
-    per_pass = max(1, _MATCH_ENTRIES // (wr * wc * s * s))
     patches = np.empty((len(anchors), k, s * s))
     positions = np.empty((len(anchors), k, 2), dtype=np.intp)
-    for c0 in range(0, len(anchors), per_pass):
-        part = slice(c0, c0 + per_pass)
+    for part in passes(len(anchors), wr * wc * s * s):
         a = anchors[part]
         pad = ((slot_r >= count[part, 0, None])[:, :, None]
                | (slot_c >= count[part, 1, None])[:, None, :]).reshape(len(a), wr * wc)
@@ -240,14 +247,13 @@ def aggregate_stack(patches, positions, shape, patch_side):
     # column-major patch vectorization.
     offs = (np.arange(s)[:, None] * w + np.arange(s)[None, :]).ravel(order="F")
 
-    def passes():
-        for c0 in range(0, base.size, _AGGREGATE_CHUNK):
-            idx = (base[c0 : c0 + _AGGREGATE_CHUNK, None] + offs).ravel()
-            yield idx, vals[c0 : c0 + _AGGREGATE_CHUNK].ravel()
+    def entries():
+        for part in passes(base.size, s * s):
+            yield (base[part, None] + offs).ravel(), vals[part].ravel()
 
     counts = np.zeros(n, dtype=np.intp)
     sums = np.zeros(n)
-    for idx, v in passes():
+    for idx, v in entries():
         counts += np.bincount(idx, minlength=n)
         np.add.at(sums, idx, v)
     if np.any(counts == 0):
@@ -255,6 +261,6 @@ def aggregate_stack(patches, positions, shape, patch_side):
         raise ValueError(f"aggregation left {missing} pixels uncovered")
     mean = sums / counts
     resid = np.zeros(n)
-    for idx, v in passes():
+    for idx, v in entries():
         np.add.at(resid, idx, v - mean[idx])
     return (mean + resid / counts).reshape(h, w)

@@ -208,7 +208,7 @@ def z_step(r_img, cfg: SolverConfig, tau, sweeps=1):
         raise NumericalError("non-finite values entering the Z-step")
     patches, positions = group_stack(img, cfg.grouping)
     spectra = irnn_denoise_stack(
-        patches.transpose(0, 2, 1), cfg.penalty, tau, weighting=cfg.weighting,
+        patches, cfg.penalty, tau, weighting=cfg.weighting,
         sweeps=sweeps, init_weights=cfg.init_weights,
     )
     # Group totals added left to right (np.sum would pair them up), the

@@ -25,7 +25,7 @@ from groupcs import (
     x_step_standard,
     z_step,
 )
-from groupcs import lowrank, patches
+from groupcs import patches
 from groupcs.measurement import DenseGaussianOp
 from groupcs.patches import reference_anchors
 from groupcs.solver import NumericalError, ThresholdError, lam_for_tau, robust_sigma
@@ -397,17 +397,59 @@ def test_z_step_matches_per_group_reference(weighting, init_weights, sweeps):
 
 
 def test_z_step_independent_of_pass_sizes(monkeypatch, motif_benchmark):
-    """Matching, shrinkage and aggregation run in fixed-size passes; other
-    pass sizes, including ones that leave a partial last pass, give the
-    same bytes."""
+    """Matching, shrinkage and aggregation run in passes of PASS_ENTRIES
+    entries; other budgets, one that leaves a partial last pass in every
+    stage and one that passes a single item at a time, give the same
+    bytes."""
     cfg = SolverConfig(penalty=Penalty("log", 1.0, 10.0))
     z, reg = z_step(motif_benchmark, cfg, 1.5e7, sweeps=3)
-    monkeypatch.setattr(patches, "_MATCH_ENTRIES", 50_000)  # 3 anchors a pass
-    monkeypatch.setattr(patches, "_AGGREGATE_CHUNK", 333)
-    monkeypatch.setattr(lowrank, "_GRAM_CHUNK", 5)
-    z_small, reg_small = z_step(motif_benchmark, cfg, 1.5e7, sweeps=3)
-    assert z_small.tobytes() == z.tobytes()
-    assert reg_small == reg
+    # 50_000 entries a pass: 3 of 256 anchors, 23 of 256 groups, 1388 of
+    # 15360 patches.
+    for budget in (50_000, 1):
+        monkeypatch.setattr(patches, "PASS_ENTRIES", budget)
+        z_small, reg_small = z_step(motif_benchmark, cfg, 1.5e7, sweeps=3)
+        assert z_small.tobytes() == z.tobytes()
+        assert reg_small == reg
+
+
+@pytest.mark.parametrize("grouping", [GroupingConfig(12, 4, 60, 500), GroupingConfig()])
+def test_z_step_memory_is_stack_plus_fixed_allowance(grouping):
+    """Beyond stack_bytes, a Z-step holds what one pass holds, whatever
+    the group size.
+
+    Every item of these groupings fits one pass, and a pass holds at most
+    four temporaries of PASS_ENTRIES float64 or index entries at once
+    (shrinkage: the eigenvectors, projected and rebuilt groups;
+    aggregation: the entry indices, gathered means and residuals).  Beside
+    the stack the Z-step keeps three words per stack row (the patch
+    anchors and their flat indices) and a few image-sized arrays (sums,
+    counts, means and output of aggregation).
+    """
+    img = make_motif_image(64, 3) + np.random.default_rng(5).normal(0, 10, (64, 64))
+    rows = len(reference_anchors(img.shape, grouping)) * grouping.group_size
+    allowance = (4 * patches.PASS_ENTRIES + 3 * rows + 8 * img.size) * 8
+    tracemalloc.start()
+    try:
+        z_step(img, SolverConfig(grouping=grouping), 1.5e7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - patches.stack_bytes(img.shape, grouping) <= allowance
+
+
+def test_z_step_takes_no_svd(monkeypatch, rng):
+    """Every group is shrunk through its Gram, at tau = 0 as well: with
+    np.linalg.svd refused, z_step still returns its input bitwise at
+    tau = 0 and runs at tau > 0."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    img = rng.uniform(0, 255, (16, 16))
+    z, _ = z_step(img, small_cfg(), 0.0)
+    assert z.tobytes() == img.tobytes()
+    z, reg = z_step(img, small_cfg(), 1e3)
+    assert np.all(np.isfinite(z)) and reg > 0
 
 
 def test_z_step_memory_at_256():
