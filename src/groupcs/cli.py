@@ -34,9 +34,11 @@ import numpy as np
 
 from .config import KEYS, ConfigError, build_settings, merge_config, parse_kv_file
 from .measfile import MeasFileError, MeasurementFile, read_measurements, write_measurements
-from .measurement import add_noise, make_operator, measurement_count, physical_memory
+from .measurement import (
+    add_noise, make_operator, measurement_count, operator_bytes, refuse_beyond_memory,
+)
 from .metrics import check_shapes, psnr
-from .patches import stack_bytes
+from .patches import reference_anchors, stack_bytes
 from .pgm import PgmError, quantize, read_pgm, write_pgm
 from .solver import IterStats, NumericalError, recover, z_step
 
@@ -86,7 +88,11 @@ def _outputs(*paths):
     """Temporary files beside each output path (None for an output not
     asked for), made before any input is read so a bad path fails before
     the work.  Each is moved onto its output if the block succeeds, and
-    removed otherwise, so a failed run leaves the old output or none."""
+    removed otherwise, so a failed run leaves the old output or none.
+    Two outputs that resolve to one file are refused with ValueError."""
+    given = [path for path in paths if path]
+    if len(set(map(os.path.realpath, given))) < len(given):
+        raise ValueError(f"two outputs name one file: {', '.join(map(str, given))}")
     temps = []
     try:
         for path in paths:
@@ -170,6 +176,15 @@ def _write_trace(path, trace, fidelity):
             writer.writerow([_format_stat(n, getattr(st, n)) for n in names])
 
 
+def _refuse_recovery_beyond_memory(kind, shape, subrate, grouping):
+    """Raise ValueError when a recovery of a `shape` image would not fit in
+    physical memory: the operator, group_stack's arrays and some ten
+    image-sized arrays (x, z, w, the FFT's), counted together."""
+    h, w = shape
+    need = operator_bytes(kind, shape, subrate) + stack_bytes(shape, grouping) + 80 * h * w
+    refuse_beyond_memory(need, f"recovering a {h}x{w} image")
+
+
 def _operator_for(mf, meas_path, grouping):
     """Rebuild the operator of a measurement file, checking its header and
     that a recovery at its shape fits in physical memory."""
@@ -185,14 +200,8 @@ def _operator_for(mf, meas_path, grouping):
             f"{meas_path}: {m} measurements do not fit subrate {mf.subrate} "
             f"of a {h}x{w} image"
         )
-    # group_stack's arrays, and some ten image-sized ones (x, z, w, the FFT's)
-    need, have = stack_bytes(mf.shape, grouping) + 80 * h * w, physical_memory()
-    if need > have:
-        raise MeasFileError(
-            f"{meas_path}: recovering a {h}x{w} image needs {need / 2**30:.1f} GiB, "
-            f"more than the {have / 2**30:.1f} GiB of physical memory"
-        )
     try:
+        _refuse_recovery_beyond_memory(mf.op_kind, mf.shape, mf.subrate, grouping)
         op = make_operator(mf.op_kind, mf.shape, mf.subrate, mf.seed)
     except ValueError as exc:
         raise MeasFileError(f"{meas_path}: {exc}") from exc
@@ -235,6 +244,10 @@ def cmd_denoise(run, scfg, nspec):
 
 def _run_cell(image, run, nspec, scfg, cell):
     subrate, snr, kind_name, weighting = cell
+    # A grouping the image cannot take, its stack too large included,
+    # fails the cell as a grouping error before the recovery is counted.
+    reference_anchors(image.shape, scfg.grouping)
+    _refuse_recovery_beyond_memory(run.op, image.shape, subrate, scfg.grouping)
     op, noisy, _ = _measure(image, run, subrate, dataclasses.replace(nspec, target_snr_db=snr))
     penalty = dataclasses.replace(scfg.penalty, kind=kind_name)
     scfg = dataclasses.replace(scfg, penalty=penalty, weighting=weighting)

@@ -62,6 +62,16 @@ def physical_memory():
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def refuse_beyond_memory(need, what, error=ValueError):
+    """Raise `error` when `need` bytes are more than the machine's physical
+    memory; the message says that `what` (e.g. "grouping a 32x32 image")
+    needs them."""
+    have = physical_memory()
+    if need > have:
+        raise error(f"{what} needs {need / 2**30:.1f} GiB, more than the "
+                    f"{have / 2**30:.1f} GiB of physical memory")
+
+
 def check_subrate(subrate):
     """Return `subrate` if it lies in (0, 1]; raise ValueError otherwise."""
     if not 0.0 < subrate <= 1.0:
@@ -77,6 +87,22 @@ def measurement_count(shape, subrate):
     """
     h, w = shape
     return max(1, round(check_subrate(subrate) * (int(h) * int(w))))
+
+
+def _block_shape(kind, shape):
+    # A dense operator is one block: the whole image.
+    return tuple(shape) if kind == "dense" else (BLOCK_SIDE, BLOCK_SIDE)
+
+
+def operator_bytes(kind, shape, subrate):
+    """Bytes a `kind` operator of an image of `shape` holds at `subrate`:
+    for dense and block, m rows of one block's entries and one index per
+    pixel.  The masked DFT holds only index arrays the size of the image,
+    and counts 0 here."""
+    if check_operator_kind(kind) == "dft":
+        return 0
+    (h, w), (bh, bw) = shape, _block_shape(kind, shape)
+    return (measurement_count(shape, subrate) * int(bh) * int(bw) + int(h) * int(w)) * 8
 
 
 class MeasurementOp:
@@ -120,29 +146,20 @@ class BlockGaussianOp(MeasurementOp):
     own Gaussian matrix with entries N(0, 1/rows), drawn in that order
     from one generator, and the per-block measurements are concatenated.
     Row counts are spread so the total equals m exactly, the first
-    blocks taking one extra row each.  An operator whose matrices and
-    pixel indices need more than the machine's physical memory is refused
-    with ValueError before anything is allocated.
+    blocks taking one extra row each.  An operator whose operator_bytes
+    are more than the machine's physical memory is refused with
+    ValueError before anything is allocated.
     """
 
     kind = "block"
 
-    def _block_shape(self):
-        return BLOCK_SIDE, BLOCK_SIDE
-
     def __init__(self, shape, subrate, seed):
         super().__init__(shape, subrate, seed)
-        (h, w), (bh, bw) = self.shape, self._block_shape()
+        (h, w), (bh, bw) = self.shape, _block_shape(self.kind, self.shape)
         if h % bh or w % bw:
             raise ValueError(f"image shape {shape} not a multiple of {bh}x{bw}")
-        need = (self.m * bh * bw + self.n) * 8  # matrices and pixel indices
-        have = physical_memory()
-        if need > have:
-            raise ValueError(
-                f"{self.kind} operator needs {need / 2**30:.1f} GiB for {self.m} "
-                f"rows of {bh * bw} entries, more than the "
-                f"{have / 2**30:.1f} GiB of physical memory"
-            )
+        refuse_beyond_memory(operator_bytes(self.kind, self.shape, self.subrate),
+                             f"{self.kind} operator of {self.m} rows of {bh * bw} entries")
         # Flat pixel indices of each block, row-major within the block.
         self.cols = (
             np.arange(self.n).reshape(h // bh, bh, w // bw, bw)
@@ -186,9 +203,6 @@ class DenseGaussianOp(BlockGaussianOp):
     """
 
     kind = "dense"
-
-    def _block_shape(self):
-        return self.shape
 
 
 class MaskedDftOp(MeasurementOp):

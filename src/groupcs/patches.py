@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import physical_memory
+from .measurement import refuse_beyond_memory
 
 # Entries one Z-step pass may hold in each of its temporaries (4 MB of
 # float64).  Matching, group shrinkage and aggregation all loop over
@@ -121,7 +121,9 @@ def _match(img, anchors, cfg):
     first, ahead of any exact duplicate, so every reference patch lies in
     its own group and aggregation covers the image.  Other candidates
     keep their raster order in the box, so distance ties break toward
-    lower row, then lower column.
+    lower row, then lower column.  Distances are taken in passes over the
+    box's slots as well as over anchors, so a wide window stays within
+    the pass budget.
     """
     s, k = cfg.patch_side, cfg.group_size
     vecs = _all_patch_vectors(img, s)
@@ -139,10 +141,13 @@ def _match(img, anchors, cfg):
         rows = np.minimum(start[part, 0, None] + slot_r, nr - 1)
         cols = np.minimum(start[part, 1, None] + slot_c, nc - 1)
         flat = (rows[:, :, None] * nc + cols[:, None, :]).reshape(len(a), wr * wc)
-        diff = vecs[flat]
-        diff -= vecs[a[:, 0] * nc + a[:, 1], None, :]
-        per_cand = diff.reshape(-1, s * s)
-        dist = np.einsum("ij,ij->i", per_cand, per_cand).reshape(len(a), wr * wc)
+        ref = vecs[a[:, 0] * nc + a[:, 1], None, :]
+        dist = np.empty((len(a), wr * wc))
+        for cut in passes(wr * wc, len(a) * s * s):
+            diff = vecs[flat[:, cut]]
+            diff -= ref
+            per_cand = diff.reshape(-1, s * s)
+            dist[:, cut] = np.einsum("ij,ij->i", per_cand, per_cand).reshape(len(a), -1)
         dist[pad] = np.nan
         ref_slot = (a[:, 0] - start[part, 0]) * wc + a[:, 1] - start[part, 1]
         dist[np.arange(len(a)), ref_slot] = -np.inf
@@ -177,12 +182,8 @@ def reference_anchors(shape, cfg):
     """
     if cfg.patch_side > shape[0] or cfg.patch_side > shape[1]:
         raise GroupingError(f"image {tuple(shape)} smaller than patch side {cfg.patch_side}")
-    need, have = stack_bytes(shape, cfg), physical_memory()
-    if need > have:
-        raise GroupingError(
-            f"grouping a {shape[0]}x{shape[1]} image needs {need / 2**30:.1f} GiB, "
-            f"more than the {have / 2**30:.1f} GiB of physical memory"
-        )
+    refuse_beyond_memory(stack_bytes(shape, cfg), f"grouping a {shape[0]}x{shape[1]} image",
+                         GroupingError)
     rows, cols = (_anchor_axis(dim, cfg) for dim in shape)
     anchors = np.stack(np.meshgrid(rows, cols, indexing="ij"), axis=-1).reshape(-1, 2)
     last = np.array([shape[0] - cfg.patch_side, shape[1] - cfg.patch_side])

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Machine epsilon used when super-gradients are divided by singular values.
+# Guard used when super-gradients are divided by singular values: float64
+# machine epsilon (2.220446049250313e-16) rounded to five digits.  Every
+# output depends on this value, so it stays as written.
 EPS_WEIGHT = 2.2204e-16
 
 KINDS = ("lp", "scad", "log", "mcp", "etp", "capped_l1", "geman", "laplace")

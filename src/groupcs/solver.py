@@ -94,8 +94,9 @@ class SolverConfig:
                 raise ValueError(f"{name} must be one of {', '.join(choices)}; "
                                  f"got {getattr(self, name)!r}")
         if self.sigma_m is not None:
-            if not self.sigma_m > 0:
-                raise ValueError("sigma_m must be positive when fixed")
+            if not (self.sigma_m > 0 and self.sigma_m * self.sigma_m > 0):
+                raise ValueError(f"a fixed sigma_m must be positive with a square above 0, "
+                                 f"got {self.sigma_m!r}")
             if self.fidelity == "l2":
                 raise ValueError("a fixed sigma_m needs fidelity m_estimator, got l2")
         if self.outer_iters < 1 or self.gd_steps < 1:
@@ -145,12 +146,18 @@ def q_update(residual, sigma_m):
     """Half-quadratic outlier weights q_i = exp(-r_i**2 / sigma_m**2).
 
     Values lie in (0, 1]; underflowed entries are clamped at Q_FLOOR.
-    sigma_m = +inf gives exactly all-ones weights.
+    sigma_m = +inf gives exactly all-ones weights.  A sigma_m whose square
+    is not above 0 (negative, NaN, or so small it underflows) raises
+    ValueError.
     """
     r = np.asarray(residual, dtype=float)
-    if not sigma_m > 0:
-        raise ValueError("sigma_m must be positive")
-    return np.maximum(np.exp(-(r * r) / (sigma_m * sigma_m)), Q_FLOOR)
+    square = sigma_m * sigma_m
+    if not (sigma_m > 0 and square > 0):
+        raise ValueError(f"sigma_m must be positive with a square above 0, got {sigma_m!r}")
+    # Past 1.3e154 the square overflows, and an overflowed r * r over it
+    # would be NaN, so r is divided by sigma_m first; (r / inf)**2 is 0.
+    z = (r / sigma_m) ** 2 if square == math.inf else r * r / square
+    return np.maximum(np.exp(-z), Q_FLOOR)
 
 
 def _x_iterate(op, y, x0, hx0, z, w, mu, steps, q):

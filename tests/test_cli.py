@@ -21,9 +21,10 @@ from groupcs.config import (
 from groupcs.lowrank import INIT_WEIGHTS, WEIGHTINGS
 from groupcs.measfile import MeasurementFile, read_measurements, write_measurements
 from groupcs.measurement import (
-    NOISE_MODELS, OPERATOR_KINDS, NoiseSpec, add_noise, make_operator,
+    NOISE_MODELS, OPERATOR_KINDS, NoiseSpec, add_noise, make_operator, operator_bytes,
 )
 from groupcs.metrics import psnr
+from groupcs.patches import GroupingConfig, stack_bytes
 from groupcs.penalties import KINDS
 from groupcs.pgm import read_pgm, write_pgm
 from groupcs.solver import FIDELITIES, SolverConfig
@@ -621,6 +622,9 @@ def test_unknown_operator_kind_exits_2_before_reading_input(tmp_path, capsys, co
                      "--target_snr_db", "15"], "mixture kappa must be finite and >= 1"),
         ("measure", ["--noise", "gaussian", "--target_snr_db", "-inf"],
          "target SNR must be finite"),
+        # squares to 0, so every robust weight would be 0 / 0
+        ("recover", ["--fidelity", "m_estimator", "--sigma_m", "1e-200"],
+         "a fixed sigma_m must be positive with a square above 0, got 1e-200"),
     ],
 )
 def test_bad_run_setting_exits_2_before_reading_input(tmp_path, capsys, command, argv, message):
@@ -737,6 +741,66 @@ def test_dangling_override_exits_2(tmp_path, flat_image, capsys):
     )
     assert code == 2
     assert "tau" in err
+
+
+def test_two_outputs_naming_one_file_exit_2(tmp_path, capsys, monkeypatch):
+    """A trace written over the reconstruction would lose it: refused
+    before the (here missing) input is read."""
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "recover", "missing.meas", "--output", "same.out",
+                         "--trace", tmp_path / "same.out")
+    assert code == 2 and out == ""
+    assert err.startswith("config error: two outputs name one file") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, argv, need, message", [
+    ("measure", ["--op", "dense", "--subrate", "0.3"], operator_bytes("dense", (32, 32), 0.3),
+     "dense operator of 307 rows of 1024 entries needs"),
+    ("denoise", ["--tau", "1"], stack_bytes((32, 32), GroupingConfig()),
+     "grouping a 32x32 image needs"),
+])
+def test_beyond_memory_exits_2(tmp_path, flat_image, capsys, monkeypatch,
+                               command, argv, need, message):
+    """The operator (measure) and the group stack (denoise) one byte past
+    physical memory."""
+    monkeypatch.setattr("groupcs.measurement.physical_memory", lambda: need - 1)
+    out = tmp_path / "out"
+    code, _, err = run(capsys, command, flat_image[0], "--output", out, *argv)
+    assert code == 2
+    [line] = err.splitlines()
+    assert line.startswith(f"config error: {message}")
+    assert line.endswith("GiB of physical memory")
+    assert not out.exists()
+
+
+def test_recovery_counts_operator_and_stack_together(tmp_path, flat_image, capsys,
+                                                     monkeypatch):
+    """With memory for the dense operator and for the group stack, but not
+    for both, recover exits 3 before the operator is built and the sweep
+    cell fails."""
+    img_path, _ = flat_image
+    meas = tmp_path / "m.meas"
+    run(capsys, "measure", img_path, "--output", meas, "--op", "dense", "--subrate", "0.3")
+    op_need = operator_bytes("dense", (32, 32), 0.3)
+    stack_need = stack_bytes((32, 32), GroupingConfig())
+    assert op_need + stack_need > max(op_need, stack_need) + 1
+    monkeypatch.setattr("groupcs.measurement.physical_memory",
+                        lambda: max(op_need, stack_need) + 1)
+    out = tmp_path / "o.pgm"
+    code, _, err = run(capsys, "recover", meas, "--output", out, "--outer_iters", "1")
+    assert code == 3
+    [line] = err.splitlines()
+    assert line.startswith(f"file error: {meas}: recovering a 32x32 image needs")
+    assert line.endswith("GiB of physical memory")
+    assert not out.exists()
+
+    csv_path = tmp_path / "s.csv"
+    code, _, err = run(capsys, "sweep", img_path, "--output", csv_path, "--op", "dense",
+                       "--subrate", "0.3", "--outer_iters", "1")
+    assert code == 0, err
+    [row] = list(csv.DictReader(csv_path.open()))
+    assert row["status"].startswith("failed: recovering a 32x32 image needs")
 
 
 def test_measure_dense_beyond_memory_exits_2(tmp_path, capsys):

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from groupcs import NoiseSpec, add_noise, make_operator
-from groupcs.measurement import BLOCK_SIDE, BlockGaussianOp, DenseGaussianOp, MaskedDftOp
+from groupcs.measurement import (
+    BLOCK_SIDE, BlockGaussianOp, DenseGaussianOp, MaskedDftOp, operator_bytes,
+)
 
 KINDS = ("dense", "block", "dft")
 
@@ -98,6 +100,23 @@ def test_dense_refuses_matrix_beyond_physical_memory():
     # 8.4M x 16.8M entries, about 1 PB: refused before any allocation
     with pytest.raises(ValueError, match="physical memory"):
         DenseGaussianOp((4096, 4096), 0.5, 0)
+
+
+@pytest.mark.parametrize("kind", ["dense", "block"])
+def test_operator_bytes_counts_matrices_and_pixel_indices(kind):
+    op = make_operator(kind, (64, 96), 0.3, 2)
+    held = sum(a.nbytes for a in op.mats) + op.cols.nbytes
+    assert operator_bytes(kind, (64, 96), 0.3) == held
+
+
+def test_operator_beyond_memory_is_refused_by_its_count(monkeypatch):
+    need = operator_bytes("block", (64, 64), 0.3)
+    monkeypatch.setattr("groupcs.measurement.physical_memory", lambda: need - 1)
+    with pytest.raises(ValueError, match="^block operator of 1229 rows of 1024 entries needs"):
+        BlockGaussianOp((64, 64), 0.3, 0)
+    monkeypatch.setattr("groupcs.measurement.physical_memory", lambda: need)
+    BlockGaussianOp((64, 64), 0.3, 0)
+    assert operator_bytes("dft", (64, 64), 0.3) == 0
 
 
 # --------------------------------------------------------------------- block

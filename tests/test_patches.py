@@ -181,7 +181,7 @@ def test_stack_bytes_of_a_patch_that_does_not_fit_is_zero():
 def test_grouping_beyond_physical_memory_is_refused(rng, monkeypatch):
     """Refused from the counted lattice, before any stack is allocated."""
     image, cfg = rng.uniform(0, 255, (32, 32)), GroupingConfig()
-    monkeypatch.setattr("groupcs.patches.physical_memory",
+    monkeypatch.setattr("groupcs.measurement.physical_memory",
                         lambda: stack_bytes((32, 32), cfg) - 1)
     with pytest.raises(GroupingError, match="GiB of physical memory"):
         group_stack(image, cfg)

@@ -2,10 +2,12 @@
 weights, Z-step semantics, multiplier recurrence, and small end-to-end
 recoveries."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from conftest import brute_force_match, gram_shrink, patch_at
 
 from groupcs import (
@@ -28,7 +30,7 @@ from groupcs import (
 from groupcs import patches
 from groupcs.measurement import DenseGaussianOp
 from groupcs.patches import reference_anchors
-from groupcs.solver import NumericalError, ThresholdError, lam_for_tau, robust_sigma
+from groupcs.solver import Q_FLOOR, NumericalError, ThresholdError, lam_for_tau, robust_sigma
 
 
 class IdentityOp:
@@ -312,6 +314,36 @@ def test_q_rejects_bad_sigma():
         q_update(np.zeros(3), -1.0)
 
 
+def test_q_rejects_sigma_whose_square_underflows():
+    """1e-200 squares to 0, so the weight at a zero residual would be 0/0;
+    3e-162 squares to a subnormal and still gives weights in (0, 1]."""
+    for sigma in (1e-200, 1e-163, math.nan):
+        with pytest.raises(ValueError, match="square above 0"):
+            q_update(np.array([0.0, 1.0]), sigma)
+    with np.errstate(over="ignore"):
+        q = q_update(np.array([0.0, 1.0]), 3e-162)
+    np.testing.assert_array_equal(q, [1.0, Q_FLOOR])
+
+
+def test_config_refuses_fixed_sigma_whose_square_underflows():
+    with pytest.raises(ValueError, match="square above 0, got 1e-200"):
+        small_cfg(fidelity="m_estimator", sigma_m=1e-200)
+    small_cfg(fidelity="m_estimator", sigma_m=3e-162)
+    small_cfg(fidelity="m_estimator", sigma_m=math.inf)
+
+
+@given(sigma=st.floats(min_value=0.0, allow_nan=False).filter(lambda s: s * s > 0),
+       residual=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_q_in_unit_interval_for_every_allowed_sigma(sigma, residual):
+    """For every sigma_m q_update accepts, +inf included, and every finite
+    residual, the weights are finite and lie in (0, 1], 1 at zero."""
+    with np.errstate(over="ignore"):
+        q = q_update(np.array([0.0, *residual]), sigma)
+    assert np.all(np.isfinite(q)) and np.all((q > 0) & (q <= 1))
+    assert q[0] == 1.0
+
+
 def test_robust_sigma_is_scaled_mad():
     r = np.array([1.0, 2.0, 3.0, 4.0, 100.0])
     # median 3, |r - 3| = [2, 1, 0, 1, 97], MAD = 1
@@ -412,20 +444,26 @@ def test_z_step_independent_of_pass_sizes(monkeypatch, motif_benchmark):
         assert reg_small == reg
 
 
-@pytest.mark.parametrize("grouping", [GroupingConfig(12, 4, 60, 500), GroupingConfig()])
-def test_z_step_memory_is_stack_plus_fixed_allowance(grouping):
+@pytest.mark.parametrize(
+    "side, grouping",
+    [(64, GroupingConfig(12, 4, 60, 500)), (64, GroupingConfig()),
+     (128, GroupingConfig(16, 8, 113, 10))],  # a 25 MB candidate box per anchor
+    ids=["grouping0", "grouping1", "grouping2"],
+)
+def test_z_step_memory_is_stack_plus_fixed_allowance(side, grouping):
     """Beyond stack_bytes, a Z-step holds what one pass holds, whatever
-    the group size.
+    the group size and the window.
 
-    Every item of these groupings fits one pass, and a pass holds at most
-    four temporaries of PASS_ENTRIES float64 or index entries at once
-    (shrinkage: the eigenvectors, projected and rebuilt groups;
-    aggregation: the entry indices, gathered means and residuals).  Beside
-    the stack the Z-step keeps three words per stack row (the patch
-    anchors and their flat indices) and a few image-sized arrays (sums,
-    counts, means and output of aggregation).
+    A pass holds at most four temporaries of PASS_ENTRIES float64 or
+    index entries at once (matching: the gathered candidates of a slice
+    of the search box; shrinkage: the eigenvectors, projected and rebuilt
+    groups; aggregation: the entry indices, gathered means and
+    residuals).  Beside the stack the Z-step keeps three words per stack
+    row (the patch anchors and their flat indices) and a few image-sized
+    arrays (sums, counts, means and output of aggregation).
     """
-    img = make_motif_image(64, 3) + np.random.default_rng(5).normal(0, 10, (64, 64))
+    noise = np.random.default_rng(5).normal(0, 10, (side, side))
+    img = make_motif_image(side, 3) + noise
     rows = len(reference_anchors(img.shape, grouping)) * grouping.group_size
     allowance = (4 * patches.PASS_ENTRIES + 3 * rows + 8 * img.size) * 8
     tracemalloc.start()
