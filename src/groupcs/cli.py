@@ -35,12 +35,12 @@ import numpy as np
 from .config import KEYS, ConfigError, build_settings, merge_config, parse_kv_file
 from .measfile import MeasFileError, MeasurementFile, read_measurements, write_measurements
 from .measurement import (
-    add_noise, make_operator, measurement_count, operator_bytes, refuse_beyond_memory,
+    add_noise, fits_in_memory, make_operator, measurement_count, refuse_beyond_memory,
 )
 from .metrics import check_shapes, psnr
-from .patches import reference_anchors, stack_bytes
+from .patches import reference_anchors
 from .pgm import PgmError, quantize, read_pgm, write_pgm
-from .solver import IterStats, NumericalError, recover, z_step
+from .solver import IterStats, NumericalError, recover, recovery_bytes, z_step
 
 
 # Floating-point errors end as NumericalError or a failed sweep cell, so
@@ -178,11 +178,22 @@ def _write_trace(path, trace, fidelity):
 
 def _refuse_recovery_beyond_memory(kind, shape, subrate, grouping):
     """Raise ValueError when a recovery of a `shape` image would not fit in
-    physical memory: the operator, group_stack's arrays and some ten
-    image-sized arrays (x, z, w, the FFT's), counted together."""
+    physical memory."""
     h, w = shape
-    need = operator_bytes(kind, shape, subrate) + stack_bytes(shape, grouping) + 80 * h * w
-    refuse_beyond_memory(need, f"recovering a {h}x{w} image")
+    refuse_beyond_memory(recovery_bytes(kind, shape, subrate, grouping),
+                         f"recovering a {h}x{w} image")
+
+
+def _refuse_sweep_beyond_memory(run, shape, grouping, subrates):
+    """Raise ValueError when the recoveries `--jobs` runs at once, the
+    largest ones counted, would not fit in physical memory together.  A
+    cell too large on its own is left out: it fails alone, before its
+    operator is built."""
+    needs = [recovery_bytes(run.op, shape, subrate, grouping) for subrate in subrates]
+    fitting = sorted((need for need in needs if fits_in_memory(need)), reverse=True)
+    at_once = min(run.jobs, len(fitting))
+    refuse_beyond_memory(sum(fitting[:at_once]),
+                         f"running {at_once} sweep cells at once (--jobs {run.jobs})")
 
 
 def _operator_for(mf, meas_path, grouping):
@@ -272,6 +283,8 @@ def cmd_sweep(run, scfg, nspec):
 
     with _outputs(run.required("output")) as (output,):
         image = read_pgm(run.required("input"))
+        _refuse_sweep_beyond_memory(run, image.shape, scfg.grouping,
+                                    [subrate for subrate, *_ in cells])
         with ThreadPoolExecutor(max_workers=run.jobs) as pool:
             results = list(pool.map(timed, itertools.repeat(image), cells))
         with open(output, "w", newline="") as fh:

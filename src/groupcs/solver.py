@@ -14,9 +14,10 @@ discount outlier residuals (recomputed once per outer iteration).
 
 Each outer iteration applies the forward operator exactly once to X, at
 its start; that HX gives the robust residual and starts the X-step.
-The X-step carries HX through its steps by linearity, so each gradient
-step costs one adjoint and one forward, and the carried HX also gives
-the iteration's data-fidelity value.
+The X-step takes one adjoint for its first gradient and then carries
+both HX and the gradient through its steps by linearity, so each
+gradient step costs one `normal` pass (H g and H^T Q H g together); the
+carried HX also gives the iteration's data-fidelity value.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lowrank import INIT_WEIGHTS, WEIGHTINGS, irnn_denoise_stack
+from .measurement import operator_bytes
 from .metrics import psnr
-from .patches import GroupingConfig, aggregate_stack, group_stack, reference_anchors
+from .patches import GroupingConfig, aggregate_stack, group_stack, reference_anchors, stack_bytes
 from .penalties import Penalty, rho
 
 FIDELITIES = ("l2", "m_estimator")
@@ -135,6 +137,14 @@ def lam_for_tau(tau, mu, shape, grouping: GroupingConfig):
     return tau * mu * shape[0] * shape[1] / k
 
 
+def recovery_bytes(kind, shape, subrate, grouping: GroupingConfig):
+    """Bytes a recovery of a `shape` image holds: the `kind` operator at
+    `subrate`, group_stack's arrays and some ten image-sized arrays (x, z,
+    w, the FFT's), together."""
+    h, w = shape
+    return operator_bytes(kind, shape, subrate) + stack_bytes(shape, grouping) + 80 * h * w
+
+
 def robust_sigma(residual):
     """MAD-based scale of the residual, floored away from zero."""
     r = np.asarray(residual, dtype=float)
@@ -164,27 +174,29 @@ def _x_iterate(op, y, x0, hx0, z, w, mu, steps, q):
     """Gradient descent with exact line search on the quadratic X-step.
 
     Minimizes 0.5 * ||sqrt(q) (y - Hx)||**2 + (mu/2) * ||x - z - w||**2.
-    hx0 is H x0.  Each step applies the adjoint once for the gradient and
-    the forward once for H grad, and carries Hx along by linearity:
-    H(x - a grad) = Hx - a H grad.  Returns (x, hx) with hx the carried
-    H x, which drifts from a fresh forward only by rounding over `steps`
-    updates.  The all-ones q reproduces the unweighted step bit for bit.
+    hx0 is H x0.  The first gradient takes one adjoint; each step then
+    takes one op.normal(g, q) for H g and H^T Q H g, and carries Hx and
+    the gradient along by linearity: H(x - a g) = Hx - a H g, and
+    grad(x - a g) = g - a (H^T Q H g + mu g).  Returns (x, hx) with hx
+    the carried H x.  Both carried values drift from fresh products only
+    by rounding over `steps` updates; H g is the forward's bit for bit.
+    The all-ones q reproduces the unweighted step bit for bit.
     """
     x = np.array(x0, dtype=float, copy=True)
     hx = hx0
+    grad = op.adjoint(q * (hx - y)) + mu * (x - z - w)
     for _ in range(steps):
-        resid = hx - y
-        grad = op.adjoint(q * resid) + mu * (x - z - w)
         gg = float(np.sum(grad * grad))
         if gg == 0.0:
             break
-        hg = op.forward(grad)
+        hg, hqhg = op.normal(grad, q)
         denom = float(np.sum(q * hg * hg)) + mu * gg
         if denom == 0.0:
             break
         a = gg / denom
         x = x - a * grad
         hx = hx - a * hg
+        grad = grad - a * (hqhg + mu * grad)
     return x, hx
 
 

@@ -803,6 +803,50 @@ def test_recovery_counts_operator_and_stack_together(tmp_path, flat_image, capsy
     assert row["status"].startswith("failed: recovering a 32x32 image needs")
 
 
+def recovery_need(subrate, shape=(32, 32)):
+    """Bytes the pre-flight counts for one dense recovery at the default grouping."""
+    return (operator_bytes("dense", shape, subrate) + stack_bytes(shape, GroupingConfig())
+            + 80 * shape[0] * shape[1])
+
+
+@pytest.mark.parametrize("jobs, code", [("2", 2), ("1", 0)])
+def test_sweep_counts_the_cells_jobs_runs_at_once(tmp_path, flat_image, capsys, monkeypatch,
+                                                  jobs, code):
+    """With memory for one and a half 32x32 dense recoveries, two cells
+    are refused with --jobs 2, before either starts, and run with --jobs 1."""
+    img_path, _ = flat_image
+    monkeypatch.setattr("groupcs.measurement.physical_memory",
+                        lambda: int(1.5 * recovery_need(0.3)))
+    csv_path = tmp_path / "s.csv"
+    got, _, err = run(capsys, "sweep", img_path, "--output", csv_path, "--op", "dense",
+                      "--sweep_subrates", "0.3,0.3", "--jobs", jobs, "--outer_iters", "1")
+    assert got == code, err
+    if code == 2:
+        [line] = err.splitlines()
+        assert line.startswith("config error: running 2 sweep cells at once (--jobs 2) needs")
+        assert line.endswith("GiB of physical memory")
+        assert not csv_path.exists()
+    else:
+        assert [row["status"] for row in csv.DictReader(csv_path.open())] == ["ok", "ok"]
+
+
+def test_sweep_leaves_a_cell_too_large_alone_out_of_the_jobs_count(tmp_path, flat_image,
+                                                                    capsys, monkeypatch):
+    """A cell that does not fit on its own fails as a row and is not
+    counted among the cells --jobs runs at once."""
+    img_path, _ = flat_image
+    small, large = recovery_need(0.1), recovery_need(1.0)
+    assert small < large - 1 < small + large
+    monkeypatch.setattr("groupcs.measurement.physical_memory", lambda: large - 1)
+    csv_path = tmp_path / "s.csv"
+    code, _, err = run(capsys, "sweep", img_path, "--output", csv_path, "--op", "dense",
+                       "--sweep_subrates", "0.1,1.0", "--jobs", "2", "--outer_iters", "1")
+    assert code == 0, err
+    small_row, large_row = csv.DictReader(csv_path.open())
+    assert small_row["status"] == "ok"
+    assert large_row["status"].startswith("failed: recovering a 32x32 image needs")
+
+
 def test_measure_dense_beyond_memory_exits_2(tmp_path, capsys):
     img_path = tmp_path / "big.pgm"
     write_pgm(img_path, np.zeros((1024, 1024)))

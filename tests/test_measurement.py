@@ -7,8 +7,9 @@ import pytest
 
 from groupcs import NoiseSpec, add_noise, make_operator
 from groupcs.measurement import (
-    BLOCK_SIDE, BlockGaussianOp, DenseGaussianOp, MaskedDftOp, operator_bytes,
+    BLOCK_SIDE, CHUNK_ENTRIES, BlockGaussianOp, DenseGaussianOp, MaskedDftOp, operator_bytes,
 )
+from groupcs.solver import Q_FLOOR
 
 KINDS = ("dense", "block", "dft")
 
@@ -60,6 +61,36 @@ def test_adjoint_identity(rng):
             a = float(np.dot(op.forward(x), y))
             b = float(np.sum(x * op.adjoint(y)))
             assert abs(a - b) <= 1e-8 * max(1.0, abs(a))
+
+
+@pytest.mark.parametrize("kind, shape", [
+    ("dense", (64, 48)),  # 922 rows in chunks of 40: 23 chunks and 2 rows
+    ("block", (64, 96)),  # six blocks of 307 or 308 rows in chunks of 128
+    ("dft", (32, 32)),
+])
+def test_normal_is_forward_then_weighted_adjoint(kind, shape, rng):
+    """normal(x, q) gives forward(x) bit for bit and adjoint(q * forward(x))
+    to 1e-14 relative, for weights that hold Q_FLOOR and exact zeros."""
+    op = make_operator(kind, shape, 0.3, 8)
+    if kind != "dft":
+        step = CHUNK_ENTRIES // op.mats[0].shape[1] // 8 * 8
+        assert any(len(a) > step and len(a) % step for a in op.mats)
+    x = rng.normal(0, 50, shape)
+    q = rng.uniform(0, 1, op.m)
+    q[::7], q[3::11] = Q_FLOOR, 0.0
+    hx, hqhx = op.normal(x, q)
+    want = op.adjoint(q * op.forward(x))
+    np.testing.assert_array_equal(hx, op.forward(x))
+    assert hqhx.shape == shape
+    assert np.linalg.norm(hqhx - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_normal_checks_shapes():
+    for op in ops_for():
+        with pytest.raises(ValueError):
+            op.normal(np.zeros((32, 31)), np.ones(op.m))
+        with pytest.raises(ValueError):
+            op.normal(np.zeros(op.shape), np.ones(op.m + 1))
 
 
 def test_shape_checks():

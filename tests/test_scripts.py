@@ -17,6 +17,7 @@ CSV_RUNS = {
     "denoise_benchmark": ["--sigmas", "20", "--kinds", "log", "mcp"],
     "robust_noise_benchmark": ["--iters", "2", "--snrs", "20"],
     "weighting_benchmark": ["--iters", "2", "--subrates", "0.3"],
+    "xstep_split": ["--repeats", "1", "--kinds", "dense"],
     "zstep_split": ["--repeats", "1"],
 }
 
@@ -49,3 +50,25 @@ def test_script_writes_one_row(name, tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert len(rows) == 2
     assert len(rows[1]) == len(rows[0])
+
+
+def test_xstep_split_times_every_kind_and_skips_what_does_not_fit(tmp_path, capsys,
+                                                                  monkeypatch):
+    """One row per side and kind; a kind whose recovery would not fit in
+    physical memory is reported as refused instead of being built."""
+    from groupcs.solver import recovery_bytes
+
+    script = load_script("xstep_split")
+    # Room for a 64x64 block recovery, not for the dense one.
+    limit = recovery_bytes("block", (64, 64), script.SUBRATE, script.SolverConfig().grouping)
+    monkeypatch.setattr("groupcs.measurement.physical_memory", lambda: limit)
+    table = tmp_path / "out.csv"
+    assert script.main(["--side", "64", "--repeats", "1", "--csv", str(table)]) == 0
+    with open(table, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["side"], r["kind"]) for r in rows] == [("64", "dense"), ("64", "block"),
+                                                      ("64", "dft")]
+    assert rows[0]["normal_s"] == "refused"
+    for row in rows[1:]:
+        assert all(float(row[c]) > 0 for c in ("forward_s", "adjoint_s", "normal_s",
+                                               "x_iterate_s"))
