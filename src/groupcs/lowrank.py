@@ -16,11 +16,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .patches import passes
+from .patches import run_passes
 from .penalties import EPS_WEIGHT, Penalty, supergradient
 
 WEIGHTINGS = ("supergradient", "combined", "none")
 INIT_WEIGHTS = ("observation", "zero")
+
+
+class NumericalError(RuntimeError):
+    """Raised when the iteration produces non-finite values."""
 
 
 def _check_weights(weights, k):
@@ -102,12 +106,13 @@ def irnn_denoise_stack(mats, pen: Penalty, tau, weighting="combined", sweeps=1,
     shorter side first, and a square one transposed: for a (G,
     group_size, patch_side**2) patch stack that is each group matrix,
     patches as columns, or its transpose when it is tall.  The groups run
-    in passes of patches.PASS_ENTRIES entries.
+    in passes through patches.run_passes, on every worker thread.
 
     mats may be a strided view.  Returns the (G, min(n, k)) final
-    spectra; tau must be finite.  With tau == 0 the returned spectra are
-    the Gram spectra of the input, and the stack is left bitwise
-    unchanged: the sweeps and the rebuild are skipped.
+    spectra; tau must be finite.  A group whose spectrum overflows the
+    float range raises NumericalError.  With tau == 0 the returned
+    spectra are the Gram spectra of the input, and the stack is left
+    bitwise unchanged: the sweeps and the rebuild are skipped.
     """
     _check_tau(tau)
     if weighting not in WEIGHTINGS:
@@ -117,15 +122,18 @@ def irnn_denoise_stack(mats, pen: Penalty, tau, weighting="combined", sweeps=1,
     if init_weights not in INIT_WEIGHTS:
         raise ValueError(f"unknown init_weights {init_weights!r}")
     spectra = np.empty((len(mats), min(mats.shape[1:])))
-    for part in passes(len(mats), mats.shape[1] * mats.shape[2]):
+
+    def shrink(part):
         # m views each group with its shorter side first (a square one
         # transposed), so m @ m.T is the smaller Gram; writing into m
         # writes into mats.
         m = mats[part] if mats.shape[1] < mats.shape[2] else mats[part].swapaxes(1, 2)
         u, s = _gram_spectrum(m)
+        if not np.all(np.isfinite(s)):
+            raise NumericalError("a group spectrum overflows")
         if tau == 0.0:
             spectra[part] = s
-            continue
+            return
         spec = s if init_weights == "observation" else np.zeros_like(s)
         for _ in range(sweeps):
             spec = _shrink(s, group_weights(spec, pen, weighting), tau)
@@ -134,6 +142,8 @@ def irnn_denoise_stack(mats, pen: Penalty, tau, weighting="combined", sweeps=1,
         # signs or on the basis chosen within a repeated eigenvalue.
         m[...] = (u * ratio[:, None, :]) @ (u.swapaxes(1, 2) @ m)
         spectra[part] = spec
+
+    run_passes(len(mats), mats.shape[1] * mats.shape[2], shrink)
     return spectra
 
 

@@ -15,17 +15,35 @@ only from the lattice, so they are in range by construction.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
 
 from .measurement import refuse_beyond_memory
 
-# Entries one Z-step pass may hold in each of its temporaries (4 MB of
-# float64).  Matching, group shrinkage and aggregation all loop over
-# passes(); each pass holds a fixed number of such temporaries, so the
-# Z-step needs stack_bytes plus a fixed allowance whatever the grouping.
+# Entries the Z-step's passes in flight may hold together in each of
+# their temporaries (4 MB of float64).  Matching, group shrinkage and
+# aggregation all loop over passes(); matching and shrinkage run WORKERS
+# passes at once through run_passes, each at PASS_ENTRIES // WORKERS.
+# Each pass holds a fixed number of such temporaries, so the Z-step needs
+# stack_bytes plus a fixed allowance whatever the grouping.
 PASS_ENTRIES = 1 << 19
+
+# Threads a stage's passes run on (see run_passes): the calling thread and
+# WORKERS - 1 threads of _POOL, which starts them only when first used.
+if hasattr(os, "sched_getaffinity"):
+    WORKERS = len(os.sched_getaffinity(0))
+else:
+    WORKERS = os.cpu_count() or 1
+_POOL = ThreadPoolExecutor(max(1, WORKERS - 1), thread_name_prefix="groupcs-pass")
+# run_passes calls in progress on any thread (say, concurrent sweep cells);
+# they divide the WORKERS threads among them.
+_callers = 0
+_callers_lock = threading.Lock()
 
 
 class GroupingError(ValueError):
@@ -59,13 +77,58 @@ class GroupingConfig:
             raise ValueError("group_size must be >= 1")
 
 
-def passes(count, entries_each):
+def passes(count, entries_each, budget=None):
     """Slices of range(count) in order, each holding as many items of
-    `entries_each` entries as fit in PASS_ENTRIES, and at least one item.
-    An item of zero entries counts as one."""
-    step = max(1, PASS_ENTRIES // max(1, entries_each))
+    `entries_each` entries as fit in `budget` (default PASS_ENTRIES), and
+    at least one item.  An item of zero entries counts as one."""
+    budget = PASS_ENTRIES if budget is None else budget
+    step = max(1, budget // max(1, entries_each))
     for start in range(0, count, step):
         yield slice(start, start + step)
+
+
+def worker_budget():
+    """Entries one pass of run_passes may hold in each temporary:
+    PASS_ENTRIES shared among the WORKERS passes that run at once."""
+    return max(1, PASS_ENTRIES // WORKERS)
+
+
+def run_passes(count, entries_each, work):
+    """Call work(part) for every slice passes() cuts from range(count) at
+    worker_budget() entries, on up to WORKERS threads at once.
+
+    The slices are dealt in turn into shares, as many as WORKERS divided
+    by the run_passes calls then in progress, and at least one.  The
+    calling thread runs the first share and _POOL the others, each share
+    in order and each under a copy of the caller's context, so numpy's
+    errstate holds in every thread.  Each call must write only what
+    belongs to its own slice.  Returns once every call has finished; if
+    any raised, the first raising share's exception is raised then, after
+    every other share has stopped.  With one worker every call runs on
+    the caller.
+    """
+    global _callers
+    parts = list(passes(count, entries_each, worker_budget()))
+    with _callers_lock:
+        _callers += 1
+        n = max(1, min(WORKERS // _callers, len(parts)))
+    shares = [parts[i::n] for i in range(n)]
+
+    def run(share):
+        for part in share:
+            work(part)
+
+    futures = []
+    try:
+        for share in shares[1:]:
+            futures.append(_POOL.submit(contextvars.copy_context().run, run, share))
+        run(shares[0])
+    finally:
+        wait(futures)
+        with _callers_lock:
+            _callers -= 1
+    for future in futures:
+        future.result()
 
 
 def _clipped_windows(anchors, window_side, last):
@@ -123,7 +186,7 @@ def _match(img, anchors, cfg):
     keep their raster order in the box, so distance ties break toward
     lower row, then lower column.  Distances are taken in passes over the
     box's slots as well as over anchors, so a wide window stays within
-    the pass budget.
+    the pass budget.  The anchor passes go through run_passes.
     """
     s, k = cfg.patch_side, cfg.group_size
     vecs = _all_patch_vectors(img, s)
@@ -134,7 +197,8 @@ def _match(img, anchors, cfg):
     slot_r, slot_c = np.arange(wr), np.arange(wc)
     patches = np.empty((len(anchors), k, s * s))
     positions = np.empty((len(anchors), k, 2), dtype=np.intp)
-    for part in passes(len(anchors), wr * wc * s * s):
+
+    def match(part):
         a = anchors[part]
         pad = ((slot_r >= count[part, 0, None])[:, :, None]
                | (slot_c >= count[part, 1, None])[:, None, :]).reshape(len(a), wr * wc)
@@ -143,7 +207,7 @@ def _match(img, anchors, cfg):
         flat = (rows[:, :, None] * nc + cols[:, None, :]).reshape(len(a), wr * wc)
         ref = vecs[a[:, 0] * nc + a[:, 1], None, :]
         dist = np.empty((len(a), wr * wc))
-        for cut in passes(wr * wc, len(a) * s * s):
+        for cut in passes(wr * wc, len(a) * s * s, worker_budget()):
             diff = vecs[flat[:, cut]]
             diff -= ref
             per_cand = diff.reshape(-1, s * s)
@@ -154,6 +218,8 @@ def _match(img, anchors, cfg):
         chosen = np.take_along_axis(flat, _smallest_k(dist, k), axis=1)
         patches[part] = vecs[chosen]
         positions[part] = np.stack(divmod(chosen, nc), axis=-1)
+
+    run_passes(len(anchors), wr * wc * s * s, match)
     return patches, positions
 
 

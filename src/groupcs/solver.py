@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lowrank import INIT_WEIGHTS, WEIGHTINGS, irnn_denoise_stack
+from .lowrank import INIT_WEIGHTS, WEIGHTINGS, NumericalError, irnn_denoise_stack
 from .measurement import operator_bytes
 from .metrics import psnr
 from .patches import GroupingConfig, aggregate_stack, group_stack, reference_anchors, stack_bytes
@@ -41,10 +41,6 @@ Q_FLOOR = 1e-300
 
 # MAD-to-sigma factor for Gaussian residuals.
 MAD_SCALE = 1.4826
-
-
-class NumericalError(RuntimeError):
-    """Raised when the iteration produces non-finite values."""
 
 
 class ThresholdError(ValueError):
@@ -220,7 +216,8 @@ def z_step(r_img, cfg: SolverConfig, tau, sweeps=1):
     Returns (z_img, reg_value) where reg_value is the penalty evaluated
     on the shrunk group spectra, sum_k sum_i rho(sigma_i).  With tau = 0
     the groups pass through untouched and aggregation reproduces R
-    exactly.
+    exactly.  A non-finite R, group spectrum, Z or reg_value raises
+    NumericalError; finite values near the float range can overflow.
     """
     img = np.asarray(r_img, dtype=float)
     if not np.all(np.isfinite(img)):
@@ -233,7 +230,10 @@ def z_step(r_img, cfg: SolverConfig, tau, sweeps=1):
     # Group totals added left to right (np.sum would pair them up), the
     # same float total as a loop over the groups.
     reg = float(np.add.accumulate(rho(cfg.penalty, spectra).sum(axis=1))[-1])
-    return aggregate_stack(patches, positions, img.shape, cfg.grouping.patch_side), reg
+    z = aggregate_stack(patches, positions, img.shape, cfg.grouping.patch_side)
+    if not (math.isfinite(reg) and np.all(np.isfinite(z))):
+        raise NumericalError("non-finite values leaving the Z-step")
+    return z, reg
 
 
 def multiplier_update(w, x, z):
@@ -261,9 +261,9 @@ def recover(y, op, cfg: SolverConfig, ground_truth=None):
     does not fit the image (GroupingError) or a threshold tau that is not
     finite (ThresholdError) is refused before the operator is applied.
     A non-finite HX at the start of an iteration, or a non-finite X after
-    its X-step, raises NumericalError.  Z and W need no check of their
-    own: the Z-step refuses a non-finite X - W, and a non-finite Z or W
-    makes the next X non-finite.
+    its X-step, raises NumericalError.  W needs no check of its own: the
+    Z-step refuses a non-finite X - W or Z, and a non-finite W makes the
+    next X non-finite.
     """
     n_groups = len(reference_anchors(op.shape, cfg.grouping))
     tau = tau_from_config(cfg, n_groups, op.n)
@@ -295,7 +295,9 @@ def recover(y, op, cfg: SolverConfig, ground_truth=None):
             iteration=it,
             data_fidelity=0.5 * float(np.sum(q * resid * resid)),
             reg_surrogate=cfg.lam * reg,
-            x_minus_z_norm=float(np.linalg.norm(x - z)),
+            # numpy's pairwise sum, not a BLAS dot, so the trace does not
+            # depend on the BLAS thread count.
+            x_minus_z_norm=math.sqrt(float(np.sum((x - z) ** 2))),
         )
         if ground_truth is not None:
             stats.psnr_db = psnr(x, ground_truth).psnr_db

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from groupcs import cli
+from groupcs import cli, make_motif_image
 from groupcs.cli import main
 from groupcs.config import (
     KEYS, RunConfig, build_noise_spec, build_settings, build_solver_config, merge_config,
@@ -1165,6 +1165,29 @@ def test_overflowing_start_prints_one_line_from_a_shell(tmp_path):
     )
     assert proc.returncode == 4
     assert proc.stderr.splitlines() == ["numerical failure: non-finite HX at iteration 1"]
+
+
+def test_trace_does_not_depend_on_blas_threads(tmp_path, capsys):
+    """A 128x128 dense recovery, where x - z has 16384 entries, enough
+    for a BLAS dot to run threaded: its trace and image are the same
+    bytes on one OpenBLAS thread and on two."""
+    img_path, meas = tmp_path / "img.pgm", tmp_path / "m.meas"
+    write_pgm(img_path, make_motif_image(128, 3))
+    run(capsys, "measure", img_path, "--output", meas, "--op", "dense",
+        "--subrate", "0.05", "--seed", "1")
+    outputs = []
+    for threads in ("1", "2"):
+        trace, out = tmp_path / f"t{threads}.csv", tmp_path / f"r{threads}.pgm"
+        proc = subprocess.run(
+            [sys.executable, "-m", "groupcs.cli", "recover", str(meas), "--output", str(out),
+             "--trace", str(trace), "--outer_iters", "3", "--gd_steps", "5",
+             "--fidelity", "m_estimator"],
+            env=dict(src_env(), OPENBLAS_NUM_THREADS=threads),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((trace.read_bytes(), out.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 SUBCOMMAND_ERROR = "config error: subcommand must be one of measure, recover, denoise, sweep, metrics"

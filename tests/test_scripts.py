@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from groupcs import patches
 from groupcs.pgm import read_pgm
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -43,13 +44,29 @@ def test_make_benchmark_image(tmp_path, capsys):
 
 @pytest.mark.parametrize("name", sorted(CSV_RUNS))
 def test_script_writes_one_row(name, tmp_path, capsys):
+    """One row, or for zstep_split one per worker count it times."""
     table = tmp_path / "out.csv"
     argv = ["--side", "32", *CSV_RUNS[name], "--csv", str(table)]
     assert load_script(name).main(argv) == 0
     with open(table, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert len(rows) == 2
-    assert len(rows[1]) == len(rows[0])
+    assert len(rows) == 1 + (len({1, patches.WORKERS}) if name == "zstep_split" else 1)
+    assert all(len(row) == len(rows[0]) for row in rows[1:])
+
+
+def test_zstep_split_times_one_worker_and_the_pool(tmp_path, capsys, monkeypatch):
+    """A row at 1 worker and one at patches.WORKERS, with the same groups;
+    the worker count is restored afterwards."""
+    monkeypatch.setattr(patches, "WORKERS", 3)
+    table = tmp_path / "out.csv"
+    assert load_script("zstep_split").main(["--side", "32", "--repeats", "1",
+                                            "--csv", str(table)]) == 0
+    with open(table, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["workers"] for r in rows] == ["1", "3"]
+    assert rows[0]["groups"] == rows[1]["groups"]
+    assert all(float(r[c]) > 0 for r in rows for c in ("group_stack_s", "irnn_denoise_stack_s"))
+    assert patches.WORKERS == 3
 
 
 def test_xstep_split_times_every_kind_and_skips_what_does_not_fit(tmp_path, capsys,

@@ -3,7 +3,10 @@ weights, Z-step semantics, multiplier recurrence, and small end-to-end
 recoveries."""
 
 import math
+import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -492,6 +495,127 @@ def test_z_step_independent_of_pass_sizes(monkeypatch, motif_benchmark):
         z_small, reg_small = z_step(motif_benchmark, cfg, 1.5e7, sweeps=3)
         assert z_small.tobytes() == z.tobytes()
         assert reg_small == reg
+
+
+@pytest.mark.parametrize("tau", [0.0, 1.5e7])
+def test_z_step_independent_of_worker_count(monkeypatch, motif_benchmark, tau):
+    """Matching and shrinkage run their passes on patches.WORKERS threads;
+    one worker and two give the same bytes, and at tau = 0 both return
+    the input."""
+    cfg = SolverConfig(penalty=Penalty("log", 1.0, 10.0))
+    results = []
+    for workers in (1, 2):
+        monkeypatch.setattr(patches, "WORKERS", workers)
+        results.append(z_step(motif_benchmark, cfg, tau, sweeps=3))
+    (z1, reg1), (z2, reg2) = results
+    assert z2.tobytes() == z1.tobytes()
+    assert reg2 == reg1
+    if tau == 0.0:
+        assert z1.tobytes() == motif_benchmark.tobytes()
+
+
+class PieceFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("bad", [0, 1], ids=["caller", "pool"])
+def test_run_passes_raises_after_every_piece_stopped(monkeypatch, bad):
+    """Pieces 0, 2, 4, 6 run on the caller and 1, 3, 5, 7 on the pool.
+    When one piece raises, the caller gets that exception only once no
+    piece is running any more, and the other share has run to its end."""
+    monkeypatch.setattr(patches, "WORKERS", 2)
+    lock = threading.Lock()
+    running, finished, threads = set(), [], set()
+
+    def work(part):
+        with lock:
+            running.add(part.start)
+            threads.add(threading.get_ident())
+        try:
+            time.sleep(0.01)
+            if part.start == bad:
+                raise PieceFailed(bad)
+        finally:
+            with lock:
+                running.discard(part.start)
+        with lock:
+            finished.append(part.start)
+
+    with pytest.raises(PieceFailed) as info:
+        patches.run_passes(8, patches.worker_budget(), work)
+    assert info.value.args == (bad,)
+    assert running == set()
+    assert set(range(1 - bad, 8, 2)) <= set(finished)
+    assert len(threads) == 2
+
+
+def test_run_passes_divides_workers_among_concurrent_callers(monkeypatch):
+    """While one run_passes call is in progress, a second one from
+    another thread (as from a second sweep cell) gets WORKERS // 2 = 1
+    share and runs every piece on its own thread; once both are done,
+    a call gets both workers again."""
+    monkeypatch.setattr(patches, "WORKERS", 2)
+    first_in, second_done = threading.Event(), threading.Event()
+    seen = {"first": set(), "second": set(), "after": set()}
+
+    def work_of(name):
+        def work(part):
+            seen[name].add(threading.get_ident())
+            if name == "first" and part.start == 0:
+                first_in.set()
+                assert second_done.wait(10)
+        return work
+
+    each = patches.worker_budget()  # one piece per item
+    first = threading.Thread(target=patches.run_passes, args=(4, each, work_of("first")))
+    first.start()
+    try:
+        assert first_in.wait(10)
+        patches.run_passes(4, each, work_of("second"))
+    finally:
+        second_done.set()
+        first.join(10)
+    assert not first.is_alive()
+    assert seen["second"] == {threading.get_ident()}
+    patches.run_passes(4, each, work_of("after"))
+    assert len(seen["after"]) == 2
+
+
+def test_z_step_workers_keep_the_callers_errstate(monkeypatch):
+    """Under np.errstate(all="ignore") the shrink passes of an input
+    5e306 large overflow without a warning, on the pool's threads too;
+    the overflowed result is then refused."""
+    monkeypatch.setattr(patches, "WORKERS", 2)
+    monkeypatch.setattr(patches, "PASS_ENTRIES", 20_000)  # 100 groups in 20 passes
+    img = 5e306 * np.random.default_rng(0).uniform(-1, 1, (40, 40))
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="leaving the Z-step"):
+            z_step(img, SolverConfig(), 1.5e7)
+
+
+@pytest.mark.parametrize("scale, message", [(5e306, "leaving the Z-step"),
+                                            (1.7e308, "spectrum overflows")])
+def test_z_step_refuses_an_overflowed_result(scale, message):
+    """Finite input near the float range: at 5e306 the penalty of the
+    spectra and the aggregated image overflow, and at 1.7e308 the group
+    spectra do.  Either is a NumericalError, not a silent inf or a
+    penalty's ValueError."""
+    img = scale * np.random.default_rng(0).uniform(-1, 1, (40, 40))
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match=message):
+        z_step(img, SolverConfig(), 1.5e7)
+
+
+def test_z_step_overflow_in_a_pool_pass_surfaces(monkeypatch):
+    """Two shrink passes of 50 groups: the caller's (anchor rows 0 to 16)
+    sees only rows 0..30, which are small, and the pool's groups reach
+    the 1.7e308 rows below, so only the pool's pass raises."""
+    monkeypatch.setattr(patches, "WORKERS", 2)
+    monkeypatch.setattr(patches, "PASS_ENTRIES", 2 * 50 * 60 * 36)
+    img = np.random.default_rng(0).uniform(-1, 1, (40, 40))
+    img[31:] *= 1.7e308
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="spectrum overflows"):
+        z_step(img, SolverConfig(), 1.5e7)
 
 
 @pytest.mark.parametrize(
