@@ -22,6 +22,7 @@ subrate, seed) plus the noise description and the realized SNR:
     <m * 8 bytes>
 
 target_snr_db is omitted when no target was set; snr_db may be "inf".
+Every measurement must be finite.
 """
 
 from __future__ import annotations
@@ -109,6 +110,9 @@ def read_measurements(path):
             f"{path}: expected {8 * m} payload bytes, found {len(data)}"
         )
     y = np.frombuffer(data, dtype="<f8").astype(float)
+    bad = m - int(np.count_nonzero(np.isfinite(y)))
+    if bad:
+        raise MeasFileError(f"{path}: {bad} of {m} measurements are not finite")
     return MeasurementFile(
         op_kind=kind, shape=shape, subrate=subrate, seed=seed,
         noise=noise, snr_db=snr_db, y=y,

@@ -334,6 +334,13 @@ def make_operator(kind, shape, subrate, seed):
     return _OPS[check_operator_kind(kind)](shape, subrate, seed)
 
 
+def _norm(v):
+    """Euclidean norm from numpy's pairwise sum of squares, which unlike a
+    BLAS dot does not depend on the BLAS thread count; inf on overflow."""
+    with np.errstate(over="ignore"):
+        return math.sqrt(float(np.sum(v * v)))
+
+
 def add_noise(y, spec: NoiseSpec, seed):
     """Corrupt measurements according to the noise spec.
 
@@ -355,15 +362,15 @@ def add_noise(y, spec: NoiseSpec, seed):
         outlier = rng.random(y.shape) < spec.xi
         scales = np.where(outlier, spec.sigma * math.sqrt(spec.kappa), spec.sigma)
         noise = rng.standard_normal(y.shape) * scales
-    signal = np.linalg.norm(y - np.mean(y))
-    nn = np.linalg.norm(noise)
+    signal = _norm(y - np.mean(y))
+    nn = _norm(noise)
     if not math.isfinite(nn):
         raise ValueError("noise norm overflows: noise_sigma or noise_kappa is too large")
     if spec.target_snr_db is not None:
         if nn == 0.0 or signal == 0.0:
             raise ValueError("cannot rescale noise to a target SNR here")
         noise = noise * (signal * 10.0 ** (-spec.target_snr_db / 20.0) / nn)
-        nn = np.linalg.norm(noise)
+        nn = _norm(noise)
     if nn == 0.0:
         realized = math.inf
     elif signal == 0.0:

@@ -1111,21 +1111,40 @@ def test_header_claiming_a_huge_shape_exits_3(tmp_path, flat_image, capsys):
     assert not out.exists()
 
 
-def test_non_finite_measurements_exit_4(tmp_path, capsys):
-    op = make_operator("dense", (32, 32), 0.2, 3)
-    mf = MeasurementFile(
-        op_kind="dense", shape=(32, 32), subrate=0.2, seed=3,
-        noise=NoiseSpec("none", 1.0, 0.1, 100.0, None),
-        snr_db=math.inf, y=np.full(op.m, np.inf),
-    )
-    meas = tmp_path / "inf.meas"
+def measure_with_entry(tmp_path, capsys, value):
+    """A 64x64 dft file measured at subrate 0.3 with seed 1, entry 3 then set
+    to value."""
+    img_path, meas = tmp_path / "img.pgm", tmp_path / "m.meas"
+    write_pgm(img_path, make_motif_image(64, 3))
+    run(capsys, "measure", img_path, "--output", meas, "--op", "dft",
+        "--subrate", "0.3", "--seed", "1")
+    mf = read_measurements(meas)
+    mf.y[3] = value
     write_measurements(meas, mf)
-    code, _, err = run(
-        capsys, "recover", meas, "--output", tmp_path / "o.pgm",
-        "--outer_iters", "1", "--gd_steps", "1",
-    )
+    return meas
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_measurements_exit_3(tmp_path, capsys, monkeypatch, value):
+    """A damaged file is refused as it is read, before any operator is built."""
+    meas = measure_with_entry(tmp_path, capsys, value)
+    monkeypatch.setattr(cli, "make_operator", None)
+    out = tmp_path / "o.pgm"
+    code, _, err = run(capsys, "recover", meas, "--output", out)
+    assert code == 3
+    assert err == f"file error: {meas}: 1 of 1229 measurements are not finite\n"
+    assert not out.exists()
+
+
+def test_huge_finite_measurement_exits_4(tmp_path, capsys):
+    """1e308 is valid input whose recovery overflows."""
+    meas = measure_with_entry(tmp_path, capsys, 1e308)
+    out = tmp_path / "o.pgm"
+    code, _, err = run(capsys, "recover", meas, "--output", out,
+                       "--outer_iters", "1", "--gd_steps", "1")
     assert code == 4
-    assert "numerical failure" in err
+    assert err == "numerical failure: non-finite HX at iteration 1\n"
+    assert not out.exists()
 
 
 def write_overflowing_file(path):
@@ -1188,6 +1207,28 @@ def test_trace_does_not_depend_on_blas_threads(tmp_path, capsys):
         assert proc.returncode == 0, proc.stderr
         outputs.append((trace.read_bytes(), out.read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("noise", ["gaussian", "gaussian_mixture"])
+def test_target_snr_measurement_does_not_depend_on_blas_threads(tmp_path, noise):
+    """A 256x256 dft measurement at subrate 0.5 holds 32768 entries, enough
+    for a BLAS dot to run threaded: rescaled to a target SNR, its file is
+    the same bytes on one OpenBLAS thread and on two."""
+    img_path = tmp_path / "img.pgm"
+    write_pgm(img_path, make_motif_image(256, 3))
+    files = []
+    for threads in ("1", "2"):
+        meas = tmp_path / f"m{threads}.meas"
+        proc = subprocess.run(
+            [sys.executable, "-m", "groupcs.cli", "measure", str(img_path), "--output", str(meas),
+             "--op", "dft", "--subrate", "0.5", "--seed", "1", "--noise", noise,
+             "--target_snr_db", "20"],
+            env=dict(src_env(), OPENBLAS_NUM_THREADS=threads),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        files.append(meas.read_bytes())
+    assert files[0] == files[1]
 
 
 SUBCOMMAND_ERROR = "config error: subcommand must be one of measure, recover, denoise, sweep, metrics"

@@ -130,3 +130,17 @@ def test_rejects_non_ascii_header(tmp_path):
     p.write_bytes(p.read_bytes().replace(b"noise=gaussian", b"noise=gau\xdfsian"))
     with pytest.raises(MeasFileError, match="not a GSRM1"):
         read_measurements(p)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rejects_non_finite_payload(tmp_path, bad):
+    y = np.arange(5, dtype=float)
+    y[3] = bad
+    p, _ = sample(tmp_path, y=y)
+    with pytest.raises(MeasFileError, match=r"m\.bin: 1 of 5 measurements are not finite"):
+        read_measurements(p)
+
+
+def test_reads_a_huge_finite_payload(tmp_path):
+    p, mf = sample(tmp_path, y=np.full(5, 1e308))
+    np.testing.assert_array_equal(read_measurements(p).y, mf.y)

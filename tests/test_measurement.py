@@ -431,6 +431,13 @@ def test_realized_snr_formula(rng):
     assert snr == pytest.approx(expect, rel=1e-12)
 
 
+def test_noise_norm_overflow_is_refused_without_a_warning():
+    """The noise's sum of squares overflows to inf: a ValueError, and no
+    numpy warning (the suite turns one into an error)."""
+    with pytest.raises(ValueError, match="noise norm overflows"):
+        add_noise(np.ones(4), NoiseSpec(model="gaussian", sigma=1e200), 0)
+
+
 def test_noise_determinism(rng):
     y = rng.normal(size=300)
     spec = NoiseSpec(model="gaussian_mixture", sigma=1.0, xi=0.1, kappa=100.0)

@@ -18,8 +18,7 @@ CSV_RUNS = {
     "denoise_benchmark": ["--sigmas", "20", "--kinds", "log", "mcp"],
     "robust_noise_benchmark": ["--iters", "2", "--snrs", "20"],
     "weighting_benchmark": ["--iters", "2", "--subrates", "0.3"],
-    "xstep_split": ["--repeats", "1", "--kinds", "dense"],
-    "zstep_split": ["--repeats", "1"],
+    "stage_split": ["--repeats", "1", "--kinds", "dense"],
 }
 
 
@@ -44,48 +43,57 @@ def test_make_benchmark_image(tmp_path, capsys):
 
 @pytest.mark.parametrize("name", sorted(CSV_RUNS))
 def test_script_writes_one_row(name, tmp_path, capsys):
-    """One row, or for zstep_split one per worker count it times."""
+    """One row, or for stage_split one per stage: four X-step stages and
+    four Z-step stages at each worker count it times."""
     table = tmp_path / "out.csv"
     argv = ["--side", "32", *CSV_RUNS[name], "--csv", str(table)]
     assert load_script(name).main(argv) == 0
     with open(table, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert len(rows) == 1 + (len({1, patches.WORKERS}) if name == "zstep_split" else 1)
+    stages = 4 + 4 * len({1, patches.WORKERS}) if name == "stage_split" else 1
+    assert len(rows) == 1 + stages
     assert all(len(row) == len(rows[0]) for row in rows[1:])
 
 
-def test_zstep_split_times_one_worker_and_the_pool(tmp_path, capsys, monkeypatch):
-    """A row at 1 worker and one at patches.WORKERS, with the same groups;
-    the worker count is restored afterwards."""
+def test_stage_split_times_one_worker_and_the_pool(tmp_path, capsys, monkeypatch):
+    """Z-step rows at 1 worker and at patches.WORKERS, with the same groups
+    and positive times; the worker count is restored afterwards."""
     monkeypatch.setattr(patches, "WORKERS", 3)
     table = tmp_path / "out.csv"
-    assert load_script("zstep_split").main(["--side", "32", "--repeats", "1",
+    assert load_script("stage_split").main(["--side", "32", "--repeats", "1", "--kinds", "dft",
                                             "--csv", str(table)]) == 0
     with open(table, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert [r["workers"] for r in rows] == ["1", "3"]
-    assert rows[0]["groups"] == rows[1]["groups"]
-    assert all(float(r[c]) > 0 for r in rows for c in ("group_stack_s", "irnn_denoise_stack_s"))
+        rows = [r for r in csv.DictReader(fh) if not r["kind"]]
+    assert [(r["stage"], r["workers"]) for r in rows] == [
+        (stage, workers) for workers in ("1", "3")
+        for stage in ("group_stack", "irnn_denoise_stack", "aggregate_stack", "z_step")]
+    assert {r["groups"] for r in rows} == {rows[0]["groups"]}
+    assert int(rows[0]["groups"]) > 0
+    assert all(float(r["seconds"]) > 0 for r in rows)
     assert patches.WORKERS == 3
 
 
-def test_xstep_split_times_every_kind_and_skips_what_does_not_fit(tmp_path, capsys,
-                                                                  monkeypatch):
-    """One row per side and kind; a kind whose recovery would not fit in
-    physical memory is reported as refused instead of being built."""
+def test_stage_split_refuses_what_does_not_fit(tmp_path, capsys, monkeypatch):
+    """Four X-step rows per kind; a kind whose recovery would not fit in
+    physical memory gives one refused row and is never built."""
     from groupcs.solver import recovery_bytes
 
-    script = load_script("xstep_split")
+    script = load_script("stage_split")
     # Room for a 64x64 block recovery, not for the dense one.
     limit = recovery_bytes("block", (64, 64), script.SUBRATE, script.SolverConfig().grouping)
     monkeypatch.setattr("groupcs.measurement.physical_memory", lambda: limit)
+    built = []
+    make_operator = script.make_operator
+    monkeypatch.setattr(script, "make_operator",
+                        lambda kind, *args: built.append(kind) or make_operator(kind, *args))
     table = tmp_path / "out.csv"
     assert script.main(["--side", "64", "--repeats", "1", "--csv", str(table)]) == 0
     with open(table, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert [(r["side"], r["kind"]) for r in rows] == [("64", "dense"), ("64", "block"),
-                                                      ("64", "dft")]
-    assert rows[0]["normal_s"] == "refused"
-    for row in rows[1:]:
-        assert all(float(row[c]) > 0 for c in ("forward_s", "adjoint_s", "normal_s",
-                                               "x_iterate_s"))
+        rows = [r for r in csv.DictReader(fh) if r["kind"]]
+    assert built == ["block", "dft"]
+    assert [(r["side"], r["stage"], r["kind"], r["seconds"]) for r in rows[:1]] == [
+        ("64", "", "dense", "refused")]
+    assert [(r["stage"], r["kind"]) for r in rows[1:]] == [
+        (stage, kind) for kind in ("block", "dft")
+        for stage in ("forward", "adjoint", "normal", "gd_steps")]
+    assert all(r["side"] == "64" and float(r["seconds"]) > 0 for r in rows[1:])
