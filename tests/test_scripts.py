@@ -41,18 +41,27 @@ def test_make_benchmark_image(tmp_path, capsys):
     assert read_pgm(out).shape == (32, 32)
 
 
-@pytest.mark.parametrize("name", sorted(CSV_RUNS))
+# stage_split.py writes both of its splits into one table: X-step rows name
+# the operator kind, Z-step rows the worker count.
+SPLITS = {"xstep_split": "kind", "zstep_split": "workers"}
+
+
+@pytest.mark.parametrize("name", sorted(set(CSV_RUNS) - {"stage_split"} | set(SPLITS)))
 def test_script_writes_one_row(name, tmp_path, capsys):
-    """One row, or for stage_split one per stage: four X-step stages and
-    four Z-step stages at each worker count it times."""
+    """One row, or for each split of stage_split one per stage: four X-step
+    stages for the one kind, four Z-step stages at each worker count."""
+    script = "stage_split" if name in SPLITS else name
     table = tmp_path / "out.csv"
-    argv = ["--side", "32", *CSV_RUNS[name], "--csv", str(table)]
-    assert load_script(name).main(argv) == 0
+    argv = ["--side", "32", *CSV_RUNS[script], "--csv", str(table)]
+    assert load_script(script).main(argv) == 0
     with open(table, newline="") as fh:
-        rows = list(csv.reader(fh))
-    stages = 4 + 4 * len({1, patches.WORKERS}) if name == "stage_split" else 1
-    assert len(rows) == 1 + stages
-    assert all(len(row) == len(rows[0]) for row in rows[1:])
+        header, *rows = csv.reader(fh)
+    assert all(len(row) == len(header) for row in rows)
+    stages = {"xstep_split": 4, "zstep_split": 4 * len({1, patches.WORKERS})}
+    if name in SPLITS:
+        assert len(rows) == sum(stages.values())
+        rows = [row for row in rows if row[header.index(SPLITS[name])]]
+    assert len(rows) == stages.get(name, 1)
 
 
 def test_stage_split_times_one_worker_and_the_pool(tmp_path, capsys, monkeypatch):
