@@ -22,10 +22,10 @@ from time import perf_counter
 import numpy as np
 
 from groupcs import SolverConfig, irnn_denoise_stack, make_motif_image, make_operator, patches
-from groupcs import q_update, z_step
+from groupcs import q_update, x_step, z_step
 from groupcs.measurement import OPERATOR_KINDS, fits_in_memory
 from groupcs.patches import aggregate_stack, group_stack, reference_anchors
-from groupcs.solver import _x_iterate, recovery_bytes, robust_sigma
+from groupcs.solver import recovery_bytes, robust_sigma
 
 SUBRATE = 0.2
 OP_SEED = 1
@@ -59,7 +59,7 @@ def x_run(side, kind, cfg):
         "forward": timed(op.forward, x0)[0],
         "adjoint": timed(op.adjoint, residual)[0],
         "normal": timed(op.normal, x0, q)[0],
-        "gd_steps": timed(_x_iterate, op, y, x0, hx0, x0, w, cfg.mu, cfg.gd_steps, q)[0],
+        "gd_steps": timed(x_step, op, y, x0, hx0, x0, w, cfg.mu, cfg.gd_steps, q)[0],
     }
 
 

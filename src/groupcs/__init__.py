@@ -24,8 +24,7 @@ from .solver import (
     q_update,
     recover,
     tau_from_config,
-    x_step_robust,
-    x_step_standard,
+    x_step,
     z_step,
 )
 from .synthetic import make_motif_image

@@ -8,9 +8,10 @@ tied by a scaled multiplier W:
     W-step   W <- W - (X - Z)
 
 The X-step runs a few exact-line-search gradient descent steps instead of
-solving its normal equations; f is either plain least squares or a
-half-quadratic M-estimator whose per-measurement weights q in (0, 1]
-discount outlier residuals (recomputed once per outer iteration).
+solving its normal equations; f is a half-quadratic M-estimator whose
+per-measurement weights q in (0, 1] discount outlier residuals
+(recomputed once per outer iteration).  Least squares is the same step
+at sigma_m = inf, where every weight is exactly 1.
 
 Each outer iteration applies the forward operator exactly once to X, at
 its start; that HX gives the robust residual and starts the X-step.
@@ -166,18 +167,22 @@ def q_update(residual, sigma_m):
     return np.maximum(np.exp(-z), Q_FLOOR)
 
 
-def _x_iterate(op, y, x0, hx0, z, w, mu, steps, q):
+def x_step(op, y, x0, hx0, z, w, mu, steps, q):
     """Gradient descent with exact line search on the quadratic X-step.
 
-    Minimizes 0.5 * ||sqrt(q) (y - Hx)||**2 + (mu/2) * ||x - z - w||**2.
-    hx0 is H x0.  The first gradient takes one adjoint; each step then
-    takes one op.normal(g, q) for H g and H^T Q H g, and carries Hx and
-    the gradient along by linearity: H(x - a g) = Hx - a H g, and
+    Minimizes 0.5 * ||sqrt(q) (y - Hx)||**2 + (mu/2) * ||x - z - w||**2;
+    least squares is the case q = 1.  Needs hx0 == op.forward(x0) and
+    nonnegative weights q; negative weights raise ValueError.  The first
+    gradient takes one adjoint; each step then takes one op.normal(g, q)
+    for H g and H^T Q H g, and carries Hx and the gradient along by
+    linearity: H(x - a g) = Hx - a H g, and
     grad(x - a g) = g - a (H^T Q H g + mu g).  Returns (x, hx) with hx
     the carried H x.  Both carried values drift from fresh products only
     by rounding over `steps` updates; H g is the forward's bit for bit.
-    The all-ones q reproduces the unweighted step bit for bit.
     """
+    q = np.asarray(q, dtype=float)
+    if np.any(q < 0):
+        raise ValueError("q weights must be nonnegative")
     x = np.array(x0, dtype=float, copy=True)
     hx = hx0
     grad = op.adjoint(q * (hx - y)) + mu * (x - z - w)
@@ -194,20 +199,6 @@ def _x_iterate(op, y, x0, hx0, z, w, mu, steps, q):
         hx = hx - a * hg
         grad = grad - a * (hqhg + mu * grad)
     return x, hx
-
-
-def x_step_standard(y, op, z, w, mu, steps, x0):
-    """Unweighted X-step (least squares data term)."""
-    y = np.asarray(y, dtype=float)
-    return _x_iterate(op, y, x0, op.forward(x0), z, w, mu, steps, np.ones_like(y))[0]
-
-
-def x_step_robust(y, op, z, w, q, mu, steps, x0):
-    """Weighted X-step with fixed half-quadratic weights q."""
-    qa = np.asarray(q, dtype=float)
-    if np.any(qa < 0):
-        raise ValueError("q weights must be nonnegative")
-    return _x_iterate(op, y, x0, op.forward(x0), z, w, mu, steps, qa)[0]
 
 
 def z_step(r_img, cfg: SolverConfig, tau, sweeps=1):
@@ -273,19 +264,18 @@ def recover(y, op, cfg: SolverConfig, ground_truth=None):
     x = _initial_x(y, op, cfg)
     z = x.copy()
     w = np.zeros_like(x)
-    ones = np.ones_like(y)
     trace = []
     for it in range(1, cfg.outer_iters + 1):
         hx = op.forward(x)
         if not np.all(np.isfinite(hx)):
             raise NumericalError(f"non-finite HX at iteration {it}")
-        if cfg.fidelity == "m_estimator":
-            resid = y - hx
-            sigma = cfg.sigma_m if cfg.sigma_m is not None else robust_sigma(resid)
-            q = q_update(resid, sigma)
+        resid = y - hx
+        if cfg.fidelity == "l2":
+            sigma = math.inf
         else:
-            q = ones
-        x, hx = _x_iterate(op, y, x, hx, z, w, cfg.mu, cfg.gd_steps, q)
+            sigma = cfg.sigma_m if cfg.sigma_m is not None else robust_sigma(resid)
+        q = q_update(resid, sigma)
+        x, hx = x_step(op, y, x, hx, z, w, cfg.mu, cfg.gd_steps, q)
         if not np.all(np.isfinite(x)):
             raise NumericalError(f"non-finite X at iteration {it}")
         z, reg = z_step(x - w, cfg, tau)

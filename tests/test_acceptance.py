@@ -23,8 +23,7 @@ from groupcs import (
     psnr,
     recover,
     wsvt,
-    x_step_robust,
-    x_step_standard,
+    x_step,
 )
 from groupcs.lowrank import irnn_denoise_stack
 from groupcs.patches import aggregate_stack, group_stack
@@ -240,10 +239,7 @@ def test_criterion_05_x_step_closed_forms():
             x = np.zeros(shape)
             prev = objective(x)
             for _ in range(200):
-                if use_q:
-                    x = x_step_robust(y, op, z, w, qq, mu, 1, x)
-                else:
-                    x = x_step_standard(y, op, z, w, mu, 1, x)
+                x = x_step(op, y, x, op.forward(x), z, w, mu, 1, qq)[0]
                 cur = objective(x)
                 assert cur <= prev + 1e-9 * max(1.0, abs(prev)), "objective rose"
                 prev = cur

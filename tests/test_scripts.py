@@ -1,6 +1,7 @@
 """Smoke runs of the benchmark scripts at a small size, so a script that
 imports a name the library no longer defines fails here."""
 
+import ast
 import csv
 import importlib.util
 from pathlib import Path
@@ -33,6 +34,20 @@ def test_scripts_are_all_covered():
     assert sorted(p.stem for p in SCRIPTS.glob("*.py")) == sorted(
         ["make_benchmark_image", *CSV_RUNS]
     )
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in SCRIPTS.glob("*.py")))
+def test_script_imports_only_public_names(script):
+    """A script stands on the library's public names: no
+    `from groupcs... import _name`."""
+    tree = ast.parse((SCRIPTS / script).read_text(), filename=script)
+    private = [
+        f"line {node.lineno}: from {node.module} import {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "groupcs"
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 def test_make_benchmark_image(tmp_path, capsys):

@@ -26,15 +26,14 @@ from groupcs import (
     recover,
     rho,
     tau_from_config,
-    x_step_robust,
-    x_step_standard,
+    x_step,
     z_step,
 )
 from groupcs import patches
 from groupcs.measurement import DenseGaussianOp
 from groupcs.patches import reference_anchors
 from groupcs.solver import (
-    Q_FLOOR, NumericalError, ThresholdError, _x_iterate, lam_for_tau, robust_sigma,
+    Q_FLOOR, NumericalError, ThresholdError, lam_for_tau, robust_sigma,
 )
 
 
@@ -115,11 +114,16 @@ def test_tau_mu_homogeneity():
 # ------------------------------------------------------------------- X-steps
 
 
+def step_from(op, y, x0, z, w, mu, steps, q):
+    """x_step from x0, with its precondition hx0 = H x0 met afresh."""
+    return x_step(op, y, x0, op.forward(x0), z, w, mu, steps, q)[0]
+
+
 def test_identity_operator_one_exact_step():
     op = IdentityOp((3, 3))
     y = np.arange(9, dtype=float)
-    x = x_step_standard(y, op, np.zeros((3, 3)), np.zeros((3, 3)), 0.0, 1,
-                        np.zeros((3, 3)))
+    x = step_from(op, y, np.zeros((3, 3)), np.zeros((3, 3)), np.zeros((3, 3)), 0.0, 1,
+                  np.ones(9))
     np.testing.assert_allclose(x.ravel(), y, atol=1e-12)
 
 
@@ -137,7 +141,7 @@ def test_objective_monotone_per_step(rng):
     x = np.zeros((8, 8))
     prev = obj(x)
     for _ in range(25):
-        x = x_step_standard(y, op, z, w, mu, 1, x)
+        x = step_from(op, y, x, z, w, mu, 1, np.ones(op.m))
         cur = obj(x)
         assert cur <= prev + 1e-12 * max(1.0, abs(prev))
         prev = cur
@@ -149,7 +153,7 @@ def test_standard_step_reaches_closed_form(rng):
         y = rng.normal(size=op.m)
         z = rng.normal(size=(8, 8))
         w = rng.normal(size=(8, 8))
-        x = x_step_standard(y, op, z, w, 0.5, 200, np.zeros((8, 8)))
+        x = step_from(op, y, np.zeros((8, 8)), z, w, 0.5, 200, np.ones(op.m))
         want = closed_form(op, y, z, w, 0.5)
         assert np.linalg.norm(x - want) <= 1e-6 * np.linalg.norm(want)
 
@@ -161,19 +165,9 @@ def test_robust_step_reaches_weighted_closed_form(rng):
         z = rng.normal(size=(8, 8))
         w = rng.normal(size=(8, 8))
         q = rng.uniform(0.05, 1.0, op.m)
-        x = x_step_robust(y, op, z, w, q, 0.5, 200, np.zeros((8, 8)))
+        x = step_from(op, y, np.zeros((8, 8)), z, w, 0.5, 200, q)
         want = closed_form(op, y, z, w, 0.5, q)
         assert np.linalg.norm(x - want) <= 1e-6 * np.linalg.norm(want)
-
-
-def test_robust_all_ones_matches_standard_bitwise(rng):
-    op = DenseGaussianOp((8, 8), 0.5, 50)
-    y = rng.normal(size=op.m)
-    z = rng.normal(size=(8, 8))
-    w = rng.normal(size=(8, 8))
-    a = x_step_standard(y, op, z, w, 0.3, 7, np.zeros((8, 8)))
-    b = x_step_robust(y, op, z, w, np.ones(op.m), 0.3, 7, np.zeros((8, 8)))
-    np.testing.assert_array_equal(a, b)
 
 
 def test_robust_zero_weight_drops_measurements(rng):
@@ -185,7 +179,7 @@ def test_robust_zero_weight_drops_measurements(rng):
     q = np.ones(op.m)
     dead = [1, 5, 10]
     q[dead] = 1e-300
-    x = x_step_robust(y, op, z, w, q, 0.5, 300, np.zeros((6, 6)))
+    x = step_from(op, y, np.zeros((6, 6)), z, w, 0.5, 300, q)
 
     keep = np.setdiff1d(np.arange(op.m), dead)
     a = op.a[keep]
@@ -198,9 +192,9 @@ def test_robust_zero_weight_drops_measurements(rng):
 def test_robust_rejects_negative_weights(rng):
     op = DenseGaussianOp((4, 4), 0.5, 61)
     with pytest.raises(ValueError):
-        x_step_robust(
-            np.zeros(op.m), op, np.zeros((4, 4)), np.zeros((4, 4)),
-            np.full(op.m, -0.1), 0.5, 1, np.zeros((4, 4)),
+        x_step(
+            op, np.zeros(op.m), np.zeros((4, 4)), np.zeros(op.m), np.zeros((4, 4)),
+            np.zeros((4, 4)), 0.5, 1, np.full(op.m, -0.1),
         )
 
 
@@ -234,15 +228,12 @@ def test_carried_hx_matches_fresh_forward(kind, unit_q):
     x0 = op.adjoint(y)
     q = np.ones(op.m) if unit_q else rng.uniform(0.05, 1.0, op.m)
 
-    def step(steps):
-        if unit_q:
-            return x_step_standard(y, op, z, w, 0.05, steps, x0)
-        return x_step_robust(y, op, z, w, q, 0.05, steps, x0)
-
     np.testing.assert_array_equal(
-        step(1), fresh_forward_x_step(op, y, x0, z, w, 0.05, 1, q))
+        step_from(op, y, x0, z, w, 0.05, 1, q),
+        fresh_forward_x_step(op, y, x0, z, w, 0.05, 1, q))
     want = fresh_forward_x_step(op, y, x0, z, w, 0.05, 20, q)
-    assert np.linalg.norm(step(20) - want) <= 1e-12 * np.linalg.norm(want)
+    got = step_from(op, y, x0, z, w, 0.05, 20, q)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def fresh_adjoint_x_step(op, y, x0, hx0, z, w, mu, steps, q):
@@ -277,7 +268,7 @@ def test_carried_gradient_matches_fresh_adjoint():
     hx0 = op.forward(x0)
     q = q_update(y - hx0, robust_sigma(y - hx0))
     assert q.min() < 1e-3  # the outliers are discounted
-    x, hx = _x_iterate(op, y, x0, hx0, z, w, 0.05, 20, q)
+    x, hx = x_step(op, y, x0, hx0, z, w, 0.05, 20, q)
     want_x, want_hx = fresh_adjoint_x_step(op, y, x0, hx0, z, w, 0.05, 20, q)
     assert np.linalg.norm(x - want_x) <= 1e-12 * np.linalg.norm(want_x)
     assert np.linalg.norm(hx - want_hx) <= 1e-12 * np.linalg.norm(want_hx)
@@ -805,9 +796,10 @@ def test_recover_given_init_used(rng):
     assert psnr(x, img).psnr_db > 45.0
 
 
-def test_recover_infinite_sigma_matches_l2_bitwise(rng):
-    img = rng.uniform(0, 255, (32, 32))
-    op = make_operator("dense", (32, 32), 0.25, 9)
+@pytest.mark.parametrize("kind", ["dense", "block", "dft"])
+def test_recover_infinite_sigma_matches_l2_bitwise(kind, rng):
+    img = rng.uniform(0, 255, (32, 64))  # two blocks for "block"
+    op = make_operator(kind, img.shape, 0.25, 9)
     y = op.forward(img) + rng.normal(0, 2, op.m)
     base = dict(
         lam=50.0, mu=0.5, penalty=Penalty("log", 1.0, 10.0),
