@@ -11,12 +11,15 @@ image plus N(0, 10^2) noise at tau = 1.5e7: `group_stack`,
 `irnn_denoise_stack` and `aggregate_stack` on the inputs `z_step` hands
 them, then the whole `z_step`, at 1 worker and at patches.WORKERS.  Each
 row is a median over --repeats runs: side, stage, kind, workers, groups,
-seconds, with the fields that do not apply left empty.
+seconds, peak_mb, with the fields that do not apply left empty.  peak_mb,
+on the z_step rows only, is the peak of tracemalloc's traced allocations
+over one separate, untimed z_step call, in MiB above its input.
 """
 
 import argparse
 import csv
 import statistics
+import tracemalloc
 from time import perf_counter
 
 import numpy as np
@@ -31,7 +34,7 @@ SUBRATE = 0.2
 OP_SEED = 1
 NOISE_SEED = 11
 TAU = 1.5e7
-COLUMNS = ["side", "stage", "kind", "workers", "groups", "seconds"]
+COLUMNS = ["side", "stage", "kind", "workers", "groups", "seconds", "peak_mb"]
 
 
 def timed(fn, *args, **kwargs):
@@ -76,6 +79,16 @@ def z_run(noisy, cfg):
     }
 
 
+def z_peak_mb(noisy, cfg):
+    """Peak traced allocation of one untimed z_step, in MiB above its input."""
+    tracemalloc.start()
+    try:
+        z_step(noisy, cfg, TAU)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--side", type=int, nargs="+", default=[64, 128])
@@ -104,8 +117,11 @@ def main(argv=None):
             groups = len(reference_anchors(noisy.shape, cfg.grouping))
             for workers in sorted({1, pool_workers}):
                 patches.WORKERS = workers
-                for stage, t in medians(args.repeats, lambda: z_run(noisy, cfg)).items():
-                    add(f"{t:.5f}", side=side, stage=stage, workers=workers, groups=groups)
+                times = medians(args.repeats, lambda: z_run(noisy, cfg))
+                peak = f"{z_peak_mb(noisy, cfg):.1f}"
+                for stage, t in times.items():
+                    add(f"{t:.5f}", side=side, stage=stage, workers=workers, groups=groups,
+                        peak_mb=peak if stage == "z_step" else "")
             for kind in args.kinds:
                 if not fits_in_memory(recovery_bytes(kind, (side, side), SUBRATE, cfg.grouping)):
                     add("refused", side=side, kind=kind)

@@ -114,6 +114,16 @@ def irnn_denoise_stack(mats, pen: Penalty, tau, weighting="combined", sweeps=1,
     spectra are the Gram spectra of the input, and the stack is left
     bitwise unchanged: the sweeps and the rebuild are skipped.
     """
+    spectra, shrink = stack_shrinker(mats, pen, tau, weighting, sweeps, init_weights)
+    run_passes(len(mats), mats.shape[1] * mats.shape[2], shrink)
+    return spectra
+
+
+def stack_shrinker(mats, pen: Penalty, tau, weighting="combined", sweeps=1,
+                   init_weights="observation"):
+    """irnn_denoise_stack in passes: checks the arguments and returns
+    (spectra, shrink), where shrink(part) denoises the groups mats[part]
+    in place and writes their final spectra into spectra[part]."""
     _check_tau(tau)
     if weighting not in WEIGHTINGS:
         raise ValueError(f"unknown weighting {weighting!r}")
@@ -143,8 +153,7 @@ def irnn_denoise_stack(mats, pen: Penalty, tau, weighting="combined", sweeps=1,
         m[...] = (u * ratio[:, None, :]) @ (u.swapaxes(1, 2) @ m)
         spectra[part] = spec
 
-    run_passes(len(mats), mats.shape[1] * mats.shape[2], shrink)
-    return spectra
+    return spectra, shrink
 
 
 def _gram_spectrum(m):

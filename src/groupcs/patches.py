@@ -7,10 +7,12 @@ group_size most similar patches to a reference patch (squared Euclidean
 distance, search window clipped at the borders) as the columns of a
 patch_side**2 x group_size matrix.
 
-All groups of an image are matched and aggregated as one stack: a
-(G, group_size, patch_side**2) array holding each group matrix transposed,
-so group g, column j, entry e sits at [g, j, e].  Reference anchors come
-only from the lattice, so they are in range by construction.
+Groups are matched and aggregated as stacks: a (G, group_size,
+patch_side**2) array holding each group matrix transposed, so group g,
+column j, entry e sits at [g, j, e].  group_stack and aggregate_stack
+take every group of an image as one stack; the Z-step (denoise_bands)
+takes them in bands of anchor rows.  Reference anchors come only from
+the lattice, so they are in range by construction.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import contextvars
 import os
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
@@ -26,12 +29,18 @@ import numpy as np
 from .measurement import refuse_beyond_memory
 
 # Entries the Z-step's passes in flight may hold together in each of
-# their temporaries (4 MB of float64).  Matching, group shrinkage and
-# aggregation all loop over passes(); matching and shrinkage run WORKERS
-# passes at once through run_passes, each at PASS_ENTRIES // WORKERS.
+# their temporaries (2 MB of float64).  Matching, group shrinkage and
+# aggregation all loop over passes() at PASS_ENTRIES // WORKERS each;
+# matching and shrinkage run WORKERS passes at once through run_passes,
+# and aggregation runs on the calling thread in place of one of them.
 # Each pass holds a fixed number of such temporaries, so the Z-step needs
 # stack_bytes plus a fixed allowance whatever the grouping.
-PASS_ENTRIES = 1 << 19
+PASS_ENTRIES = 1 << 18
+
+# Group entries in each band of denoise_bands (4 MB of float64), and the
+# most bands a lattice is cut into.
+BAND_ENTRIES = 2 * PASS_ENTRIES
+MAX_BANDS = 1 << 16
 
 # Threads a stage's passes run on (see run_passes): the calling thread and
 # WORKERS - 1 threads of _POOL, which starts them only when first used.
@@ -93,36 +102,44 @@ def worker_budget():
     return max(1, PASS_ENTRIES // WORKERS)
 
 
-def run_passes(count, entries_each, work):
+def run_passes(count, entries_each, work, before=None):
     """Call work(part) for every slice passes() cuts from range(count) at
     worker_budget() entries, on up to WORKERS threads at once.
 
-    The slices are dealt in turn into shares, as many as WORKERS divided
-    by the run_passes calls then in progress, and at least one.  The
-    calling thread runs the first share and _POOL the others, each share
-    in order and each under a copy of the caller's context, so numpy's
-    errstate holds in every thread.  Each call must write only what
-    belongs to its own slice.  Returns once every call has finished; if
-    any raised, the first raising share's exception is raised then, after
-    every other share has stopped.  With one worker every call runs on
-    the caller.
+    The threads, as many as WORKERS divided by the run_passes calls then
+    in progress, and at least one, each start on one of the first slices
+    and then pull the others in order from one queue.  The calling thread
+    is one of them; it first calls before(), when given, while _POOL's
+    threads work.  Each pool thread runs under a copy of the caller's
+    context, so numpy's errstate holds in every thread.  Each call must
+    write only what belongs to its own slice.  A thread whose call raises
+    takes no more slices, and the others go on until the queue is empty.
+    Returns once every call has finished; if any raised, before()
+    included, the caller's exception, else the first pool thread's, is
+    raised then.  With one worker every call runs on the caller, after
+    before().
     """
     global _callers
     parts = list(passes(count, entries_each, worker_budget()))
     with _callers_lock:
         _callers += 1
         n = max(1, min(WORKERS // _callers, len(parts)))
-    shares = [parts[i::n] for i in range(n)]
+    queue, queue_lock = iter(parts[n:]), threading.Lock()
 
-    def run(share):
-        for part in share:
+    def run(part):
+        while part is not None:
             work(part)
+            with queue_lock:
+                part = next(queue, None)
 
     futures = []
     try:
-        for share in shares[1:]:
-            futures.append(_POOL.submit(contextvars.copy_context().run, run, share))
-        run(shares[0])
+        for part in parts[1:n]:
+            futures.append(_POOL.submit(contextvars.copy_context().run, run, part))
+        if before is not None:
+            before()
+        if parts:
+            run(parts[0])
     finally:
         wait(futures)
         with _callers_lock:
@@ -160,46 +177,61 @@ def _smallest_k(dist, k):
     only those k are then stably sorted.  NaN counts as larger than any
     number, +inf included, as in np.sort.
     """
-    kth = np.partition(dist, k - 1, axis=1)[:, k - 1, None]
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1, None].copy()  # frees the partition
     nan_kth, nan = np.isnan(kth), np.isnan(dist)
     below = (dist < kth) | (nan_kth & ~nan)
     tie = (dist == kth) | (nan_kth & nan)
     need = k - np.count_nonzero(below, axis=1)
-    keep = below | (tie & (np.cumsum(tie, axis=1) <= need[:, None]))
+    rank = tie.astype(np.intp)
+    np.cumsum(rank, axis=1, out=rank)  # in place: no cast buffer beside it
+    keep = below | (tie & (rank <= need[:, None]))
     slots = np.nonzero(keep)[1].reshape(len(dist), k)
     order = np.argsort(np.take_along_axis(dist, slots, axis=1), axis=1, kind="stable")
     return np.take_along_axis(slots, order, axis=1)
 
 
-def _match(img, anchors, cfg):
-    """Block matching for a (G, 2) array of checked reference anchors.
+def _pass_entries(shape, cfg):
+    # Entries of one anchor in a pass's largest temporaries: its search
+    # box of distances, or its group of gathered patches.
+    s = cfg.patch_side
+    box = min(cfg.window_side, shape[0] - s + 1) * min(cfg.window_side, shape[1] - s + 1)
+    return max(box, cfg.group_size * s * s)
 
-    Returns the (G, group_size, patch_side**2) patch stack, one patch per
-    row in order of increasing distance, and the (G, group_size, 2)
-    anchors of those patches.  Every clipped search window fits a box of
-    min(window_side, candidates per axis) slots per axis, set at the
-    window's first candidate; slots past the window's end are padding
-    and get a NaN distance, which ranks after every real candidate (even
-    one whose distance overflowed to +inf).  The reference itself ranks
-    first, ahead of any exact duplicate, so every reference patch lies in
-    its own group and aggregation covers the image.  Other candidates
-    keep their raster order in the box, so distance ties break toward
-    lower row, then lower column.  Distances are taken in passes over the
-    box's slots as well as over anchors, so a wide window stays within
-    the pass budget.  The anchor passes go through run_passes.
+
+def _matcher(img, anchors, cfg, span):
+    """Block matching for a (G, 2) array of checked reference anchors whose
+    search windows lie in the image rows span[0]:span[1].
+
+    Returns (patches, positions, match): the (G, group_size,
+    patch_side**2) patch stack and the (G, group_size, 2) image anchors
+    of its patches, which match(part) fills for the anchors of the slice
+    `part`, one patch per row in order of increasing distance.  The patch
+    vectors are taken once, from those image rows only.  Every clipped
+    search window fits a box of min(window_side, candidates per axis)
+    slots per axis, set at the window's first candidate; slots past the
+    window's end are padding and get a NaN distance, which ranks after
+    every real candidate (even one whose distance overflowed to +inf).
+    The reference itself ranks first, ahead of any exact duplicate, so
+    every reference patch lies in its own group and aggregation covers
+    the image.  Other candidates keep their raster order in the box, so
+    distance ties break toward lower row, then lower column.  Distances
+    are taken in passes over the box's slots, so a wide window stays
+    within the pass budget.
     """
     s, k = cfg.patch_side, cfg.group_size
-    vecs = _all_patch_vectors(img, s)
+    top, bottom = span
+    start, count = _clipped_windows(anchors, cfg.window_side, np.array(img.shape) - s)
+    start = start - [top, 0]
+    vecs = _all_patch_vectors(img[top:bottom], s)
     nr, nc = vecs.shape[:2]
     vecs = vecs.reshape(nr * nc, s * s)
-    start, count = _clipped_windows(anchors, cfg.window_side, np.array([nr - 1, nc - 1]))
     wr, wc = min(cfg.window_side, nr), min(cfg.window_side, nc)
     slot_r, slot_c = np.arange(wr), np.arange(wc)
     patches = np.empty((len(anchors), k, s * s))
     positions = np.empty((len(anchors), k, 2), dtype=np.intp)
 
     def match(part):
-        a = anchors[part]
+        a = anchors[part] - [top, 0]
         pad = ((slot_r >= count[part, 0, None])[:, :, None]
                | (slot_c >= count[part, 1, None])[:, None, :]).reshape(len(a), wr * wc)
         rows = np.minimum(start[part, 0, None] + slot_r, nr - 1)
@@ -210,17 +242,20 @@ def _match(img, anchors, cfg):
         for cut in passes(wr * wc, len(a) * s * s, worker_budget()):
             diff = vecs[flat[:, cut]]
             diff -= ref
-            per_cand = diff.reshape(-1, s * s)
-            dist[:, cut] = np.einsum("ij,ij->i", per_cand, per_cand).reshape(len(a), -1)
+            diff = diff.reshape(-1, s * s)
+            dist[:, cut] = np.einsum("ij,ij->i", diff, diff).reshape(len(a), -1)
+            del diff  # before the next cut gathers its own
         dist[pad] = np.nan
         ref_slot = (a[:, 0] - start[part, 0]) * wc + a[:, 1] - start[part, 1]
         dist[np.arange(len(a)), ref_slot] = -np.inf
-        chosen = np.take_along_axis(flat, _smallest_k(dist, k), axis=1)
+        del flat  # the top-k runs without it; the chosen slots' indices are rebuilt
+        slot_rows, slot_cols = divmod(_smallest_k(dist, k), wc)
+        chosen = (np.take_along_axis(rows, slot_rows, axis=1) * nc
+                  + np.take_along_axis(cols, slot_cols, axis=1))
         patches[part] = vecs[chosen]
-        positions[part] = np.stack(divmod(chosen, nc), axis=-1)
+        positions[part] = np.stack(divmod(chosen + top * nc, nc), axis=-1)
 
-    run_passes(len(anchors), wr * wc * s * s, match)
-    return patches, positions
+    return patches, positions, match
 
 
 def _anchor_count(dim, cfg):
@@ -242,9 +277,9 @@ def reference_anchors(shape, cfg):
     as a (G, 2) array in raster order.
 
     Raises GroupingError when the grouping cannot be applied to an image
-    of this shape: the patch does not fit, group_stack's arrays would not
-    fit in physical memory, or some reference window holds fewer than
-    group_size candidates.
+    of this shape: the patch does not fit, a Z-step's arrays (stack_bytes)
+    would not fit in physical memory, or some reference window holds
+    fewer than group_size candidates.
     """
     if cfg.patch_side > shape[0] or cfg.patch_side > shape[1]:
         raise GroupingError(f"image {tuple(shape)} smaller than patch side {cfg.patch_side}")
@@ -264,70 +299,203 @@ def reference_anchors(shape, cfg):
 
 
 def group_stack(image, cfg):
-    """Match one group per reference-lattice anchor, all as one stack.
+    """Match one group per reference-lattice anchor, all as one stack: the
+    one-band case of denoise_bands' matching.
 
     Returns (patches, positions): patches is (G, group_size,
     patch_side**2), row j of group g holding the vectorized patch at
     positions[g, j]; groups follow the raster order of their reference
     anchors.  The lattice covers every pixel with at least one reference
-    patch.
+    patch.  Refused with GroupingError, as by reference_anchors, when the
+    whole stack would not fit in physical memory.
     """
     img = np.asarray(image, dtype=float)
     if img.ndim != 2:
         raise ValueError("image must be 2-D")
-    return _match(img, reference_anchors(img.shape, cfg), cfg)
+    anchors = reference_anchors(img.shape, cfg)
+    refuse_beyond_memory(_held_bytes(img.shape, cfg, None),
+                         f"grouping a {img.shape[0]}x{img.shape[1]} image", GroupingError)
+    patches, positions, match = _matcher(img, anchors, cfg, (0, img.shape[0]))
+    run_passes(len(anchors), _pass_entries(img.shape, cfg), match)
+    return patches, positions
+
+
+def _band_rows(shape, cfg, band_entries):
+    """The bands of denoise_bands: consecutive whole rows of the reference
+    lattice, as many as hold `band_entries` group entries, at least one,
+    and all of them when `band_entries` is None.
+
+    Returns (edges, top, bottom), object arrays of Python ints: band b
+    takes the lattice rows edges[b]:edges[b+1], and its groups' patches
+    lie in the image rows top[b]:bottom[b].  Both are nondecreasing.
+    There are at most MAX_BANDS bands, so a huge shape costs little.
+    """
+    s = cfg.patch_side
+    n, step = _anchor_count(shape[0], cfg)
+    per_row = _anchor_count(shape[1], cfg)[0] * cfg.group_size * s * s
+    rows_each = n if band_entries is None else max(1, band_entries // per_row, -(-n // MAX_BANDS))
+    edges = np.array([*range(0, n, rows_each), n], dtype=object)
+    first = np.minimum(edges[:-1] * step, shape[0] - s)
+    last = np.minimum((edges[1:] - 1) * step, shape[0] - s)
+    start, count = _clipped_windows(np.stack([first, last]), cfg.window_side, shape[0] - s)
+    return edges, start[0], start[1] + count[1] + s - 1
+
+
+def _held_bytes(shape, cfg, band_entries):
+    # The most float64 bytes denoise_bands holds at once in bands of
+    # band_entries: while band b is matched, the patch vectors of its
+    # rows, its stack and those of the bands before it still held.  A band
+    # is dropped in the before() of band c once c - 1 is summed and no
+    # band from c on reaches its rows, so band j is held while band b runs
+    # unless j <= b - 2 and bottom[j] <= top[b - 1].
+    s = cfg.patch_side
+    edges, top, bottom = _band_rows(shape, cfg, band_entries)
+    dropped = np.searchsorted(bottom, top[:-1], side="right")
+    first = np.concatenate([[0], np.minimum(dropped, np.arange(len(top) - 1))])
+    vectors = (bottom - top - s + 1) * ((shape[1] - s + 1) * s * s)
+    stacks = (edges[1:] - edges[first]) * (_anchor_count(shape[1], cfg)[0] * cfg.group_size * s * s)
+    return int(np.max(vectors + stacks)) * 8
 
 
 def stack_bytes(shape, cfg):
-    """Bytes of the float64 arrays group_stack holds for an image of
-    `shape`: the patch vector at every anchor, and the group stack.
+    """Bytes of the float64 arrays a Z-step holds at once on an image of
+    `shape` (see denoise_bands): the patch vectors of one band's image
+    rows, and the group stacks of the bands held with it.  With a single
+    band that is the patch vector at every anchor and the whole stack,
+    what group_stack holds.
 
-    The lattice is counted, not built, so a huge shape costs nothing.
+    The bands are counted, not built, so a huge shape costs little.
     """
-    s = cfg.patch_side
-    if s > min(shape):
-        return 0  # group_stack refuses this grouping before any allocation
-    groups = _anchor_count(shape[0], cfg)[0] * _anchor_count(shape[1], cfg)[0]
-    return ((shape[0] - s + 1) * (shape[1] - s + 1) + groups * cfg.group_size) * s * s * 8
+    if cfg.patch_side > min(shape):
+        return 0  # reference_anchors refuses this grouping before any allocation
+    return _held_bytes(shape, cfg, BAND_ENTRIES)
+
+
+class _Aggregation:
+    """The average of patches, added band by band, over an image of
+    `shape`: each pixel is the mean of every patch pixel that lands on
+    it.
+
+    The mean is computed as a first-pass mean plus an averaged correction
+    of the residuals, which keeps the round trip through matching and
+    aggregation bitwise exact.  add() takes a stack's first pass, its
+    sums and counts; settle(rows) fixes the mean of the image rows above
+    `rows`, which no later add() may reach; add_residuals() takes the
+    residual pass of a stack whose rows are all settled, and image()
+    returns the average once every row is.  Contributions are summed in
+    the order of the patch entries, stack after stack, in passes that add
+    into one running sum, so the result depends on neither the pass nor
+    the band size.  A pixel no patch covers is an internal consistency
+    error.
+    """
+
+    def __init__(self, shape, patch_side):
+        h, w = shape
+        self.shape, self.s, self.settled = shape, patch_side, 0
+        # Flat image index of every patch entry, enumerated to match the
+        # column-major patch vectorization.
+        self.offs = (np.arange(patch_side)[:, None] * w + np.arange(patch_side)).ravel(order="F")
+        self.counts = np.zeros(h * w, dtype=np.intp)
+        self.sums = np.zeros(h * w)
+        self.mean = np.zeros(h * w)
+        self.resid = np.zeros(h * w)
+
+    def _entries(self, patches, positions):
+        s = self.s
+        vals = np.asarray(patches, dtype=float).reshape(-1, s * s)
+        base = (positions[..., 0] * self.shape[1] + positions[..., 1]).reshape(-1)
+        for part in passes(base.size, s * s, worker_budget()):
+            yield (base[part, None] + self.offs).ravel(), vals[part].ravel()
+
+    def add(self, patches, positions):
+        for idx, v in self._entries(patches, positions):
+            self.counts += np.bincount(idx, minlength=self.counts.size)
+            np.add.at(self.sums, idx, v)
+
+    def settle(self, rows):
+        lo, hi = self.settled, rows * self.shape[1]
+        counts = self.counts[lo:hi]
+        if np.any(counts == 0):
+            raise ValueError(f"aggregation left {int(np.sum(counts == 0))} pixels uncovered")
+        self.mean[lo:hi] = self.sums[lo:hi] / counts
+        self.settled = hi
+
+    def add_residuals(self, patches, positions):
+        for idx, v in self._entries(patches, positions):
+            np.add.at(self.resid, idx, v - self.mean[idx])
+
+    def image(self):
+        return (self.mean + self.resid / self.counts).reshape(self.shape)
 
 
 def aggregate_stack(patches, positions, shape, patch_side):
-    """Average patches back into an image of the given shape.
+    """Average patches back into an image of the given shape: the one-band
+    case of denoise_bands' aggregation (see _Aggregation).
 
     patches is (..., patch_side**2) and positions the matching (..., 2)
     anchors.  Each output pixel is the mean of every patch pixel that
-    lands on it.  The mean is computed as a first-pass mean plus an
-    averaged correction of the residuals, which keeps the round trip
-    through group_stack/aggregate_stack bitwise exact.  Contributions are
-    summed in the order of the patch entries, in fixed-size passes that
-    add into one running sum, so the result does not depend on the pass
-    size.  A pixel no patch covers is an internal consistency error.
+    lands on it; a pixel no patch covers raises ValueError.
     """
-    h, w = shape
-    n = h * w
-    s = patch_side
-    vals = np.asarray(patches, dtype=float).reshape(-1, s * s)
-    base = (positions[..., 0] * w + positions[..., 1]).reshape(-1)
-    if not base.size:
+    if not np.size(positions):
         raise ValueError("no patches to aggregate")
-    # Flat image index of every patch entry, enumerated to match the
-    # column-major patch vectorization.
-    offs = (np.arange(s)[:, None] * w + np.arange(s)[None, :]).ravel(order="F")
+    agg = _Aggregation(shape, patch_side)
+    agg.add(patches, positions)
+    agg.settle(shape[0])
+    agg.add_residuals(patches, positions)
+    return agg.image()
 
-    def entries():
-        for part in passes(base.size, s * s):
-            yield (base[part, None] + offs).ravel(), vals[part].ravel()
 
-    counts = np.zeros(n, dtype=np.intp)
-    sums = np.zeros(n)
-    for idx, v in entries():
-        counts += np.bincount(idx, minlength=n)
-        np.add.at(sums, idx, v)
-    if np.any(counts == 0):
-        missing = int(np.sum(counts == 0))
-        raise ValueError(f"aggregation left {missing} pixels uncovered")
-    mean = sums / counts
-    resid = np.zeros(n)
-    for idx, v in entries():
-        np.add.at(resid, idx, v - mean[idx])
-    return (mean + resid / counts).reshape(h, w)
+def denoise_bands(image, cfg, shrinker):
+    """Match, shrink and aggregate the groups of `image`, band by band.
+
+    The reference lattice is walked in bands of whole anchor rows holding
+    about BAND_ENTRIES group entries each (_band_rows).  shrinker(stack)
+    takes a band's (G_b, group_size, patch_side**2) patch stack before it
+    is filled and returns (spectra, shrink), where shrink(part) shrinks
+    the groups stack[part] in place once they are matched.  Each pass of
+    run_passes matches a slice of the band's anchors from the patch
+    vectors of the band's own image rows, then shrinks those groups.
+    Before it pulls passes itself, the calling thread aggregates the band
+    before: first its sums and counts, then the residual pass of every
+    held band whose pixel rows lie above the first row the new band
+    reaches.  A band's stack is dropped after its residual pass.  Every
+    pixel adds its contributions in (group, patch, entry) order, as
+    aggregate_stack does with the whole stack, so the image has the same
+    bytes for any band size.  Returns the image and the list of every
+    band's spectra, in order.
+    """
+    img = np.asarray(image, dtype=float)
+    anchors = reference_anchors(img.shape, cfg)
+    edges, top, bottom = _band_rows(img.shape, cfg, BAND_ENTRIES)
+    per_row = _anchor_count(img.shape[1], cfg)[0]
+    each = _pass_entries(img.shape, cfg)
+    agg = _Aggregation(img.shape, cfg.patch_side)
+    # unsummed: the band before, whose sums are not yet added; held: the
+    # summed bands whose residual pass is still to come.
+    unsummed, held, spectra = [], deque(), []
+
+    def aggregate(final_rows):
+        for summing in unsummed:
+            agg.add(*summing[:2])
+            held.append(summing)
+        unsummed.clear()
+        agg.settle(final_rows)
+        while held and held[0][2] <= final_rows:
+            agg.add_residuals(*held.popleft()[:2])
+
+    for b in range(len(top)):
+        span = (int(top[b]), int(bottom[b]))
+        band = anchors[edges[b] * per_row:edges[b + 1] * per_row]
+        stack, positions, match = _matcher(img, band, cfg, span)
+        band_spectra, shrink = shrinker(stack)
+
+        def work(part):
+            match(part)
+            shrink(part)
+
+        run_passes(len(band), each, work, lambda: aggregate(span[0]))
+        del match, work  # the band's patch vectors
+        spectra.append(band_spectra)
+        unsummed.append((stack, positions, span[1]))
+    aggregate(img.shape[0])
+    return agg.image(), spectra

@@ -28,10 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lowrank import INIT_WEIGHTS, WEIGHTINGS, NumericalError, irnn_denoise_stack
+from .lowrank import INIT_WEIGHTS, WEIGHTINGS, NumericalError, stack_shrinker
 from .measurement import operator_bytes
 from .metrics import psnr
-from .patches import GroupingConfig, aggregate_stack, group_stack, reference_anchors, stack_bytes
+from .patches import GroupingConfig, denoise_bands, reference_anchors, stack_bytes
 from .penalties import Penalty, rho
 
 FIDELITIES = ("l2", "m_estimator")
@@ -136,8 +136,8 @@ def lam_for_tau(tau, mu, shape, grouping: GroupingConfig):
 
 def recovery_bytes(kind, shape, subrate, grouping: GroupingConfig):
     """Bytes a recovery of a `shape` image holds: the `kind` operator at
-    `subrate`, group_stack's arrays and some ten image-sized arrays (x, z,
-    w, the FFT's), together."""
+    `subrate`, the Z-step's arrays (stack_bytes) and some ten image-sized
+    arrays (x, z, w, the FFT's), together."""
     h, w = shape
     return operator_bytes(kind, shape, subrate) + stack_bytes(shape, grouping) + 80 * h * w
 
@@ -202,7 +202,8 @@ def x_step(op, y, x0, hx0, z, w, mu, steps, q):
 
 
 def z_step(r_img, cfg: SolverConfig, tau, sweeps=1):
-    """Denoise all groups of R as one stack and aggregate.
+    """Denoise all groups of R and aggregate them, in bands of anchor rows
+    (patches.denoise_bands).
 
     Returns (z_img, reg_value) where reg_value is the penalty evaluated
     on the shrunk group spectra, sum_k sum_i rho(sigma_i).  With tau = 0
@@ -213,15 +214,11 @@ def z_step(r_img, cfg: SolverConfig, tau, sweeps=1):
     img = np.asarray(r_img, dtype=float)
     if not np.all(np.isfinite(img)):
         raise NumericalError("non-finite values entering the Z-step")
-    patches, positions = group_stack(img, cfg.grouping)
-    spectra = irnn_denoise_stack(
-        patches, cfg.penalty, tau, weighting=cfg.weighting,
-        sweeps=sweeps, init_weights=cfg.init_weights,
-    )
+    z, spectra = denoise_bands(img, cfg.grouping, lambda stack: stack_shrinker(
+        stack, cfg.penalty, tau, cfg.weighting, sweeps, cfg.init_weights))
     # Group totals added left to right (np.sum would pair them up), the
     # same float total as a loop over the groups.
-    reg = float(np.add.accumulate(rho(cfg.penalty, spectra).sum(axis=1))[-1])
-    z = aggregate_stack(patches, positions, img.shape, cfg.grouping.patch_side)
+    reg = float(np.add.accumulate(rho(cfg.penalty, np.concatenate(spectra)).sum(axis=1))[-1])
     if not (math.isfinite(reg) and np.all(np.isfinite(z))):
         raise NumericalError("non-finite values leaving the Z-step")
     return z, reg

@@ -935,13 +935,15 @@ def test_threshold_arguments_exit_2(tmp_path, flat_image, capsys, command, argv)
 
 
 def test_grouping_beyond_physical_memory_is_refused(tmp_path):
-    """At stride 1 with 500-patch groups, a 1024x1024 image needs a 139 GiB
-    stack: denoise exits 2 and a sweep cell fails, before any allocation.
-    Run as its own process under a 2 GiB address-space limit, so a stack
-    allocated anyway fails at once instead of filling the machine."""
+    """At stride 1 with 500-patch groups and a window that reaches every
+    row, so that the Z-step holds every band to the end, a 1024x1024
+    image needs a 139 GiB stack: denoise exits 2 and a sweep cell fails,
+    before any allocation.  Run as its own process under a 2 GiB
+    address-space limit, so a stack allocated anyway fails at once
+    instead of filling the machine."""
     img_path = tmp_path / "big.pgm"
     write_pgm(img_path, np.random.default_rng(2).uniform(0, 255, (1024, 1024)))
-    grouping = ["--stride", "1", "--window", "60", "--group_size", "500"]
+    grouping = ["--stride", "1", "--window", "2049", "--group_size", "500"]
     message = "grouping a 1024x1024 image needs 139."
     limit = 2 << 30
 

@@ -1,13 +1,20 @@
 """Patch extraction, block matching against a brute-force oracle, and the
 exact aggregation round trip."""
 
+import weakref
+
 import numpy as np
 import pytest
 from conftest import brute_force_match, patch_at
 from hypothesis import given, settings, strategies as st
 
-from groupcs import GroupingConfig, aggregate_stack, group_stack
-from groupcs.patches import GroupingError, _smallest_k, reference_anchors, stack_bytes
+from groupcs import (
+    GroupingConfig, SolverConfig, aggregate_stack, group_stack, make_motif_image, z_step,
+)
+from groupcs.patches import (
+    BAND_ENTRIES, MAX_BANDS, GroupingError, _band_rows, _matcher, _smallest_k, reference_anchors,
+    stack_bytes,
+)
 
 
 def stride_one_groups(image, cfg):
@@ -172,6 +179,50 @@ def test_stack_bytes_counts_what_group_stack_holds(rng, shape, patch_side, strid
     assert len(patches) == len(reference_anchors(shape, cfg))
     anchors = (shape[0] - patch_side + 1) * (shape[1] - patch_side + 1)
     assert stack_bytes(shape, cfg) == patches.nbytes + anchors * patch_side**2 * 8
+
+
+@pytest.mark.parametrize("shape, cfg", [
+    ((96, 160), GroupingConfig()),
+    ((200, 120), GroupingConfig(8, 4, 24, 30)),
+    ((96, 300), GroupingConfig(16, 8, 113, 10)),  # every window reaches every row
+    ((40, 300), GroupingConfig(6, 2, 9, 20)),
+])
+@pytest.mark.parametrize("band_entries", [1, None])
+def test_stack_bytes_counts_what_the_z_step_holds(monkeypatch, shape, cfg, band_entries):
+    """With bands of one anchor row and at the default size, stack_bytes
+    is the most the Z-step holds as its passes start: the patch vectors
+    of the band's rows, and its stack with every earlier one not yet
+    dropped after its residual pass."""
+    if band_entries is not None:
+        monkeypatch.setattr("groupcs.patches.BAND_ENTRIES", band_entries)
+    live, most = {}, []
+
+    def counting_matcher(img, anchors, grouping, span):
+        stack, positions, match = _matcher(img, anchors, grouping, span)
+        live[id(stack)] = stack.nbytes
+        weakref.finalize(stack, live.pop, id(stack))
+        s = grouping.patch_side
+        vectors = (span[1] - span[0] - s + 1) * (img.shape[1] - s + 1) * s * s * 8
+        most.append(vectors + sum(live.values()))
+        return stack, positions, match
+
+    monkeypatch.setattr("groupcs.patches._matcher", counting_matcher)
+    image = make_motif_image(max(shape), 3)[: shape[0], : shape[1]]
+    z_step(image, SolverConfig(grouping=cfg), 1.5e7)
+    assert len(most) > 1
+    assert stack_bytes(shape, cfg) == max(most)
+
+
+def test_stack_bytes_of_a_huge_shape_is_counted_in_few_bands():
+    """A header may claim any shape: one 10**15 rows tall is cut into at
+    most MAX_BANDS bands, and its count lies between one band's stack and
+    the whole stack with every patch vector."""
+    shape, cfg = (10**15, 64), GroupingConfig()
+    edges = _band_rows(shape, cfg, BAND_ENTRIES)[0]
+    assert len(edges) - 1 <= MAX_BANDS
+    rows, cols = (-(-(dim - 6) // 4) + 1 for dim in shape)
+    whole = ((shape[0] - 5) * (shape[1] - 5) + rows * cols * 60) * 36 * 8
+    assert (edges[1] - edges[0]) * cols * 60 * 36 * 8 < stack_bytes(shape, cfg) < whole
 
 
 def test_stack_bytes_of_a_patch_that_does_not_fit_is_zero():

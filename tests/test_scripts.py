@@ -81,7 +81,8 @@ def test_script_writes_one_row(name, tmp_path, capsys):
 
 def test_stage_split_times_one_worker_and_the_pool(tmp_path, capsys, monkeypatch):
     """Z-step rows at 1 worker and at patches.WORKERS, with the same groups
-    and positive times; the worker count is restored afterwards."""
+    and positive times, and a positive peak_mb on each z_step row only;
+    the worker count is restored afterwards."""
     monkeypatch.setattr(patches, "WORKERS", 3)
     table = tmp_path / "out.csv"
     assert load_script("stage_split").main(["--side", "32", "--repeats", "1", "--kinds", "dft",
@@ -94,6 +95,8 @@ def test_stage_split_times_one_worker_and_the_pool(tmp_path, capsys, monkeypatch
     assert {r["groups"] for r in rows} == {rows[0]["groups"]}
     assert int(rows[0]["groups"]) > 0
     assert all(float(r["seconds"]) > 0 for r in rows)
+    assert all(float(r["peak_mb"]) > 0 for r in rows if r["stage"] == "z_step")
+    assert all(r["peak_mb"] == "" for r in rows if r["stage"] != "z_step")
     assert patches.WORKERS == 3
 
 
@@ -121,3 +124,4 @@ def test_stage_split_refuses_what_does_not_fit(tmp_path, capsys, monkeypatch):
         (stage, kind) for kind in ("block", "dft")
         for stage in ("forward", "adjoint", "normal", "gd_steps")]
     assert all(r["side"] == "64" and float(r["seconds"]) > 0 for r in rows[1:])
+    assert all(r["peak_mb"] == "" for r in rows)

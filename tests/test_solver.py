@@ -479,8 +479,8 @@ def test_z_step_independent_of_pass_sizes(monkeypatch, motif_benchmark):
     bytes."""
     cfg = SolverConfig(penalty=Penalty("log", 1.0, 10.0))
     z, reg = z_step(motif_benchmark, cfg, 1.5e7, sweeps=3)
-    # 50_000 entries a pass: 3 of 256 anchors, 23 of 256 groups, 1388 of
-    # 15360 patches.
+    # 50_000 entries a pass, shared among the workers: 23 groups, or 1388
+    # patches, in bands of 240 and 16 groups.
     for budget in (50_000, 1):
         monkeypatch.setattr(patches, "PASS_ENTRIES", budget)
         z_small, reg_small = z_step(motif_benchmark, cfg, 1.5e7, sweeps=3)
@@ -503,6 +503,40 @@ def test_z_step_independent_of_worker_count(monkeypatch, motif_benchmark, tau):
     assert reg2 == reg1
     if tau == 0.0:
         assert z1.tobytes() == motif_benchmark.tobytes()
+
+
+# Groupings of the band-size test: the default, two smaller ones, and a
+# wide one whose every window reaches every row, so that no band is
+# dropped before the end.
+BAND_GROUPINGS = [GroupingConfig(), GroupingConfig(8, 4, 24, 30), GroupingConfig(4, 3, 12, 16),
+                  GroupingConfig(16, 8, 113, 10)]
+
+
+@pytest.mark.parametrize("tau", [0.0, 1.5e7])
+@pytest.mark.parametrize("shape", [(96, 160), (200, 120), (64, 64)])
+def test_z_step_independent_of_band_size(monkeypatch, shape, tau):
+    """z_step walks the lattice in bands of BAND_ENTRIES group entries,
+    several for the default grouping here; bands of one anchor row each
+    and one band for the whole image give the same bytes, and at tau = 0
+    all three return the input."""
+    rng = np.random.default_rng(shape[0] + shape[1])
+    img = make_motif_image(max(shape) + 3, 3)[: shape[0], : shape[1]] + rng.normal(0, 20, shape)
+    default = patches.BAND_ENTRIES
+    for grouping in BAND_GROUPINGS:
+        cfg = SolverConfig(penalty=Penalty("log", 1.0, 10.0), grouping=grouping)
+        results, bands = [], []
+        for budget in (default, 1, 1 << 62):
+            monkeypatch.setattr(patches, "BAND_ENTRIES", budget)
+            results.append(z_step(img, cfg, tau, sweeps=3))
+            bands.append(len(patches._band_rows(shape, grouping, budget)[1]))
+        assert bands[1:] == [patches._anchor_count(shape[0], grouping)[0], 1]
+        assert bands[0] > 1 or grouping != GroupingConfig()
+        (z, reg), *others = results
+        for z_band, reg_band in others:
+            assert z_band.tobytes() == z.tobytes(), grouping
+            assert reg_band == reg, grouping
+        if tau == 0.0:
+            assert z.tobytes() == img.tobytes()
 
 
 class PieceFailed(Exception):
@@ -538,6 +572,61 @@ def test_run_passes_raises_after_every_piece_stopped(monkeypatch, bad):
     assert running == set()
     assert set(range(1 - bad, 8, 2)) <= set(finished)
     assert len(threads) == 2
+
+
+def test_run_passes_before_raises_after_every_pass_stopped(monkeypatch):
+    """The calling thread runs before() while the pool pulls passes; when
+    before() raises, the caller takes no pass, and the exception surfaces
+    only once the pool has pulled and finished every other pass."""
+    monkeypatch.setattr(patches, "WORKERS", 2)
+    lock = threading.Lock()
+    running, finished = set(), []
+
+    def work(part):
+        with lock:
+            running.add(part.start)
+        time.sleep(0.01)
+        with lock:
+            running.discard(part.start)
+            finished.append(part.start)
+
+    def before():
+        time.sleep(0.02)
+        raise PieceFailed("before")
+
+    with pytest.raises(PieceFailed, match="before"):
+        patches.run_passes(8, patches.worker_budget(), work, before)
+    assert running == set()
+    assert finished == list(range(1, 8))
+
+
+def test_run_passes_pool_raise_waits_for_the_caller(monkeypatch):
+    """A pool pass that raises while the caller is still in before() stops
+    the pool thread only: the caller finishes before(), then pulls every
+    pass left, and the pool's exception surfaces after that."""
+    monkeypatch.setattr(patches, "WORKERS", 2)
+    lock, raised = threading.Lock(), threading.Event()
+    events = []
+
+    def work(part):
+        if part.start == 1:
+            with lock:
+                events.append("raised")
+            raised.set()
+            raise PieceFailed(1)
+        with lock:
+            events.append(part.start)
+
+    def before():
+        assert raised.wait(10)
+        time.sleep(0.01)
+        with lock:
+            events.append("before")
+
+    with pytest.raises(PieceFailed) as info:
+        patches.run_passes(8, patches.worker_budget(), work, before)
+    assert info.value.args == (1,)
+    assert events == ["raised", "before", 0, 2, 3, 4, 5, 6, 7]
 
 
 def test_run_passes_divides_workers_among_concurrent_callers(monkeypatch):
@@ -612,20 +701,24 @@ def test_z_step_overflow_in_a_pool_pass_surfaces(monkeypatch):
 @pytest.mark.parametrize(
     "side, grouping",
     [(64, GroupingConfig(12, 4, 60, 500)), (64, GroupingConfig()),
-     (128, GroupingConfig(16, 8, 113, 10))],  # a 25 MB candidate box per anchor
-    ids=["grouping0", "grouping1", "grouping2"],
+     (128, GroupingConfig(16, 8, 113, 10)),  # a 25 MB candidate box per anchor
+     (256, GroupingConfig())],  # 22 bands, three held at once
+    ids=["grouping0", "grouping1", "grouping2", "grouping3"],
 )
 def test_z_step_memory_is_stack_plus_fixed_allowance(side, grouping):
-    """Beyond stack_bytes, a Z-step holds what one pass holds, whatever
-    the group size and the window.
+    """Beyond stack_bytes, the patch vectors of one band's rows and the
+    bands held with it, a Z-step holds what the passes in flight hold,
+    whatever the group size, the window and the image size.
 
-    A pass holds at most four temporaries of PASS_ENTRIES float64 or
-    index entries at once (matching: the gathered candidates of a slice
-    of the search box; shrinkage: the eigenvectors, projected and rebuilt
-    groups; aggregation: the entry indices, gathered means and
-    residuals).  Beside the stack the Z-step keeps three words per stack
-    row (the patch anchors and their flat indices) and a few image-sized
-    arrays (sums, counts, means and output of aggregation).
+    The passes in flight together hold at most four temporaries of
+    PASS_ENTRIES float64 or index entries at once (matching: the
+    distances and candidate indices of the search box, the gathered
+    candidates of a slice of it; shrinkage: the eigenvectors, projected
+    and rebuilt groups; aggregation, which the calling thread runs in
+    place of a pass: the entry indices, gathered means and residuals).
+    Beside the stacks the Z-step keeps three words per stack row (the
+    patch anchors and their flat indices) and a few image-sized arrays
+    (sums, counts, means and output of aggregation).
     """
     noise = np.random.default_rng(5).normal(0, 10, (side, side))
     img = make_motif_image(side, 3) + noise
@@ -657,7 +750,9 @@ def test_z_step_takes_no_svd(monkeypatch, rng):
 
 def test_z_step_memory_at_256():
     """One default-grouping Z-step on a 256x256 image (4096 groups) keeps
-    its traced allocations below 300 MB."""
+    its traced allocations below 300 MB, and, streamed in bands, below
+    half of the whole image's group stack (4096 x 60 x 36 float64,
+    70.8 MB)."""
     img = make_motif_image(256, 3)
     tracemalloc.start()
     try:
@@ -666,6 +761,7 @@ def test_z_step_memory_at_256():
     finally:
         tracemalloc.stop()
     assert peak < 300 * 2**20
+    assert peak < 4096 * 60 * 36 * 8 / 2
 
 
 def test_z_step_on_huge_values():
