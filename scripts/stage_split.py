@@ -8,12 +8,20 @@ time one `forward`, `adjoint` and `normal`, and one X-step of `gd_steps`
 gradient steps.  A kind whose recovery would not fit in physical memory
 gives one `refused` row and is never built.  Z-step rows denoise the test
 image plus N(0, 10^2) noise at tau = 1.5e7: `group_stack`,
-`irnn_denoise_stack` and `aggregate_stack` on the inputs `z_step` hands
-them, then the whole `z_step`, at 1 worker and at patches.WORKERS.  Each
-row is a median over --repeats runs: side, stage, kind, workers, groups,
-seconds, peak_mb, with the fields that do not apply left empty.  peak_mb,
-on the z_step rows only, is the peak of tracemalloc's traced allocations
-over one separate, untimed z_step call, in MiB above its input.
+`irnn_denoise_stack` and `aggregate_stack` on every group of the image
+as one stack, then the whole `z_step`, at 1 worker and at
+patches.WORKERS.  Each row is a median over --repeats runs: side, stage,
+kind, workers, groups, seconds, peak_mb, with the fields that do not
+apply left empty.  peak_mb, on the z_step rows only, is the peak of
+tracemalloc's traced allocations over one separate, untimed z_step call,
+in MiB above its input.
+
+The three stage rows time the whole-image, one-band functions, which
+`z_step` does not call: it streams the lattice in bands
+(patches.denoise_bands), and no row times a band's patch vectors or how
+much of the aggregation the pool's passes hide.  Only the z_step rows
+and their peak_mb measure what `z_step` runs, so once an image has many
+bands (22 at 256x256) the stage rows are not a split of a z_step row.
 """
 
 import argparse

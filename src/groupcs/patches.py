@@ -20,7 +20,6 @@ from __future__ import annotations
 import contextvars
 import os
 import threading
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
@@ -86,12 +85,11 @@ class GroupingConfig:
             raise ValueError("group_size must be >= 1")
 
 
-def passes(count, entries_each, budget=None):
+def passes(count, entries_each):
     """Slices of range(count) in order, each holding as many items of
-    `entries_each` entries as fit in `budget` (default PASS_ENTRIES), and
-    at least one item.  An item of zero entries counts as one."""
-    budget = PASS_ENTRIES if budget is None else budget
-    step = max(1, budget // max(1, entries_each))
+    `entries_each` entries as fit in worker_budget(), and at least one
+    item.  An item of zero entries counts as one."""
+    step = max(1, worker_budget() // max(1, entries_each))
     for start in range(0, count, step):
         yield slice(start, start + step)
 
@@ -120,7 +118,7 @@ def run_passes(count, entries_each, work, before=None):
     before().
     """
     global _callers
-    parts = list(passes(count, entries_each, worker_budget()))
+    parts = list(passes(count, entries_each))
     with _callers_lock:
         _callers += 1
         n = max(1, min(WORKERS // _callers, len(parts)))
@@ -239,7 +237,7 @@ def _matcher(img, anchors, cfg, span):
         flat = (rows[:, :, None] * nc + cols[:, None, :]).reshape(len(a), wr * wc)
         ref = vecs[a[:, 0] * nc + a[:, 1], None, :]
         dist = np.empty((len(a), wr * wc))
-        for cut in passes(wr * wc, len(a) * s * s, worker_budget()):
+        for cut in passes(wr * wc, len(a) * s * s):
             diff = vecs[flat[:, cut]]
             diff -= ref
             diff = diff.reshape(-1, s * s)
@@ -307,68 +305,64 @@ def group_stack(image, cfg):
     positions[g, j]; groups follow the raster order of their reference
     anchors.  The lattice covers every pixel with at least one reference
     patch.  Refused with GroupingError, as by reference_anchors, when the
-    whole stack would not fit in physical memory.
+    whole stack and the patch vector at every anchor would not fit in
+    physical memory.
     """
     img = np.asarray(image, dtype=float)
     if img.ndim != 2:
         raise ValueError("image must be 2-D")
     anchors = reference_anchors(img.shape, cfg)
-    refuse_beyond_memory(_held_bytes(img.shape, cfg, None),
-                         f"grouping a {img.shape[0]}x{img.shape[1]} image", GroupingError)
-    patches, positions, match = _matcher(img, anchors, cfg, (0, img.shape[0]))
+    (h, w), s = img.shape, cfg.patch_side
+    refuse_beyond_memory((len(anchors) * cfg.group_size + (h - s + 1) * (w - s + 1)) * s * s * 8,
+                         f"grouping a {h}x{w} image", GroupingError)
+    patches, positions, match = _matcher(img, anchors, cfg, (0, h))
     run_passes(len(anchors), _pass_entries(img.shape, cfg), match)
     return patches, positions
 
 
-def _band_rows(shape, cfg, band_entries):
-    """The bands of denoise_bands: consecutive whole rows of the reference
-    lattice, as many as hold `band_entries` group entries, at least one,
-    and all of them when `band_entries` is None.
+def _bands(shape, cfg):
+    """The band plan of denoise_bands: consecutive whole rows of the
+    reference lattice, as many as hold BAND_ENTRIES group entries, and at
+    least one.
 
-    Returns (edges, top, bottom), object arrays of Python ints: band b
-    takes the lattice rows edges[b]:edges[b+1], and its groups' patches
-    lie in the image rows top[b]:bottom[b].  Both are nondecreasing.
-    There are at most MAX_BANDS bands, so a huge shape costs little.
+    Returns (edges, top, bottom, done): band b takes the lattice rows
+    edges[b]:edges[b+1], and its groups' patches lie in the image rows
+    top[b]:bottom[b].  done[b] counts the bands whose residual pass has
+    run, and whose stack is dropped, once band b's passes start: those
+    before b that reach no row from top[b] on.  All four are
+    nondecreasing; edges, top and bottom are object arrays of Python
+    ints.  There are at most MAX_BANDS bands, so a huge shape costs
+    little.
     """
     s = cfg.patch_side
     n, step = _anchor_count(shape[0], cfg)
     per_row = _anchor_count(shape[1], cfg)[0] * cfg.group_size * s * s
-    rows_each = n if band_entries is None else max(1, band_entries // per_row, -(-n // MAX_BANDS))
+    rows_each = max(1, BAND_ENTRIES // per_row, -(-n // MAX_BANDS))
     edges = np.array([*range(0, n, rows_each), n], dtype=object)
     first = np.minimum(edges[:-1] * step, shape[0] - s)
     last = np.minimum((edges[1:] - 1) * step, shape[0] - s)
     start, count = _clipped_windows(np.stack([first, last]), cfg.window_side, shape[0] - s)
-    return edges, start[0], start[1] + count[1] + s - 1
-
-
-def _held_bytes(shape, cfg, band_entries):
-    # The most float64 bytes denoise_bands holds at once in bands of
-    # band_entries: while band b is matched, the patch vectors of its
-    # rows, its stack and those of the bands before it still held.  A band
-    # is dropped in the before() of band c once c - 1 is summed and no
-    # band from c on reaches its rows, so band j is held while band b runs
-    # unless j <= b - 2 and bottom[j] <= top[b - 1].
-    s = cfg.patch_side
-    edges, top, bottom = _band_rows(shape, cfg, band_entries)
-    dropped = np.searchsorted(bottom, top[:-1], side="right")
-    first = np.concatenate([[0], np.minimum(dropped, np.arange(len(top) - 1))])
-    vectors = (bottom - top - s + 1) * ((shape[1] - s + 1) * s * s)
-    stacks = (edges[1:] - edges[first]) * (_anchor_count(shape[1], cfg)[0] * cfg.group_size * s * s)
-    return int(np.max(vectors + stacks)) * 8
+    top, bottom = start[0], start[1] + count[1] + s - 1
+    done = np.minimum(np.arange(len(top)), np.searchsorted(bottom, top, side="right"))
+    return edges, top, bottom, done
 
 
 def stack_bytes(shape, cfg):
     """Bytes of the float64 arrays a Z-step holds at once on an image of
-    `shape` (see denoise_bands): the patch vectors of one band's image
-    rows, and the group stacks of the bands held with it.  With a single
-    band that is the patch vector at every anchor and the whole stack,
-    what group_stack holds.
+    `shape` (see denoise_bands): the most, over the bands b of _bands,
+    of band b's patch vectors and the stacks of bands done[b-1] to b
+    (band 0's alone for b = 0), which are held while band b is matched.
 
     The bands are counted, not built, so a huge shape costs little.
     """
-    if cfg.patch_side > min(shape):
+    s = cfg.patch_side
+    if s > min(shape):
         return 0  # reference_anchors refuses this grouping before any allocation
-    return _held_bytes(shape, cfg, BAND_ENTRIES)
+    edges, top, bottom, done = _bands(shape, cfg)
+    first = np.concatenate([[0], done[:-1]])
+    vectors = (bottom - top - s + 1) * ((shape[1] - s + 1) * s * s)
+    stacks = (edges[1:] - edges[first]) * (_anchor_count(shape[1], cfg)[0] * cfg.group_size * s * s)
+    return int(np.max(vectors + stacks)) * 8
 
 
 class _Aggregation:
@@ -404,7 +398,7 @@ class _Aggregation:
         s = self.s
         vals = np.asarray(patches, dtype=float).reshape(-1, s * s)
         base = (positions[..., 0] * self.shape[1] + positions[..., 1]).reshape(-1)
-        for part in passes(base.size, s * s, worker_budget()):
+        for part in passes(base.size, s * s):
             yield (base[part, None] + self.offs).ravel(), vals[part].ravel()
 
     def add(self, patches, positions):
@@ -448,40 +442,38 @@ def aggregate_stack(patches, positions, shape, patch_side):
 def denoise_bands(image, cfg, shrinker):
     """Match, shrink and aggregate the groups of `image`, band by band.
 
-    The reference lattice is walked in bands of whole anchor rows holding
-    about BAND_ENTRIES group entries each (_band_rows).  shrinker(stack)
-    takes a band's (G_b, group_size, patch_side**2) patch stack before it
-    is filled and returns (spectra, shrink), where shrink(part) shrinks
-    the groups stack[part] in place once they are matched.  Each pass of
-    run_passes matches a slice of the band's anchors from the patch
-    vectors of the band's own image rows, then shrinks those groups.
-    Before it pulls passes itself, the calling thread aggregates the band
-    before: first its sums and counts, then the residual pass of every
-    held band whose pixel rows lie above the first row the new band
-    reaches.  A band's stack is dropped after its residual pass.  Every
-    pixel adds its contributions in (group, patch, entry) order, as
-    aggregate_stack does with the whole stack, so the image has the same
-    bytes for any band size.  Returns the image and the list of every
-    band's spectra, in order.
+    The reference lattice is walked in the bands of _bands.
+    shrinker(stack) takes a band's (G_b, group_size, patch_side**2) patch
+    stack before it is filled and returns (spectra, shrink), where
+    shrink(part) shrinks the groups stack[part] in place once they are
+    matched.  Each pass of run_passes matches a slice of the band's
+    anchors from the patch vectors of the band's own image rows, then
+    shrinks those groups.  Before it pulls passes itself, the calling
+    thread sums band b - 1 into the aggregation, settles the image rows
+    above top[b] and takes the residual pass of bands done[b-1]:done[b],
+    dropping each one's stack after it.  Every pixel adds its
+    contributions in (group, patch, entry) order, as aggregate_stack does
+    with the whole stack, so the image has the same bytes for any band
+    size.  Returns the image and the list of every band's spectra, in
+    order.
     """
     img = np.asarray(image, dtype=float)
     anchors = reference_anchors(img.shape, cfg)
-    edges, top, bottom = _band_rows(img.shape, cfg, BAND_ENTRIES)
+    edges, top, bottom, done = _bands(img.shape, cfg)
     per_row = _anchor_count(img.shape[1], cfg)[0]
     each = _pass_entries(img.shape, cfg)
     agg = _Aggregation(img.shape, cfg.patch_side)
-    # unsummed: the band before, whose sums are not yet added; held: the
-    # summed bands whose residual pass is still to come.
-    unsummed, held, spectra = [], deque(), []
+    # held[j]: band j's stack and positions, until its residual pass.
+    held, spectra = [], []
 
-    def aggregate(final_rows):
-        for summing in unsummed:
-            agg.add(*summing[:2])
-            held.append(summing)
-        unsummed.clear()
-        agg.settle(final_rows)
-        while held and held[0][2] <= final_rows:
-            agg.add_residuals(*held.popleft()[:2])
+    def aggregate(b, rows, finished):
+        # Band b's before(), or the end when b is the band count.
+        if b:
+            agg.add(*held[b - 1])
+        agg.settle(rows)
+        for j in range(done[b - 1] if b else 0, finished):
+            agg.add_residuals(*held[j])
+            held[j] = None
 
     for b in range(len(top)):
         span = (int(top[b]), int(bottom[b]))
@@ -493,9 +485,9 @@ def denoise_bands(image, cfg, shrinker):
             match(part)
             shrink(part)
 
-        run_passes(len(band), each, work, lambda: aggregate(span[0]))
+        run_passes(len(band), each, work, lambda: aggregate(b, span[0], done[b]))
         del match, work  # the band's patch vectors
         spectra.append(band_spectra)
-        unsummed.append((stack, positions, span[1]))
-    aggregate(img.shape[0])
+        held.append((stack, positions))
+    aggregate(len(top), img.shape[0], len(top))
     return agg.image(), spectra

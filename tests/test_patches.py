@@ -12,7 +12,7 @@ from groupcs import (
     GroupingConfig, SolverConfig, aggregate_stack, group_stack, make_motif_image, z_step,
 )
 from groupcs.patches import (
-    BAND_ENTRIES, MAX_BANDS, GroupingError, _band_rows, _matcher, _smallest_k, reference_anchors,
+    MAX_BANDS, GroupingError, _bands, _matcher, _smallest_k, reference_anchors,
     stack_bytes,
 )
 
@@ -186,6 +186,7 @@ def test_stack_bytes_counts_what_group_stack_holds(rng, shape, patch_side, strid
     ((200, 120), GroupingConfig(8, 4, 24, 30)),
     ((96, 300), GroupingConfig(16, 8, 113, 10)),  # every window reaches every row
     ((40, 300), GroupingConfig(6, 2, 9, 20)),
+    ((256, 256), GroupingConfig()),  # 22 bands, the most of any benchmark shape
 ])
 @pytest.mark.parametrize("band_entries", [1, None])
 def test_stack_bytes_counts_what_the_z_step_holds(monkeypatch, shape, cfg, band_entries):
@@ -218,7 +219,7 @@ def test_stack_bytes_of_a_huge_shape_is_counted_in_few_bands():
     most MAX_BANDS bands, and its count lies between one band's stack and
     the whole stack with every patch vector."""
     shape, cfg = (10**15, 64), GroupingConfig()
-    edges = _band_rows(shape, cfg, BAND_ENTRIES)[0]
+    edges = _bands(shape, cfg)[0]
     assert len(edges) - 1 <= MAX_BANDS
     rows, cols = (-(-(dim - 6) // 4) + 1 for dim in shape)
     whole = ((shape[0] - 5) * (shape[1] - 5) + rows * cols * 60) * 36 * 8
@@ -238,6 +239,29 @@ def test_grouping_beyond_physical_memory_is_refused(rng, monkeypatch):
         group_stack(image, cfg)
     with pytest.raises(GroupingError, match="GiB of physical memory"):
         reference_anchors((32, 32), cfg)
+
+
+def test_group_stack_refuses_the_whole_stack(monkeypatch):
+    """On a shape of several bands, a memory that holds the Z-step's bands
+    (stack_bytes) but not every group with every patch vector runs
+    reference_anchors and z_step, and refuses group_stack before its
+    matcher allocates anything."""
+    shape, cfg = (96, 160), GroupingConfig()
+    groups = len(reference_anchors(shape, cfg))
+    whole = (groups * 60 + 91 * 155) * 36 * 8
+    assert stack_bytes(shape, cfg) < whole
+    monkeypatch.setattr("groupcs.measurement.physical_memory",
+                        lambda: (stack_bytes(shape, cfg) + whole) // 2)
+    image = make_motif_image(160, 3)[:96]
+    assert len(reference_anchors(shape, cfg)) == groups
+    z_step(image, SolverConfig(grouping=cfg), 1.5e7)
+
+    def no_matcher(*args):
+        pytest.fail("group_stack allocated its stack")
+
+    monkeypatch.setattr("groupcs.patches._matcher", no_matcher)
+    with pytest.raises(GroupingError, match="GiB of physical memory"):
+        group_stack(image, cfg)
 
 
 # --------------------------------------------------------------- aggregation

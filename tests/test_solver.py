@@ -528,7 +528,7 @@ def test_z_step_independent_of_band_size(monkeypatch, shape, tau):
         for budget in (default, 1, 1 << 62):
             monkeypatch.setattr(patches, "BAND_ENTRIES", budget)
             results.append(z_step(img, cfg, tau, sweeps=3))
-            bands.append(len(patches._band_rows(shape, grouping, budget)[1]))
+            bands.append(len(patches._bands(shape, grouping)[1]))
         assert bands[1:] == [patches._anchor_count(shape[0], grouping)[0], 1]
         assert bands[0] > 1 or grouping != GroupingConfig()
         (z, reg), *others = results
