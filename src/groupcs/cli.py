@@ -38,9 +38,10 @@ from .measurement import (
     add_noise, fits_in_memory, make_operator, measurement_count, refuse_beyond_memory,
 )
 from .metrics import check_shapes, psnr
-from .patches import reference_anchors
 from .pgm import PgmError, quantize, read_pgm, write_pgm
-from .solver import IterStats, NumericalError, recover, recovery_bytes, z_step
+from .solver import (
+    IterStats, NumericalError, group_threshold, recover, recovery_bytes, z_step,
+)
 
 
 # Floating-point errors end as NumericalError or a failed sweep cell, so
@@ -196,9 +197,10 @@ def _refuse_sweep_beyond_memory(run, shape, grouping, subrates):
                          f"running {at_once} sweep cells at once (--jobs {run.jobs})")
 
 
-def _operator_for(mf, meas_path, grouping):
-    """Rebuild the operator of a measurement file, checking its header and
-    that a recovery at its shape fits in physical memory."""
+def _operator_for(mf, meas_path, scfg):
+    """Rebuild the operator of a measurement file, checking its header,
+    that a recovery at its shape fits in physical memory, and that scfg's
+    grouping and threshold fit that shape."""
     m, (h, w) = mf.y.shape[0], mf.shape
     # Checked before the operator is built, so a damaged header cannot
     # start a large allocation.  The masked DFT may take one more.
@@ -212,7 +214,13 @@ def _operator_for(mf, meas_path, grouping):
             f"of a {h}x{w} image"
         )
     try:
-        _refuse_recovery_beyond_memory(mf.op_kind, mf.shape, mf.subrate, grouping)
+        _refuse_recovery_beyond_memory(mf.op_kind, mf.shape, mf.subrate, scfg.grouping)
+    except ValueError as exc:
+        raise MeasFileError(f"{meas_path}: {exc}") from exc
+    # Not wrapped: a grouping or threshold the shape cannot take is a config
+    # error (exit 2), and is refused before the operator is built.
+    group_threshold(scfg, mf.shape)
+    try:
         op = make_operator(mf.op_kind, mf.shape, mf.subrate, mf.seed)
     except ValueError as exc:
         raise MeasFileError(f"{meas_path}: {exc}") from exc
@@ -229,7 +237,7 @@ def cmd_recover(run, scfg, nspec):
         mf = read_measurements(meas_path)
         if gt is not None:
             check_shapes(mf.shape, gt.shape)
-        x, trace = recover(mf.y, _operator_for(mf, meas_path, scfg.grouping), scfg,
+        x, trace = recover(mf.y, _operator_for(mf, meas_path, scfg), scfg,
                            ground_truth=gt)
         write_pgm(output, x)
         if trace_path:
@@ -255,9 +263,9 @@ def cmd_denoise(run, scfg, nspec):
 
 def _run_cell(image, run, nspec, scfg, cell):
     subrate, snr, kind_name, weighting = cell
-    # A grouping the image cannot take, its stack too large included,
-    # fails the cell as a grouping error before the recovery is counted.
-    reference_anchors(image.shape, scfg.grouping)
+    # A grouping the image cannot take, its stack too large included, or a
+    # threshold that overflows fails the cell before the recovery is counted.
+    group_threshold(scfg, image.shape)
     _refuse_recovery_beyond_memory(run.op, image.shape, subrate, scfg.grouping)
     op, noisy, _ = _measure(image, run, subrate, dataclasses.replace(nspec, target_snr_db=snr))
     penalty = dataclasses.replace(scfg.penalty, kind=kind_name)

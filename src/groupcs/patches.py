@@ -32,8 +32,9 @@ from .measurement import refuse_beyond_memory
 # aggregation all loop over passes() at PASS_ENTRIES // WORKERS each;
 # matching and shrinkage run WORKERS passes at once through run_passes,
 # and aggregation runs on the calling thread in place of one of them.
-# Each pass holds a fixed number of such temporaries, so the Z-step needs
-# stack_bytes plus a fixed allowance whatever the grouping.
+# Each pass holds a fixed number of such temporaries, so whatever the
+# grouping the Z-step needs stack_bytes, 56 bytes a pixel for its input
+# and its aggregation, and a fixed allowance for the passes.
 PASS_ENTRIES = 1 << 18
 
 # Group entries in each band of denoise_bands (4 MB of float64), and the
@@ -275,17 +276,21 @@ def reference_anchors(shape, cfg):
     as a (G, 2) array in raster order.
 
     Raises GroupingError when the grouping cannot be applied to an image
-    of this shape: the patch does not fit, a Z-step's arrays (stack_bytes)
-    would not fit in physical memory, or some reference window holds
-    fewer than group_size candidates.
+    of this shape: the patch does not fit, a Z-step's arrays (stack_bytes
+    and seven image-sized arrays) would not fit in physical memory, or
+    some reference window holds fewer than group_size candidates.
     """
-    if cfg.patch_side > shape[0] or cfg.patch_side > shape[1]:
-        raise GroupingError(f"image {tuple(shape)} smaller than patch side {cfg.patch_side}")
-    refuse_beyond_memory(stack_bytes(shape, cfg), f"grouping a {shape[0]}x{shape[1]} image",
+    (h, w), s = shape, cfg.patch_side
+    if s > h or s > w:
+        raise GroupingError(f"image {tuple(shape)} smaller than patch side {s}")
+    # Beside its bands, a Z-step holds seven image-sized arrays at its peak:
+    # its input, _Aggregation's counts, sums, mean and resid, and the two
+    # that image() adds.
+    refuse_beyond_memory(stack_bytes(shape, cfg) + 7 * 8 * h * w, f"grouping a {h}x{w} image",
                          GroupingError)
     rows, cols = (_anchor_axis(dim, cfg) for dim in shape)
     anchors = np.stack(np.meshgrid(rows, cols, indexing="ij"), axis=-1).reshape(-1, 2)
-    last = np.array([shape[0] - cfg.patch_side, shape[1] - cfg.patch_side])
+    last = np.array([h - s, w - s])
     n_cand = np.prod(_clipped_windows(anchors, cfg.window_side, last)[1], axis=1)
     worst = int(n_cand.argmin())
     if n_cand[worst] < cfg.group_size:

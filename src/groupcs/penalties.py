@@ -19,7 +19,42 @@ import numpy as np
 # output depends on this value, so it stays as written.
 EPS_WEIGHT = 2.2204e-16
 
-KINDS = ("lp", "scad", "log", "mcp", "etp", "capped_l1", "geman", "laplace")
+
+def _lp_d(t, lam, g):
+    if lam == 0.0:
+        return np.zeros_like(t)
+    with np.errstate(divide="ignore"):
+        return np.where(t > 0, lam * g * t ** (g - 1.0), np.inf)
+
+
+def _scad_rho(t, lam, g):
+    mid = (-t * t + 2.0 * g * lam * t - lam * lam) / (2.0 * (g - 1.0))
+    return np.where(t <= lam, lam * t, np.where(t <= g * lam, mid, lam * lam * (g + 1.0) / 2.0))
+
+
+# Each kind's (rho, d) pair, two functions of (t, lam, g) for a checked
+# array t and g the kind's shape parameter, as Lu et al., "Generalized
+# Nonconvex Nonsmooth Low-Rank Minimization" (CVPR 2014) list them.  The
+# one place to add a kind.
+_FORMULAS = {
+    "lp": (lambda t, lam, g: lam * t ** g, _lp_d),
+    "scad": (_scad_rho,
+             lambda t, lam, g: np.where(t <= lam, lam,
+                                        np.where(t <= g * lam, (g * lam - t) / (g - 1.0), 0.0))),
+    "log": (lambda t, lam, g: lam / np.log(g + 1.0) * np.log(g * t + 1.0),
+            lambda t, lam, g: g * lam / ((g * t + 1.0) * np.log(g + 1.0))),
+    "mcp": (lambda t, lam, g: np.where(t < g * lam, lam * t - t * t / (2.0 * g),
+                                       g * lam * lam / 2.0),
+            lambda t, lam, g: np.where(t < g * lam, lam - t / g, 0.0)),
+    "etp": (lambda t, lam, g: lam / (1.0 - np.exp(-g)) * (1.0 - np.exp(-g * t)),
+            lambda t, lam, g: lam * g / (1.0 - np.exp(-g)) * np.exp(-g * t)),
+    "capped_l1": (lambda t, lam, g: np.where(t < g, lam * t, lam * g),
+                  lambda t, lam, g: np.where(t < g, lam, np.where(t == g, lam / 2.0, 0.0))),
+    "geman": (lambda t, lam, g: lam * t / (t + g), lambda t, lam, g: lam * g / (t + g) ** 2),
+    "laplace": (lambda t, lam, g: lam * (1.0 - np.exp(-t / g)),
+                lambda t, lam, g: lam / g * np.exp(-t / g)),
+}
+KINDS = tuple(_FORMULAS)
 
 
 @dataclass(frozen=True)
@@ -59,11 +94,14 @@ class Penalty:
                              f"shape={self.shape} has an infinite slope at 0")
 
 
-def _check_theta(theta):
+def _evaluate(pen, theta, which):
+    # Formula `which` of the pair (0: rho, 1: d) of pen's kind, a scalar
+    # for a scalar theta.
     t = np.asarray(theta, dtype=float)
     if np.any(~np.isfinite(t)) or np.any(t < 0):
         raise ValueError("penalty argument must be finite and nonnegative")
-    return t
+    out = _FORMULAS[pen.kind][which](t, pen.lam, pen.shape)
+    return out if out.ndim else out.item()
 
 
 def rho(pen: Penalty, theta):
@@ -78,28 +116,7 @@ def rho(pen: Penalty, theta):
     -------
     ndarray (or scalar) of penalty values, same shape as theta.
     """
-    t = _check_theta(theta)
-    lam, g = pen.lam, pen.shape
-    if pen.kind == "lp":
-        out = lam * t ** g
-    elif pen.kind == "scad":
-        mid = (-t * t + 2.0 * g * lam * t - lam * lam) / (2.0 * (g - 1.0))
-        out = np.where(
-            t <= lam, lam * t, np.where(t <= g * lam, mid, lam * lam * (g + 1.0) / 2.0)
-        )
-    elif pen.kind == "log":
-        out = lam / np.log(g + 1.0) * np.log(g * t + 1.0)
-    elif pen.kind == "mcp":
-        out = np.where(t < g * lam, lam * t - t * t / (2.0 * g), g * lam * lam / 2.0)
-    elif pen.kind == "etp":
-        out = lam / (1.0 - np.exp(-g)) * (1.0 - np.exp(-g * t))
-    elif pen.kind == "capped_l1":
-        out = np.where(t < g, lam * t, lam * g)
-    elif pen.kind == "geman":
-        out = lam * t / (t + g)
-    else:  # laplace
-        out = lam * (1.0 - np.exp(-t / g))
-    return out if out.ndim else out.item()
+    return _evaluate(pen, theta, 0)
 
 
 def supergradient(pen: Penalty, theta):
@@ -112,28 +129,4 @@ def supergradient(pen: Penalty, theta):
     returned there.  With lam == 0 every penalty is identically zero and
     the super-gradient is 0 everywhere, including the lp case at 0.
     """
-    t = _check_theta(theta)
-    lam, g = pen.lam, pen.shape
-    if pen.kind == "lp":
-        if lam == 0.0:
-            out = np.zeros_like(t)
-        else:
-            with np.errstate(divide="ignore"):
-                out = np.where(t > 0, lam * g * t ** (g - 1.0), np.inf)
-    elif pen.kind == "scad":
-        out = np.where(
-            t <= lam, lam, np.where(t <= g * lam, (g * lam - t) / (g - 1.0), 0.0)
-        )
-    elif pen.kind == "log":
-        out = g * lam / ((g * t + 1.0) * np.log(g + 1.0))
-    elif pen.kind == "mcp":
-        out = np.where(t < g * lam, lam - t / g, 0.0)
-    elif pen.kind == "etp":
-        out = lam * g / (1.0 - np.exp(-g)) * np.exp(-g * t)
-    elif pen.kind == "capped_l1":
-        out = np.where(t < g, lam, np.where(t == g, lam / 2.0, 0.0))
-    elif pen.kind == "geman":
-        out = lam * g / (t + g) ** 2
-    else:  # laplace
-        out = lam / g * np.exp(-t / g)
-    return out if out.ndim else out.item()
+    return _evaluate(pen, theta, 1)

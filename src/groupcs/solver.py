@@ -134,6 +134,19 @@ def lam_for_tau(tau, mu, shape, grouping: GroupingConfig):
     return tau * mu * shape[0] * shape[1] / k
 
 
+def group_threshold(cfg: SolverConfig, shape):
+    """The threshold tau of every Z-step of a recovery of a `shape` image.
+
+    Raises GroupingError when cfg's grouping does not fit the image (see
+    reference_anchors), and ThresholdError when tau is not finite.
+    """
+    n_groups = len(reference_anchors(shape, cfg.grouping))
+    tau = tau_from_config(cfg, n_groups, shape[0] * shape[1])
+    if not math.isfinite(tau):
+        raise ThresholdError(f"threshold tau = lam*K/(mu*n) overflows to {tau}")
+    return tau
+
+
 def recovery_bytes(kind, shape, subrate, grouping: GroupingConfig):
     """Bytes a recovery of a `shape` image holds: the `kind` operator at
     `subrate`, the Z-step's arrays (stack_bytes) and some ten image-sized
@@ -212,6 +225,8 @@ def z_step(r_img, cfg: SolverConfig, tau, sweeps=1):
     NumericalError; finite values near the float range can overflow.
     """
     img = np.asarray(r_img, dtype=float)
+    if img.ndim != 2:
+        raise ValueError("image must be 2-D")
     if not np.all(np.isfinite(img)):
         raise NumericalError("non-finite values entering the Z-step")
     z, spectra = denoise_bands(img, cfg.grouping, lambda stack: stack_shrinker(
@@ -253,10 +268,7 @@ def recover(y, op, cfg: SolverConfig, ground_truth=None):
     Z-step refuses a non-finite X - W or Z, and a non-finite W makes the
     next X non-finite.
     """
-    n_groups = len(reference_anchors(op.shape, cfg.grouping))
-    tau = tau_from_config(cfg, n_groups, op.n)
-    if not math.isfinite(tau):
-        raise ThresholdError(f"threshold tau = lam*K/(mu*n) overflows to {tau}")
+    tau = group_threshold(cfg, op.shape)
     y = np.asarray(y, dtype=float)
     x = _initial_x(y, op, cfg)
     z = x.copy()

@@ -911,6 +911,41 @@ def test_recover_infeasible_grouping_exits_2(tmp_path, flat_image, capsys):
     assert "patch side 100" in err
 
 
+def no_operator(*args):
+    pytest.fail("an operator was built")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--group_size", "1000"], "window at (0, 0) holds 100 candidates, need group_size=1000"),
+        (["--patch", "200"], "image (32, 32) smaller than patch side 200"),
+        (["--solver_lambda", "1e308", "--mu", "1e-300"],
+         "threshold tau = lam*K/(mu*n) overflows to inf"),
+    ],
+    ids=["group_size", "patch", "threshold"],
+)
+def test_grouping_and_threshold_refused_before_the_operator(tmp_path, flat_image, capsys,
+                                                            monkeypatch, argv, message):
+    """recover exits 2, and a sweep cell fails, with the message recover()
+    gives, without building an operator."""
+    img_path, _ = flat_image
+    meas = tmp_path / "m.meas"
+    run(capsys, "measure", img_path, "--output", meas, "--op", "dense", "--seed", "0")
+    monkeypatch.setattr("groupcs.cli.make_operator", no_operator)
+    out = tmp_path / "o.pgm"
+    assert run(capsys, "recover", meas, "--output", out, *argv) == (
+        2, "", f"config error: {message}\n")
+    assert not out.exists()
+
+    csv_path = tmp_path / "s.csv"
+    code, _, err = run(capsys, "sweep", img_path, "--output", csv_path, "--op", "dense",
+                       "--outer_iters", "1", *argv)
+    assert code == 0, err
+    [row] = list(csv.DictReader(csv_path.open()))
+    assert row["status"] == f"failed: {message}"
+
+
 @pytest.mark.parametrize(
     "command, argv",
     [
@@ -967,6 +1002,26 @@ def test_grouping_beyond_physical_memory_is_refused(tmp_path):
     assert proc.returncode == 0, proc.stderr
     [row] = list(csv.DictReader(csv_path.open()))
     assert row["status"].startswith(f"failed: {message}")
+
+
+def test_denoise_counts_the_aggregation_arrays(tmp_path, flat_image, capsys, monkeypatch):
+    """A memory that holds a 32x32 Z-step's bands (stack_bytes) but not
+    also its input and the image-sized arrays of its aggregation refuses
+    denoise, exit 2, before any group is matched."""
+    monkeypatch.setattr("groupcs.measurement.physical_memory",
+                        lambda: stack_bytes((32, 32), GroupingConfig()) + 24 * 32 * 32)
+
+    def no_matcher(*args):
+        pytest.fail("denoise matched groups")
+
+    monkeypatch.setattr("groupcs.patches._matcher", no_matcher)
+    out = tmp_path / "o.pgm"
+    code, _, err = run(capsys, "denoise", flat_image[0], "--output", out, "--tau", "1")
+    assert code == 2
+    [line] = err.splitlines()
+    assert line.startswith("config error: grouping a 32x32 image needs")
+    assert line.endswith("GiB of physical memory")
+    assert not out.exists()
 
 
 def test_unwritable_output_names_the_path_once(tmp_path, flat_image, capsys):

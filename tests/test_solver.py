@@ -782,6 +782,12 @@ def test_z_step_rejects_non_finite(rng):
         z_step(img, small_cfg(), 1.0)
 
 
+@pytest.mark.parametrize("shape", [(16,), (2, 16, 16)])
+def test_z_step_rejects_an_image_that_is_not_2d(shape):
+    with pytest.raises(ValueError, match="image must be 2-D"):
+        z_step(np.zeros(shape), small_cfg(), 1.0)
+
+
 # ---------------------------------------------------------------- multiplier
 
 
