@@ -223,6 +223,7 @@ def z_step(r_img, cfg: SolverConfig, tau, sweeps=1):
     the groups pass through untouched and aggregation reproduces R
     exactly.  A non-finite R, group spectrum, Z or reg_value raises
     NumericalError; finite values near the float range can overflow.
+    An R that is not 2-D raises ValueError.
     """
     img = np.asarray(r_img, dtype=float)
     if img.ndim != 2:
