@@ -51,24 +51,41 @@ class MeasurementFile:
     y: np.ndarray
 
 
+def _side(text):
+    side = int(text)
+    if side < 1:
+        raise ValueError(f"image side must be >= 1, got {side}")
+    return side
+
+
+# The header, in file order: each key, its value in a MeasurementFile, and
+# the parser of its text.  The one place to add a key.  A value of None
+# (only target_snr_db may be None) is left out of the file.
+_HEADER = (
+    ("op", lambda mf: mf.op_kind, check_operator_kind),
+    ("height", lambda mf: mf.shape[0], _side),
+    ("width", lambda mf: mf.shape[1], _side),
+    ("m", lambda mf: mf.y.shape[0], int),
+    ("subrate", lambda mf: mf.subrate, float),
+    ("seed", lambda mf: mf.seed, int),
+    ("noise", lambda mf: mf.noise.model, str),
+    ("noise_sigma", lambda mf: mf.noise.sigma, float),
+    ("noise_xi", lambda mf: mf.noise.xi, float),
+    ("noise_kappa", lambda mf: mf.noise.kappa, float),
+    ("target_snr_db", lambda mf: mf.noise.target_snr_db, float),
+    ("snr_db", lambda mf: mf.snr_db, float),
+)
+
+
+def _text(value):
+    """A header value's text: the shortest repr that reads back exactly for
+    a float, numpy floats included, and str for anything else."""
+    return repr(float(value)) if isinstance(value, (float, np.floating)) else str(value)
+
+
 def write_measurements(path, mf: MeasurementFile):
-    lines = [
-        MAGIC,
-        f"op={mf.op_kind}",
-        f"height={mf.shape[0]}",
-        f"width={mf.shape[1]}",
-        f"m={mf.y.shape[0]}",
-        f"subrate={mf.subrate!r}",
-        f"seed={mf.seed}",
-        f"noise={mf.noise.model}",
-        f"noise_sigma={mf.noise.sigma!r}",
-        f"noise_xi={mf.noise.xi!r}",
-        f"noise_kappa={mf.noise.kappa!r}",
-    ]
-    if mf.noise.target_snr_db is not None:
-        lines.append(f"target_snr_db={mf.noise.target_snr_db!r}")
-    lines.append(f"snr_db={mf.snr_db!r}")
-    lines.append("end")
+    values = ((key, get(mf)) for key, get, _ in _HEADER)
+    lines = [MAGIC, *(f"{key}={_text(v)}" for key, v in values if v is not None), "end"]
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode("ascii"))
         fh.write(np.ascontiguousarray(mf.y, dtype="<f8").tobytes())
@@ -88,22 +105,13 @@ def read_measurements(path):
             raise MeasFileError(f"{path}: malformed header line {line!r}")
         fields[key.strip()] = value.strip()
     try:
-        kind = check_operator_kind(fields["op"])
-        shape = (int(fields["height"]), int(fields["width"]))
-        m = int(fields["m"])
-        subrate = float(fields["subrate"])
-        seed = int(fields["seed"])
-        target = fields.get("target_snr_db")
-        noise = NoiseSpec(
-            model=fields["noise"],
-            sigma=float(fields["noise_sigma"]),
-            xi=float(fields["noise_xi"]),
-            kappa=float(fields["noise_kappa"]),
-            target_snr_db=None if target is None else float(target),
-        )
-        snr_db = float(fields["snr_db"])
+        got = {key: parse(fields[key]) for key, _, parse in _HEADER
+               if key != "target_snr_db" or key in fields}
+        noise = NoiseSpec(got["noise"], got["noise_sigma"], got["noise_xi"],
+                          got["noise_kappa"], got.get("target_snr_db"))
     except (KeyError, ValueError) as exc:
         raise MeasFileError(f"{path}: bad header field ({exc})") from exc
+    m = got["m"]
     data = buf[head_end + len(b"\nend\n") :]
     if len(data) != 8 * m:
         raise MeasFileError(
@@ -114,6 +122,6 @@ def read_measurements(path):
     if bad:
         raise MeasFileError(f"{path}: {bad} of {m} measurements are not finite")
     return MeasurementFile(
-        op_kind=kind, shape=shape, subrate=subrate, seed=seed,
-        noise=noise, snr_db=snr_db, y=y,
+        op_kind=got["op"], shape=(got["height"], got["width"]), subrate=got["subrate"],
+        seed=got["seed"], noise=noise, snr_db=got["snr_db"], y=y,
     )

@@ -76,14 +76,9 @@ class GroupingConfig:
     group_size: int = 60
 
     def __post_init__(self):
-        if self.patch_side < 1:
-            raise ValueError("patch_side must be >= 1")
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
-        if self.window_side < 1:
-            raise ValueError("window_side must be >= 1")
-        if self.group_size < 1:
-            raise ValueError("group_size must be >= 1")
+        for name in ("patch_side", "stride", "window_side", "group_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 def passes(count, entries_each):

@@ -1142,6 +1142,22 @@ def test_header_with_overflowing_shape_exits_3(tmp_path, flat_image, capsys):
     assert err.startswith("file error") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("side", ["0", "-5"])
+def test_header_with_a_side_below_1_exits_3(tmp_path, capsys, side):
+    """At subrate 0.0005 a 32x32 file holds one measurement, and so would
+    a 0x32 one, so only the header's own check can refuse the side."""
+    img_path, meas = tmp_path / "img.pgm", tmp_path / "m.meas"
+    write_pgm(img_path, make_motif_image(32))
+    run(capsys, "measure", img_path, "--output", meas, "--op", "dense", "--subrate", "0.0005")
+    meas.write_bytes(meas.read_bytes().replace(b"height=32", f"height={side}".encode(), 1))
+    out = tmp_path / "o.pgm"
+    code, _, err = run(capsys, "recover", meas, "--output", out)
+    assert code == 3
+    [line] = err.splitlines()
+    assert line.startswith(f"file error: {meas}: bad header field")
+    assert not out.exists()
+
+
 def test_header_claiming_a_huge_shape_exits_3(tmp_path, flat_image, capsys):
     """A 307-value 32x32 file that claims 20000x20000 passes the count
     check, but its group stack alone would take over 400 GB.  Run as its

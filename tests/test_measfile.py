@@ -65,6 +65,42 @@ def test_header_is_ascii_then_payload(tmp_path):
     assert payload == mf.y.astype("<f8").tobytes()
 
 
+def header_lines(path):
+    return path.read_bytes().partition(b"\nend\n")[0].decode("ascii").splitlines()
+
+
+def test_header_text_without_target(tmp_path):
+    p, _ = sample(tmp_path, noise=NoiseSpec(model="none"), snr_db=np.inf)
+    assert header_lines(p) == [
+        "GSRM1", "op=dense", "height=64", "width=64", "m=5", "subrate=0.3", "seed=7",
+        "noise=none", "noise_sigma=1.0", "noise_xi=0.1", "noise_kappa=100.0",
+        "snr_db=inf",
+    ]
+
+
+def test_header_text_with_target(tmp_path):
+    noise = NoiseSpec(model="gaussian_mixture", sigma=2.5, xi=0.05, kappa=1e3,
+                      target_snr_db=-15.0)
+    p, _ = sample(tmp_path, op_kind="dft", shape=(3, 40), subrate=1, seed=0, noise=noise,
+                  snr_db=1.0 / 3.0, y=np.zeros(120))
+    assert header_lines(p) == [
+        "GSRM1", "op=dft", "height=3", "width=40", "m=120", "subrate=1", "seed=0",
+        "noise=gaussian_mixture", "noise_sigma=2.5", "noise_xi=0.05",
+        "noise_kappa=1000.0", "target_snr_db=-15.0", "snr_db=0.3333333333333333",
+    ]
+
+
+def test_numpy_floats_are_written_as_floats(tmp_path):
+    p, mf = sample(tmp_path, subrate=np.float64(0.3), snr_db=np.float64(-np.inf),
+                   noise=NoiseSpec("gaussian", np.float64(5.0), np.float32(0.25)))
+    lines = header_lines(p)
+    assert "subrate=0.3" in lines
+    assert "noise_sigma=5.0" in lines and "noise_xi=0.25" in lines
+    assert "snr_db=-inf" in lines
+    back = read_measurements(p)
+    assert (back.subrate, back.noise, back.snr_db) == (0.3, mf.noise, -np.inf)
+
+
 def test_write_is_deterministic(tmp_path):
     p1, _ = sample(tmp_path)
     raw1 = p1.read_bytes()
@@ -94,6 +130,16 @@ def test_rejects_missing_field(tmp_path):
     raw = p.read_bytes().replace(b"seed=7\n", b"")
     p.write_bytes(raw)
     with pytest.raises(MeasFileError):
+        read_measurements(p)
+
+
+@pytest.mark.parametrize("key", ["height", "width"])
+@pytest.mark.parametrize("side", ["0", "-5"])
+def test_rejects_a_side_below_1(tmp_path, key, side):
+    p, _ = sample(tmp_path)
+    p.write_bytes(p.read_bytes().replace(f"{key}=64".encode(), f"{key}={side}".encode()))
+    with pytest.raises(MeasFileError,
+                       match=rf"bad header field \(image side must be >= 1, got {side}\)"):
         read_measurements(p)
 
 
