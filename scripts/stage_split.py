@@ -2,26 +2,22 @@
 
 Set OPENBLAS_NUM_THREADS=1 for figures comparable across machines.
 X-step rows measure the self-similar test image at subrate 0.2 plus
-N(0, 5^2) noise and start from the adjoint of the measurements, with
-robust weights from that start's residual.  For each operator kind they
-time one `forward`, `adjoint` and `normal`, and one X-step of `gd_steps`
-gradient steps.  A kind whose recovery would not fit in physical memory
-gives one `refused` row and is never built.  Z-step rows denoise the test
-image plus N(0, 10^2) noise at tau = 1.5e7: `group_stack`,
-`irnn_denoise_stack` and `aggregate_stack` on every group of the image
-as one stack, then the whole `z_step`, at 1 worker and at
-patches.WORKERS.  Each row is a median over --repeats runs: side, stage,
-kind, workers, groups, seconds, peak_mb, with the fields that do not
-apply left empty.  peak_mb, on the z_step rows only, is the peak of
-tracemalloc's traced allocations over one separate, untimed z_step call,
-in MiB above its input.
-
-The three stage rows time the whole-image, one-band functions, which
-`z_step` does not call: it streams the lattice in bands
-(patches.denoise_bands), and no row times a band's patch vectors or how
-much of the aggregation the pool's passes hide.  Only the z_step rows
-and their peak_mb measure what `z_step` runs, so once an image has many
-bands (22 at 256x256) the stage rows are not a split of a z_step row.
+N(0, 5^2) noise, from the adjoint of the measurements with robust weights
+from its residual: one `forward`, `adjoint` and `normal` and one X-step
+of `gd_steps` gradient steps per operator kind.  A kind whose recovery
+would not fit in physical memory gives one `refused` row and is never
+built.  Z-step rows denoise the test image plus N(0, 10^2) noise in three
+nested runs of the banded path, at 1 worker and at patches.WORKERS:
+`match_aggregate` is patches.denoise_bands with a shrink that does
+nothing, `spectra` is z_step at tau = 0, which adds every group's Gram
+spectrum and the penalty sum, and `z_step` at tau = 1.5e7 adds the
+reweighting sweeps and the rebuild.  The difference of two rows is the
+cost of what the later run adds; matching and aggregation share a row
+because the caller aggregates while the pool matches.  Each row reads
+side, stage, kind, workers, groups, seconds (the median of --repeats
+runs), min_s, max_s and peak_mb, with the fields that do not apply left
+empty.  peak_mb, on the z_step rows only, is tracemalloc's peak over one
+separate, untimed z_step call, in MiB above its input.
 """
 
 import argparse
@@ -32,17 +28,16 @@ from time import perf_counter
 
 import numpy as np
 
-from groupcs import SolverConfig, irnn_denoise_stack, make_motif_image, make_operator, patches
+from groupcs import SolverConfig, make_motif_image, make_operator, patches
 from groupcs import q_update, x_step, z_step
 from groupcs.measurement import OPERATOR_KINDS, fits_in_memory
-from groupcs.patches import aggregate_stack, group_stack, reference_anchors
 from groupcs.solver import recovery_bytes, robust_sigma
 
 SUBRATE = 0.2
 OP_SEED = 1
 NOISE_SEED = 11
 TAU = 1.5e7
-COLUMNS = ["side", "stage", "kind", "workers", "groups", "seconds", "peak_mb"]
+COLUMNS = ["side", "stage", "kind", "workers", "groups", "seconds", "min_s", "max_s", "peak_mb"]
 
 
 def timed(fn, *args, **kwargs):
@@ -51,10 +46,12 @@ def timed(fn, *args, **kwargs):
     return perf_counter() - start, result
 
 
-def medians(repeats, run_once):
-    """Each stage's median seconds over `repeats` calls of run_once()."""
+def spreads(repeats, run_once):
+    """Each stage's median, min and max seconds over `repeats` calls of run_once()."""
     runs = [run_once() for _ in range(repeats)]
-    return {stage: statistics.median(run[stage] for run in runs) for stage in runs[0]}
+    stats = {"seconds": statistics.median, "min_s": min, "max_s": max}
+    return {stage: {key: f"{stat([run[stage] for run in runs]):.5f}" for key, stat in stats.items()}
+            for stage in runs[0]}
 
 
 def x_run(side, kind, cfg):
@@ -74,15 +71,16 @@ def x_run(side, kind, cfg):
     }
 
 
+def no_shrink(stack):
+    """A denoise_bands shrinker that leaves every group as matched."""
+    return None, lambda part: None
+
+
 def z_run(noisy, cfg):
-    """One run of each Z-step stage, then of the whole z_step."""
-    t_match, (stack, positions) = timed(group_stack, noisy, cfg.grouping)
+    """One run of each nested Z-step, the whole z_step last."""
     return {
-        "group_stack": t_match,
-        "irnn_denoise_stack": timed(irnn_denoise_stack, stack, cfg.penalty, TAU,
-                                    weighting=cfg.weighting, init_weights=cfg.init_weights)[0],
-        "aggregate_stack": timed(aggregate_stack, stack, positions, noisy.shape,
-                                 cfg.grouping.patch_side)[0],
+        "match_aggregate": timed(patches.denoise_bands, noisy, cfg.grouping, no_shrink)[0],
+        "spectra": timed(z_step, noisy, cfg, 0.0)[0],
         "z_step": timed(z_step, noisy, cfg, TAU)[0],
     }
 
@@ -110,9 +108,9 @@ def main(argv=None):
     cfg = SolverConfig()
     rows = []
 
-    def add(seconds, **fields):
-        rows.append(dict(fields, seconds=seconds))
-        print(" ".join(f"{rows[-1].get(c, ''):>18}" for c in COLUMNS), flush=True)
+    def add(**fields):
+        rows.append(fields)
+        print(" ".join(f"{fields.get(c, ''):>18}" for c in COLUMNS), flush=True)
 
     print(" ".join(f"{c:>18}" for c in COLUMNS))
     pool_workers = patches.WORKERS
@@ -122,20 +120,20 @@ def main(argv=None):
             # 64x64 Z-step stages ran up to 2x faster than in a fresh process.
             image = make_motif_image(side, 3)
             noisy = image + np.random.default_rng(NOISE_SEED).normal(0.0, 10.0, image.shape)
-            groups = len(reference_anchors(noisy.shape, cfg.grouping))
+            groups = len(patches.reference_anchors(noisy.shape, cfg.grouping))
             for workers in sorted({1, pool_workers}):
                 patches.WORKERS = workers
-                times = medians(args.repeats, lambda: z_run(noisy, cfg))
+                times = spreads(args.repeats, lambda: z_run(noisy, cfg))
                 peak = f"{z_peak_mb(noisy, cfg):.1f}"
                 for stage, t in times.items():
-                    add(f"{t:.5f}", side=side, stage=stage, workers=workers, groups=groups,
+                    add(**t, side=side, stage=stage, workers=workers, groups=groups,
                         peak_mb=peak if stage == "z_step" else "")
             for kind in args.kinds:
                 if not fits_in_memory(recovery_bytes(kind, (side, side), SUBRATE, cfg.grouping)):
-                    add("refused", side=side, kind=kind)
+                    add(seconds="refused", side=side, kind=kind)
                     continue
-                for stage, t in medians(args.repeats, x_run(side, kind, cfg)).items():
-                    add(f"{t:.5f}", side=side, stage=stage, kind=kind)
+                for stage, t in spreads(args.repeats, x_run(side, kind, cfg)).items():
+                    add(**t, side=side, stage=stage, kind=kind)
     finally:
         patches.WORKERS = pool_workers
     if args.csv:

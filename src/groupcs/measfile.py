@@ -21,12 +21,14 @@ subrate, seed) plus the noise description and the realized SNR:
     end
     <m * 8 bytes>
 
-target_snr_db is omitted when no target was set; snr_db may be "inf".
+target_snr_db is omitted when no target was set; snr_db may be "inf" but
+not "nan".
 Every measurement must be finite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,11 +53,21 @@ class MeasurementFile:
     y: np.ndarray
 
 
-def _side(text):
-    side = int(text)
-    if side < 1:
-        raise ValueError(f"image side must be >= 1, got {side}")
-    return side
+def _at_least(low, name):
+    """The parser of an integer header value that must be `low` or more."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
+        return value
+    return parse
+
+
+def _snr_db(text):
+    value = float(text)
+    if math.isnan(value):
+        raise ValueError(f"snr_db must be a number, got {text}")
+    return value
 
 
 # The header, in file order: each key, its value in a MeasurementFile, and
@@ -63,17 +75,17 @@ def _side(text):
 # (only target_snr_db may be None) is left out of the file.
 _HEADER = (
     ("op", lambda mf: mf.op_kind, check_operator_kind),
-    ("height", lambda mf: mf.shape[0], _side),
-    ("width", lambda mf: mf.shape[1], _side),
-    ("m", lambda mf: mf.y.shape[0], int),
+    ("height", lambda mf: mf.shape[0], _at_least(1, "image side")),
+    ("width", lambda mf: mf.shape[1], _at_least(1, "image side")),
+    ("m", lambda mf: mf.y.shape[0], _at_least(0, "m")),
     ("subrate", lambda mf: mf.subrate, float),
-    ("seed", lambda mf: mf.seed, int),
+    ("seed", lambda mf: mf.seed, _at_least(0, "seed")),
     ("noise", lambda mf: mf.noise.model, str),
     ("noise_sigma", lambda mf: mf.noise.sigma, float),
     ("noise_xi", lambda mf: mf.noise.xi, float),
     ("noise_kappa", lambda mf: mf.noise.kappa, float),
     ("target_snr_db", lambda mf: mf.noise.target_snr_db, float),
-    ("snr_db", lambda mf: mf.snr_db, float),
+    ("snr_db", lambda mf: mf.snr_db, _snr_db),
 )
 
 

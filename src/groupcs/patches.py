@@ -33,7 +33,7 @@ from .measurement import refuse_beyond_memory
 # matching and shrinkage run WORKERS passes at once through run_passes,
 # and aggregation runs on the calling thread in place of one of them.
 # Each pass holds a fixed number of such temporaries, so whatever the
-# grouping the Z-step needs stack_bytes, 56 bytes a pixel for its input
+# grouping the Z-step needs stack_bytes, 48 bytes a pixel for its input
 # and its aggregation, and a fixed allowance for the passes.
 PASS_ENTRIES = 1 << 18
 
@@ -272,16 +272,16 @@ def reference_anchors(shape, cfg):
 
     Raises GroupingError when the grouping cannot be applied to an image
     of this shape: the patch does not fit, a Z-step's arrays (stack_bytes
-    and seven image-sized arrays) would not fit in physical memory, or
+    and six image-sized arrays) would not fit in physical memory, or
     some reference window holds fewer than group_size candidates.
     """
     (h, w), s = shape, cfg.patch_side
     if s > h or s > w:
         raise GroupingError(f"image {tuple(shape)} smaller than patch side {s}")
-    # Beside its bands, a Z-step holds seven image-sized arrays at its peak:
-    # its input, _Aggregation's counts, sums, mean and resid, and the two
-    # that image() adds.
-    refuse_beyond_memory(stack_bytes(shape, cfg) + 7 * 8 * h * w, f"grouping a {h}x{w} image",
+    # Beside its bands, a Z-step holds six image-sized arrays at its peak:
+    # its input, _Aggregation's counts, sums and resid, and the two that
+    # image() adds.
+    refuse_beyond_memory(stack_bytes(shape, cfg) + 6 * 8 * h * w, f"grouping a {h}x{w} image",
                          GroupingError)
     rows, cols = (_anchor_axis(dim, cfg) for dim in shape)
     anchors = np.stack(np.meshgrid(rows, cols, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -373,8 +373,9 @@ class _Aggregation:
     The mean is computed as a first-pass mean plus an averaged correction
     of the residuals, which keeps the round trip through matching and
     aggregation bitwise exact.  add() takes a stack's first pass, its
-    sums and counts; settle(rows) fixes the mean of the image rows above
-    `rows`, which no later add() may reach; add_residuals() takes the
+    sums and counts; settle(rows) divides the sums of the image rows above
+    `rows`, which no later add() may reach, by their counts, so that those
+    rows of `sums` hold their first-pass mean; add_residuals() takes the
     residual pass of a stack whose rows are all settled, and image()
     returns the average once every row is.  Contributions are summed in
     the order of the patch entries, stack after stack, in passes that add
@@ -391,7 +392,6 @@ class _Aggregation:
         self.offs = (np.arange(patch_side)[:, None] * w + np.arange(patch_side)).ravel(order="F")
         self.counts = np.zeros(h * w, dtype=np.intp)
         self.sums = np.zeros(h * w)
-        self.mean = np.zeros(h * w)
         self.resid = np.zeros(h * w)
 
     def _entries(self, patches, positions):
@@ -411,15 +411,15 @@ class _Aggregation:
         counts = self.counts[lo:hi]
         if np.any(counts == 0):
             raise ValueError(f"aggregation left {int(np.sum(counts == 0))} pixels uncovered")
-        self.mean[lo:hi] = self.sums[lo:hi] / counts
+        self.sums[lo:hi] /= counts
         self.settled = hi
 
     def add_residuals(self, patches, positions):
         for idx, v in self._entries(patches, positions):
-            np.add.at(self.resid, idx, v - self.mean[idx])
+            np.add.at(self.resid, idx, v - self.sums[idx])
 
     def image(self):
-        return (self.mean + self.resid / self.counts).reshape(self.shape)
+        return (self.sums + self.resid / self.counts).reshape(self.shape)
 
 
 def aggregate_stack(patches, positions, shape, patch_side):

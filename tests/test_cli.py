@@ -1158,6 +1158,25 @@ def test_header_with_a_side_below_1_exits_3(tmp_path, capsys, side):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("old, new, message", [
+    (b"m=307", b"m=-1", "m must be >= 0, got -1"),
+    (b"seed=0", b"seed=-1", "seed must be >= 0, got -1"),
+    (b"snr_db=inf", b"snr_db=nan", "snr_db must be a number, got nan"),
+])
+def test_header_with_a_bad_count_seed_or_snr_exits_3(tmp_path, flat_image, capsys,
+                                                    old, new, message):
+    """A negative measurement count or seed, or a NaN SNR, is refused as a
+    bad header field that names the key and the value."""
+    meas = tmp_path / "m.meas"
+    run(capsys, "measure", flat_image[0], "--output", meas, "--seed", "0")
+    meas.write_bytes(meas.read_bytes().replace(old, new, 1))
+    out = tmp_path / "o.pgm"
+    code, _, err = run(capsys, "recover", meas, "--output", out)
+    assert code == 3
+    assert err == f"file error: {meas}: bad header field ({message})\n"
+    assert not out.exists()
+
+
 def test_header_claiming_a_huge_shape_exits_3(tmp_path, flat_image, capsys):
     """A 307-value 32x32 file that claims 20000x20000 passes the count
     check, but its group stack alone would take over 400 GB.  Run as its

@@ -143,6 +143,26 @@ def test_rejects_a_side_below_1(tmp_path, key, side):
         read_measurements(p)
 
 
+@pytest.mark.parametrize("key, good, bad, message", [
+    ("m", "5", "-1", "m must be >= 0, got -1"),
+    ("seed", "7", "-1", "seed must be >= 0, got -1"),
+    ("snr_db", "18.25", "nan", "snr_db must be a number, got nan"),
+])
+def test_rejects_a_negative_count_or_seed_and_a_nan_snr(tmp_path, key, good, bad, message):
+    p, _ = sample(tmp_path)
+    p.write_bytes(p.read_bytes().replace(f"\n{key}={good}\n".encode(),
+                                         f"\n{key}={bad}\n".encode()))
+    with pytest.raises(MeasFileError, match=rf"bad header field \({message}\)"):
+        read_measurements(p)
+
+
+def test_reads_the_least_count_and_seed_and_a_negative_infinite_snr(tmp_path):
+    """m = 0 and seed = 0 are the least a header may hold, and of the
+    non-finite SNRs only NaN is refused."""
+    back = read_measurements(sample(tmp_path, y=np.empty(0), seed=0, snr_db=-np.inf)[0])
+    assert (back.y.size, back.seed, back.snr_db) == (0, 0, -np.inf)
+
+
 def test_rejects_short_payload(tmp_path):
     p, _ = sample(tmp_path)
     p.write_bytes(p.read_bytes()[:-8])

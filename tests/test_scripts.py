@@ -64,7 +64,7 @@ SPLITS = {"xstep_split": "kind", "zstep_split": "workers"}
 @pytest.mark.parametrize("name", sorted(set(CSV_RUNS) - {"stage_split"} | set(SPLITS)))
 def test_script_writes_one_row(name, tmp_path, capsys):
     """One row, or for each split of stage_split one per stage: four X-step
-    stages for the one kind, four Z-step stages at each worker count."""
+    stages for the one kind, three Z-step stages at each worker count."""
     script = "stage_split" if name in SPLITS else name
     table = tmp_path / "out.csv"
     argv = ["--side", "32", *CSV_RUNS[script], "--csv", str(table)]
@@ -72,7 +72,7 @@ def test_script_writes_one_row(name, tmp_path, capsys):
     with open(table, newline="") as fh:
         header, *rows = csv.reader(fh)
     assert all(len(row) == len(header) for row in rows)
-    stages = {"xstep_split": 4, "zstep_split": 4 * len({1, patches.WORKERS})}
+    stages = {"xstep_split": 4, "zstep_split": 3 * len({1, patches.WORKERS})}
     if name in SPLITS:
         assert len(rows) == sum(stages.values())
         rows = [row for row in rows if row[header.index(SPLITS[name])]]
@@ -80,9 +80,9 @@ def test_script_writes_one_row(name, tmp_path, capsys):
 
 
 def test_stage_split_times_one_worker_and_the_pool(tmp_path, capsys, monkeypatch):
-    """Z-step rows at 1 worker and at patches.WORKERS, with the same groups
-    and positive times, and a positive peak_mb on each z_step row only;
-    the worker count is restored afterwards."""
+    """Z-step rows at 1 worker and at patches.WORKERS, with the same groups,
+    positive times inside their min and max, and a positive peak_mb on
+    each z_step row only; the worker count is restored afterwards."""
     monkeypatch.setattr(patches, "WORKERS", 3)
     table = tmp_path / "out.csv"
     assert load_script("stage_split").main(["--side", "32", "--repeats", "1", "--kinds", "dft",
@@ -91,13 +91,35 @@ def test_stage_split_times_one_worker_and_the_pool(tmp_path, capsys, monkeypatch
         rows = [r for r in csv.DictReader(fh) if not r["kind"]]
     assert [(r["stage"], r["workers"]) for r in rows] == [
         (stage, workers) for workers in ("1", "3")
-        for stage in ("group_stack", "irnn_denoise_stack", "aggregate_stack", "z_step")]
+        for stage in ("match_aggregate", "spectra", "z_step")]
     assert {r["groups"] for r in rows} == {rows[0]["groups"]}
     assert int(rows[0]["groups"]) > 0
-    assert all(float(r["seconds"]) > 0 for r in rows)
+    assert all(0 < float(r["min_s"]) <= float(r["seconds"]) <= float(r["max_s"]) for r in rows)
     assert all(float(r["peak_mb"]) > 0 for r in rows if r["stage"] == "z_step")
     assert all(r["peak_mb"] == "" for r in rows if r["stage"] != "z_step")
     assert patches.WORKERS == 3
+
+
+def test_stage_split_runs_no_one_band_function(tmp_path, capsys, monkeypatch):
+    """Every Z-step row times the banded path that z_step runs: with the
+    whole-image, one-band functions made to fail, the script still
+    writes all its rows."""
+    import groupcs
+    from groupcs import lowrank
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a one-band function was called")
+
+    for module, name in [(groupcs, "group_stack"), (groupcs, "aggregate_stack"),
+                         (groupcs, "irnn_denoise_stack"), (patches, "group_stack"),
+                         (patches, "aggregate_stack"), (lowrank, "irnn_denoise_stack")]:
+        monkeypatch.setattr(module, name, fail)
+    table = tmp_path / "out.csv"
+    assert load_script("stage_split").main(["--side", "32", "--repeats", "1", "--kinds", "dft",
+                                            "--csv", str(table)]) == 0
+    with open(table, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3 * len({1, patches.WORKERS}) + 4
 
 
 def test_stage_split_refuses_what_does_not_fit(tmp_path, capsys, monkeypatch):
