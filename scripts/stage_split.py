@@ -3,10 +3,11 @@
 Set OPENBLAS_NUM_THREADS=1 for figures comparable across machines.
 X-step rows measure the self-similar test image at subrate 0.2 plus
 N(0, 5^2) noise, from the adjoint of the measurements with robust weights
-from its residual: one `forward`, `adjoint` and `normal` and one X-step
-of `gd_steps` gradient steps per operator kind.  A kind whose recovery
-would not fit in physical memory gives one `refused` row and is never
-built.  Z-step rows denoise the test image plus N(0, 10^2) noise in three
+from its residual: one `build` of the operator (make_operator, with no
+other operator held), one `forward`, `adjoint` and `normal` and one
+X-step of `gd_steps` gradient steps per operator kind.  A kind whose
+recovery would not fit in physical memory gives one `refused` row and is
+never built.  Z-step rows denoise the test image plus N(0, 10^2) noise in three
 nested runs of the banded path, at 1 worker and at patches.WORKERS:
 `match_aggregate` is patches.denoise_bands with a shrink that does
 nothing, `spectra` is z_step at tau = 0, which adds every group's Gram
@@ -52,6 +53,12 @@ def spreads(repeats, run_once):
     stats = {"seconds": statistics.median, "min_s": min, "max_s": max}
     return {stage: {key: f"{stat([run[stage] for run in runs]):.5f}" for key, stat in stats.items()}
             for stage in runs[0]}
+
+
+def build_run(side, kind):
+    """A function that times one make_operator call; the operator is
+    dropped before the next call."""
+    return lambda: {"build": timed(make_operator, kind, (side, side), SUBRATE, OP_SEED)[0]}
 
 
 def x_run(side, kind, cfg):
@@ -132,7 +139,9 @@ def main(argv=None):
                 if not fits_in_memory(recovery_bytes(kind, (side, side), SUBRATE, cfg.grouping)):
                     add(seconds="refused", side=side, kind=kind)
                     continue
-                for stage, t in spreads(args.repeats, x_run(side, kind, cfg)).items():
+                times = spreads(args.repeats, build_run(side, kind))
+                times.update(spreads(args.repeats, x_run(side, kind, cfg)))
+                for stage, t in times.items():
                     add(**t, side=side, stage=stage, kind=kind)
     finally:
         patches.WORKERS = pool_workers

@@ -18,14 +18,13 @@ the lattice, so they are in range by construction.
 from __future__ import annotations
 
 import contextvars
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import wait
 from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import refuse_beyond_memory
+from .measurement import _POOL, WORKERS, refuse_beyond_memory
 
 # Entries the Z-step's passes in flight may hold together in each of
 # their temporaries (2 MB of float64).  Matching, group shrinkage and
@@ -42,13 +41,11 @@ PASS_ENTRIES = 1 << 18
 BAND_ENTRIES = 2 * PASS_ENTRIES
 MAX_BANDS = 1 << 16
 
-# Threads a stage's passes run on (see run_passes): the calling thread and
-# WORKERS - 1 threads of _POOL, which starts them only when first used.
-if hasattr(os, "sched_getaffinity"):
-    WORKERS = len(os.sched_getaffinity(0))
-else:
-    WORKERS = os.cpu_count() or 1
-_POOL = ThreadPoolExecutor(max(1, WORKERS - 1), thread_name_prefix="groupcs-pass")
+# A stage's passes run on WORKERS threads (see run_passes): the calling
+# thread and those of measurement's _POOL, which the Gaussian draw uses
+# too.  Both names are re-exported from measurement; setting
+# patches.WORKERS changes the Z-step's count alone.
+
 # run_passes calls in progress on any thread (say, concurrent sweep cells);
 # they divide the WORKERS threads among them.
 _callers = 0

@@ -1,11 +1,13 @@
 """Measurement operators: adjoint identities, masks and the noise model."""
 
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 import pytest
 
-from groupcs import NoiseSpec, add_noise, make_operator
+from groupcs import NoiseSpec, add_noise, make_operator, measurement
 from groupcs.measurement import (
     BLOCK_SIDE, CHUNK_ENTRIES, BlockGaussianOp, DenseGaussianOp, MaskedDftOp, operator_bytes,
 )
@@ -257,6 +259,157 @@ def test_gaussian_ops_match_block_loop(kind, shape, subrate, rng):
         # The draw a measurement file's header rebuilds the matrix from.
         want = np.random.default_rng(17).normal(0.0, 1.0 / math.sqrt(op.m), (op.m, op.n))
         np.testing.assert_array_equal(DenseGaussianOp(shape, subrate, 17).a, want)
+
+
+# ------------------------------------------------------- split Gaussian draw
+
+
+@pytest.fixture
+def small_split(monkeypatch):
+    """Split draws from 2 * 2**13 normals on, with a 2**11-normal window;
+    returns the list each build's _draw_normals result is appended to."""
+    monkeypatch.setattr(measurement, "SPLIT_NORMALS", 2**13)
+    monkeypatch.setattr(measurement, "HANDOFF_WINDOW", 2**11)
+    shifts, draw = [], measurement._draw_normals
+    monkeypatch.setattr(measurement, "_draw_normals",
+                        lambda rng, out: shifts.append(draw(rng, out)) or shifts[-1])
+    return shifts
+
+
+def sequential_normals(seed, count):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(count), rng.bit_generator.state
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("kind, shape, subrate", [
+    ("dense", (37, 23), 0.3),  # 217k normals
+    ("block", (64, 64), 0.3),  # blocks of 308 and 307 rows
+    ("block", (96, 128), 0.25),
+])
+def test_split_gaussian_ops_match_block_loop(kind, shape, subrate, workers, small_split,
+                                             monkeypatch):
+    """Drawn in WORKERS parts, every hand-off accepted, both Gaussian kinds
+    equal the per-tile walk bit for bit."""
+    monkeypatch.setattr(measurement, "WORKERS", workers)
+    op = make_operator(kind, shape, subrate, 17)
+    block = shape if kind == "dense" else (BLOCK_SIDE, BLOCK_SIDE)
+    for got, want in zip(op.mats, loop_gaussian_mats(shape, block, subrate, 17), strict=True):
+        np.testing.assert_array_equal(got, want)
+    assert len(small_split[0]) == workers - 1
+    assert all(s is not None and 0 <= s < measurement.HANDOFF_WINDOW for s in small_split[0])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_split_draw_ends_in_the_sequential_state(seed, small_split, monkeypatch):
+    """The split draw gives rng.standard_normal's values and leaves rng
+    where it leaves it, whatever the worker count."""
+    want, state = sequential_normals(seed, 200_000)
+    for workers in (1, 2, 3, 5):
+        monkeypatch.setattr(measurement, "WORKERS", workers)
+        rng, out = np.random.default_rng(seed), np.empty(200_000)
+        measurement._draw_normals(rng, out)
+        np.testing.assert_array_equal(out, want)
+        assert rng.bit_generator.state == state
+    assert [len(s) for s in small_split] == [0, 1, 2, 4]
+    assert None not in sum(small_split, [])
+
+
+def test_split_draw_is_accepted_at_the_installed_sizes(monkeypatch):
+    """At the real SPLIT_NORMALS and HANDOFF_WINDOW the guessed starts are
+    accepted on this numpy: a numpy whose normals take other words per
+    draw fails here rather than drawing every part twice."""
+    monkeypatch.setattr(measurement, "WORKERS", 2)
+    count = 2 * measurement.SPLIT_NORMALS + 5
+    want, state = sequential_normals(3, count)
+    rng, out = np.random.default_rng(3), np.empty(count)
+    [shift] = measurement._draw_normals(rng, out)
+    assert shift is not None
+    np.testing.assert_array_equal(out, want)
+    assert rng.bit_generator.state == state
+
+
+def test_one_worker_is_the_plain_draw(monkeypatch):
+    """With WORKERS = 1 nothing goes to the pool."""
+    monkeypatch.setattr(measurement, "WORKERS", 1)
+    monkeypatch.setattr(measurement._POOL, "submit", None)  # fails if called
+    count = 4 * measurement.SPLIT_NORMALS
+    want, state = sequential_normals(4, count)
+    rng, out = np.random.default_rng(4), np.empty(count)
+    assert measurement._draw_normals(rng, out) == []
+    np.testing.assert_array_equal(out, want)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("words", [0.9, 1.1])
+def test_wrong_guess_falls_back_to_the_same_bytes(words, small_split, monkeypatch):
+    """A start guessed too early (the streams meet past the window) or too
+    late (the part starts past its first normal) is redrawn by the caller."""
+    monkeypatch.setattr(measurement, "WORKERS", 3)
+    monkeypatch.setattr(measurement, "WORDS_PER_NORMAL", words)
+    want, state = sequential_normals(6, 200_000)
+    rng, out = np.random.default_rng(6), np.empty(200_000)
+    assert measurement._draw_normals(rng, out) == [None, None]
+    np.testing.assert_array_equal(out, want)
+    assert rng.bit_generator.state == state
+
+
+def test_wrong_recorded_state_falls_back_to_the_same_bytes(small_split, monkeypatch):
+    """A part whose window value is found but whose recorded state is not
+    reached is redrawn from where the window's prefix ended."""
+    monkeypatch.setattr(measurement, "WORKERS", 2)
+    draw_part = measurement._draw_part
+
+    def off_by_one(state, out, lo, hi):
+        gen, mark = draw_part(state, out, lo, hi)
+        mark["state"]["state"] += 1
+        return gen, mark
+
+    monkeypatch.setattr(measurement, "_draw_part", off_by_one)
+    want, state = sequential_normals(7, 200_000)
+    rng, out = np.random.default_rng(7), np.empty(200_000)
+    assert measurement._draw_normals(rng, out) == [None]
+    np.testing.assert_array_equal(out, want)
+    assert rng.bit_generator.state == state
+
+
+def test_concurrent_builds_give_the_same_bytes(small_split, monkeypatch):
+    """Two threads building one operator at once (as two sweep cells do)
+    share the pool and both get the sequential draw's matrices."""
+    monkeypatch.setattr(measurement, "WORKERS", 2)
+    start = threading.Barrier(2)
+
+    def build():
+        start.wait()
+        return make_operator("block", (96, 128), 0.25, 17)
+
+    with ThreadPoolExecutor(2) as pool:
+        ops = [f.result() for f in [pool.submit(build) for _ in range(2)]]
+    want = loop_gaussian_mats((96, 128), (BLOCK_SIDE, BLOCK_SIDE), 0.25, 17)
+    for op in ops:
+        for got, mat in zip(op.mats, want, strict=True):
+            np.testing.assert_array_equal(got, mat)
+    assert len(small_split) == 2
+
+
+def test_busy_pool_makes_the_caller_draw_the_part(monkeypatch):
+    """A part still queued behind other work when its turn comes is
+    cancelled and drawn by the caller, which does not wait for the pool."""
+    monkeypatch.setattr(measurement, "WORKERS", 2)
+    release = threading.Event()
+    blockers = [measurement._POOL.submit(release.wait, 60)
+                for _ in range(measurement._POOL._max_workers)]
+    try:
+        count = 2 * measurement.SPLIT_NORMALS
+        want, state = sequential_normals(8, count)
+        rng, out = np.random.default_rng(8), np.empty(count)
+        assert measurement._draw_normals(rng, out) == [None]
+        assert not any(blocker.done() for blocker in blockers)
+    finally:
+        release.set()
+        wait(blockers)
+    np.testing.assert_array_equal(out, want)
+    assert rng.bit_generator.state == state
 
 
 # ----------------------------------------------------------------------- dft

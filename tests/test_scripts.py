@@ -63,7 +63,7 @@ SPLITS = {"xstep_split": "kind", "zstep_split": "workers"}
 
 @pytest.mark.parametrize("name", sorted(set(CSV_RUNS) - {"stage_split"} | set(SPLITS)))
 def test_script_writes_one_row(name, tmp_path, capsys):
-    """One row, or for each split of stage_split one per stage: four X-step
+    """One row, or for each split of stage_split one per stage: five X-step
     stages for the one kind, three Z-step stages at each worker count."""
     script = "stage_split" if name in SPLITS else name
     table = tmp_path / "out.csv"
@@ -72,7 +72,7 @@ def test_script_writes_one_row(name, tmp_path, capsys):
     with open(table, newline="") as fh:
         header, *rows = csv.reader(fh)
     assert all(len(row) == len(header) for row in rows)
-    stages = {"xstep_split": 4, "zstep_split": 3 * len({1, patches.WORKERS})}
+    stages = {"xstep_split": 5, "zstep_split": 3 * len({1, patches.WORKERS})}
     if name in SPLITS:
         assert len(rows) == sum(stages.values())
         rows = [row for row in rows if row[header.index(SPLITS[name])]]
@@ -119,11 +119,11 @@ def test_stage_split_runs_no_one_band_function(tmp_path, capsys, monkeypatch):
                                             "--csv", str(table)]) == 0
     with open(table, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == 3 * len({1, patches.WORKERS}) + 4
+    assert len(rows) == 3 * len({1, patches.WORKERS}) + 5
 
 
 def test_stage_split_refuses_what_does_not_fit(tmp_path, capsys, monkeypatch):
-    """Four X-step rows per kind; a kind whose recovery would not fit in
+    """Five X-step rows per kind; a kind whose recovery would not fit in
     physical memory gives one refused row and is never built."""
     from groupcs.solver import recovery_bytes
 
@@ -139,11 +139,11 @@ def test_stage_split_refuses_what_does_not_fit(tmp_path, capsys, monkeypatch):
     assert script.main(["--side", "64", "--repeats", "1", "--csv", str(table)]) == 0
     with open(table, newline="") as fh:
         rows = [r for r in csv.DictReader(fh) if r["kind"]]
-    assert built == ["block", "dft"]
+    assert built == ["block", "block", "dft", "dft"]  # the build row's and the X-step's
     assert [(r["side"], r["stage"], r["kind"], r["seconds"]) for r in rows[:1]] == [
         ("64", "", "dense", "refused")]
     assert [(r["stage"], r["kind"]) for r in rows[1:]] == [
         (stage, kind) for kind in ("block", "dft")
-        for stage in ("forward", "adjoint", "normal", "gd_steps")]
+        for stage in ("build", "forward", "adjoint", "normal", "gd_steps")]
     assert all(r["side"] == "64" and float(r["seconds"]) > 0 for r in rows[1:])
     assert all(r["peak_mb"] == "" for r in rows)
