@@ -4,11 +4,12 @@ Set OPENBLAS_NUM_THREADS=1 for figures comparable across machines.
 X-step rows measure the self-similar test image at subrate 0.2 plus
 N(0, 5^2) noise, from the adjoint of the measurements with robust weights
 from its residual: one `build` of the operator (make_operator, with no
-other operator held), one `forward`, `adjoint` and `normal` and one
-X-step of `gd_steps` gradient steps per operator kind.  A kind whose
-recovery would not fit in physical memory gives one `refused` row and is
-never built.  Z-step rows denoise the test image plus N(0, 10^2) noise in three
-nested runs of the banded path, at 1 worker and at patches.WORKERS:
+other operator held) at 1 worker and at work.WORKERS, then one
+`forward`, `adjoint` and `normal` and one X-step of `gd_steps` gradient
+steps per operator kind.  A kind whose recovery would not fit in
+physical memory gives one `refused` row and is never built.  Z-step rows
+denoise the test image plus N(0, 10^2) noise in three nested runs of the
+banded path, at 1 worker and at work.WORKERS:
 `match_aggregate` is patches.denoise_bands with a shrink that does
 nothing, `spectra` is z_step at tau = 0, which adds every group's Gram
 spectrum and the penalty sum, and `z_step` at tau = 1.5e7 adds the
@@ -29,9 +30,9 @@ from time import perf_counter
 
 import numpy as np
 
-from groupcs import SolverConfig, make_motif_image, make_operator, patches
+from groupcs import SolverConfig, make_motif_image, make_operator, patches, work
 from groupcs import q_update, x_step, z_step
-from groupcs.measurement import OPERATOR_KINDS, fits_in_memory
+from groupcs.measurement import OPERATOR_KINDS
 from groupcs.solver import recovery_bytes, robust_sigma
 
 SUBRATE = 0.2
@@ -120,7 +121,7 @@ def main(argv=None):
         print(" ".join(f"{fields.get(c, ''):>18}" for c in COLUMNS), flush=True)
 
     print(" ".join(f"{c:>18}" for c in COLUMNS))
-    pool_workers = patches.WORKERS
+    pool_workers = work.WORKERS
     try:
         for side in args.side:
             # Z-step first: after a dense X-step has freed its operator, the
@@ -129,22 +130,25 @@ def main(argv=None):
             noisy = image + np.random.default_rng(NOISE_SEED).normal(0.0, 10.0, image.shape)
             groups = len(patches.reference_anchors(noisy.shape, cfg.grouping))
             for workers in sorted({1, pool_workers}):
-                patches.WORKERS = workers
+                work.WORKERS = workers
                 times = spreads(args.repeats, lambda: z_run(noisy, cfg))
                 peak = f"{z_peak_mb(noisy, cfg):.1f}"
                 for stage, t in times.items():
                     add(**t, side=side, stage=stage, workers=workers, groups=groups,
                         peak_mb=peak if stage == "z_step" else "")
             for kind in args.kinds:
-                if not fits_in_memory(recovery_bytes(kind, (side, side), SUBRATE, cfg.grouping)):
+                need = recovery_bytes(kind, (side, side), SUBRATE, cfg.grouping)
+                if not work.fits_in_memory(need):
                     add(seconds="refused", side=side, kind=kind)
                     continue
-                times = spreads(args.repeats, build_run(side, kind))
-                times.update(spreads(args.repeats, x_run(side, kind, cfg)))
-                for stage, t in times.items():
+                for workers in sorted({1, pool_workers}):
+                    work.WORKERS = workers
+                    add(**spreads(args.repeats, build_run(side, kind))["build"], side=side,
+                        stage="build", kind=kind, workers=workers)
+                for stage, t in spreads(args.repeats, x_run(side, kind, cfg)).items():
                     add(**t, side=side, stage=stage, kind=kind)
     finally:
-        patches.WORKERS = pool_workers
+        work.WORKERS = pool_workers
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.DictWriter(fh, COLUMNS)

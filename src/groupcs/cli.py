@@ -34,23 +34,22 @@ import numpy as np
 
 from .config import KEYS, ConfigError, build_settings, merge_config, parse_kv_file
 from .measfile import MeasFileError, MeasurementFile, read_measurements, write_measurements
-from .measurement import (
-    add_noise, fits_in_memory, make_operator, measurement_count, refuse_beyond_memory,
-)
+from .measurement import add_noise, make_operator, measurement_count
 from .metrics import check_shapes, psnr
 from .pgm import PgmError, quantize, read_pgm, write_pgm
 from .solver import (
     IterStats, NumericalError, group_threshold, recover, recovery_bytes, z_step,
 )
+from .work import fits_in_memory, refuse_beyond_memory
 
 
 # Floating-point errors end as NumericalError or a failed sweep cell, so
 # numpy's warnings would only add lines to stderr.  Not "raise": block
 # matching lets distances overflow to +inf on purpose.
 _QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
-# Refusals (exit 2) and numerical failures (exit 4); either fails a sweep
-# cell.  LinAlgError is a ValueError, so main sorts _NUMERICAL first.
-_REFUSED = (ValueError, OverflowError)
+# Refusals (exit 2), MemoryError too, and numerical failures (exit 4); either
+# fails a sweep cell.  LinAlgError is a ValueError, so main sorts _NUMERICAL first.
+_REFUSED = (ValueError, OverflowError, MemoryError)
 _NUMERICAL = (NumericalError, np.linalg.LinAlgError)
 
 

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .patches import run_passes
 from .penalties import EPS_WEIGHT, Penalty, supergradient
+from .work import run_passes
 
 WEIGHTINGS = ("supergradient", "combined", "none")
 INIT_WEIGHTS = ("observation", "zero")
@@ -106,7 +106,7 @@ def irnn_denoise_stack(mats, pen: Penalty, tau, weighting="combined", sweeps=1,
     shorter side first, and a square one transposed: for a (G,
     group_size, patch_side**2) patch stack that is each group matrix,
     patches as columns, or its transpose when it is tall.  The groups run
-    in passes through patches.run_passes, on every worker thread.
+    in passes through work.run_passes, on every worker thread.
 
     mats may be a strided view.  Returns the (G, min(n, k)) final
     spectra; tau must be finite.  A group whose spectrum overflows the

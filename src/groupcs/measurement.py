@@ -9,11 +9,12 @@ needs those fields to rebuild the operator exactly.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import wait
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import work
 
 NOISE_MODELS = ("none", "gaussian", "gaussian_mixture")
 
@@ -23,16 +24,6 @@ BLOCK_SIDE = 32
 # 2 MiB per-core L2, so a chunk that `normal` reads for H x is still
 # cached when it reads it again for the adjoint.
 CHUNK_ENTRIES = 2**17
-
-# Threads that work is split over: the calling thread and WORKERS - 1
-# threads of _POOL, which starts them only when first used.  The Gaussian
-# draw (_draw_normals) and the Z-step's passes (patches.run_passes) share
-# the one pool.
-if hasattr(os, "sched_getaffinity"):
-    WORKERS = len(os.sched_getaffinity(0))
-else:
-    WORKERS = os.cpu_count() or 1
-_POOL = ThreadPoolExecutor(max(1, WORKERS - 1), thread_name_prefix="groupcs-pass")
 
 # The split Gaussian draw (_draw_normals): each part holds at least
 # SPLIT_NORMALS normals, and each part after the first records its
@@ -81,26 +72,6 @@ class NoiseSpec:
                     raise ValueError("mixture kappa must be finite and >= 1")
         elif self.target_snr_db is not None:
             raise ValueError("a target SNR needs a noise model")
-
-
-def physical_memory():
-    """Bytes of physical memory on this machine."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
-def fits_in_memory(need):
-    """Whether `need` bytes are at most the machine's physical memory."""
-    return need <= physical_memory()
-
-
-def refuse_beyond_memory(need, what, error=ValueError):
-    """Raise `error` when `need` bytes are more than the machine's physical
-    memory; the message says that `what` (e.g. "grouping a 32x32 image")
-    needs them."""
-    have = physical_memory()
-    if need > have:
-        raise error(f"{what} needs {need / 2**30:.1f} GiB, more than the "
-                    f"{have / 2**30:.1f} GiB of physical memory")
 
 
 def check_subrate(subrate):
@@ -245,28 +216,30 @@ def _draw_normals(rng, out):
     bit for bit, leaving rng in the state that draw leaves it in; rng
     draws from PCG64.
 
-    An array of at least 2 * SPLIT_NORMALS normals is cut into up to
-    WORKERS parts.  The caller draws the first; each other part is drawn
-    on _POOL from a jump ahead to a guessed start (_draw_part), then
-    checked and put in place by _hand_off in order.  A part the pool has
-    not started by its turn is cancelled and drawn by the caller.  Returns
-    each later part's shift, None where the caller drew it.
+    While it runs the draw is a caller of work's pool (work.caller), and
+    an array of at least 2 * SPLIT_NORMALS normals is cut into as many
+    parts as its grant.  The caller draws the first; each other part is
+    drawn on the pool from a jump ahead to a guessed start (_draw_part),
+    then checked and put in place by _hand_off in order.  A part the pool
+    has not started by its turn is cancelled and drawn by the caller.
+    Returns each later part's shift, None where the caller drew it.
     """
-    parts = min(WORKERS, len(out) // SPLIT_NORMALS)
-    if parts < 2:
-        rng.standard_normal(out=out)
-        return []
-    bounds = [len(out) * k // parts for k in range(parts + 1)]
-    state = rng.bit_generator.state
-    futures = [_POOL.submit(_draw_part, state, out, lo, hi)
-               for lo, hi in zip(bounds[1:-1], bounds[2:])]
-    try:
-        rng.standard_normal(out=out[:bounds[1]])
-        return [_hand_off(rng, out, lo, hi, None if future.cancel() else future.result())
-                for future, lo, hi in zip(futures, bounds[1:-1], bounds[2:])]
-    finally:
-        # wait() would block on a cancelled part until the pool dequeues it.
-        wait([future for future in futures if not future.cancel()])
+    with work.caller() as grant:
+        parts = min(grant, len(out) // SPLIT_NORMALS)
+        if parts < 2:
+            rng.standard_normal(out=out)
+            return []
+        bounds = [len(out) * k // parts for k in range(parts + 1)]
+        state = rng.bit_generator.state
+        futures = [work._POOL.submit(_draw_part, state, out, lo, hi)
+                   for lo, hi in zip(bounds[1:-1], bounds[2:])]
+        try:
+            rng.standard_normal(out=out[:bounds[1]])
+            return [_hand_off(rng, out, lo, hi, None if future.cancel() else future.result())
+                    for future, lo, hi in zip(futures, bounds[1:-1], bounds[2:])]
+        finally:
+            # wait() would block on a cancelled part until the pool dequeues it.
+            wait([future for future in futures if not future.cancel()])
 
 
 class BlockGaussianOp(MeasurementOp):
@@ -284,14 +257,10 @@ class BlockGaussianOp(MeasurementOp):
     single (m, pixels per block) buffer: each block's matrix is a slice
     of its rows, scaled in place by 1/sqrt(rows) and then + 0.0,
     the bytes of normal(0.0, 1/sqrt(rows)) in that slice.  The draw is
-    split over WORKERS threads (_draw_normals): each part after the first
-    starts from a guessed jump ahead in the PCG64 stream, and is taken
-    only if the caller's generator, continuing from the part before,
-    reaches exactly the state the part recorded; else the caller draws
-    that part itself, as it does one the pool has not started.  The
-    matrices are the same bytes for any worker count.  On 2 vCPUs the
-    128x128 dense operator at subrate 0.2 (3277 x 16384) took 0.68 s to
-    build against 1.22 s for one normal() draw (medians of 6 alternating
+    split over work's threads, bitwise (_draw_normals), so the matrices
+    are the same bytes for any worker count.  On 2 vCPUs the 128x128
+    dense operator at subrate 0.2 (3277 x 16384) took 0.68 s to build
+    against 1.22 s for one normal() draw (medians of 6 alternating
     builds, one BLAS thread).
 
     `forward` and `normal` walk each matrix in the same chunks of rows
@@ -308,8 +277,8 @@ class BlockGaussianOp(MeasurementOp):
         (h, w), (bh, bw) = self.shape, _block_shape(self.kind, self.shape)
         if h % bh or w % bw:
             raise ValueError(f"image shape {shape} not a multiple of {bh}x{bw}")
-        refuse_beyond_memory(operator_bytes(self.kind, self.shape, self.subrate),
-                             f"{self.kind} operator of {self.m} rows of {bh * bw} entries")
+        work.refuse_beyond_memory(operator_bytes(self.kind, self.shape, self.subrate),
+                                  f"{self.kind} operator of {self.m} rows of {bh * bw} entries")
         # Flat pixel indices of each block, row-major within the block.
         self.cols = (
             np.arange(self.n).reshape(h // bh, bh, w // bw, bw)

@@ -17,39 +17,16 @@ the lattice, so they are in range by construction.
 
 from __future__ import annotations
 
-import contextvars
-import threading
-from concurrent.futures import wait
 from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import _POOL, WORKERS, refuse_beyond_memory
-
-# Entries the Z-step's passes in flight may hold together in each of
-# their temporaries (2 MB of float64).  Matching, group shrinkage and
-# aggregation all loop over passes() at PASS_ENTRIES // WORKERS each;
-# matching and shrinkage run WORKERS passes at once through run_passes,
-# and aggregation runs on the calling thread in place of one of them.
-# Each pass holds a fixed number of such temporaries, so whatever the
-# grouping the Z-step needs stack_bytes, 48 bytes a pixel for its input
-# and its aggregation, and a fixed allowance for the passes.
-PASS_ENTRIES = 1 << 18
+from . import work
 
 # Group entries in each band of denoise_bands (4 MB of float64), and the
 # most bands a lattice is cut into.
-BAND_ENTRIES = 2 * PASS_ENTRIES
+BAND_ENTRIES = 2 * work.PASS_ENTRIES
 MAX_BANDS = 1 << 16
-
-# A stage's passes run on WORKERS threads (see run_passes): the calling
-# thread and those of measurement's _POOL, which the Gaussian draw uses
-# too.  Both names are re-exported from measurement; setting
-# patches.WORKERS changes the Z-step's count alone.
-
-# run_passes calls in progress on any thread (say, concurrent sweep cells);
-# they divide the WORKERS threads among them.
-_callers = 0
-_callers_lock = threading.Lock()
 
 
 class GroupingError(ValueError):
@@ -76,67 +53,6 @@ class GroupingConfig:
         for name in ("patch_side", "stride", "window_side", "group_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-
-
-def passes(count, entries_each):
-    """Slices of range(count) in order, each holding as many items of
-    `entries_each` entries as fit in worker_budget(), and at least one
-    item.  An item of zero entries counts as one."""
-    step = max(1, worker_budget() // max(1, entries_each))
-    for start in range(0, count, step):
-        yield slice(start, start + step)
-
-
-def worker_budget():
-    """Entries one pass of run_passes may hold in each temporary:
-    PASS_ENTRIES shared among the WORKERS passes that run at once."""
-    return max(1, PASS_ENTRIES // WORKERS)
-
-
-def run_passes(count, entries_each, work, before=None):
-    """Call work(part) for every slice passes() cuts from range(count) at
-    worker_budget() entries, on up to WORKERS threads at once.
-
-    The threads, as many as WORKERS divided by the run_passes calls then
-    in progress, and at least one, each start on one of the first slices
-    and then pull the others in order from one queue.  The calling thread
-    is one of them; it first calls before(), when given, while _POOL's
-    threads work.  Each pool thread runs under a copy of the caller's
-    context, so numpy's errstate holds in every thread.  Each call must
-    write only what belongs to its own slice.  A thread whose call raises
-    takes no more slices, and the others go on until the queue is empty.
-    Returns once every call has finished; if any raised, before()
-    included, the caller's exception, else the first pool thread's, is
-    raised then.  With one worker every call runs on the caller, after
-    before().
-    """
-    global _callers
-    parts = list(passes(count, entries_each))
-    with _callers_lock:
-        _callers += 1
-        n = max(1, min(WORKERS // _callers, len(parts)))
-    queue, queue_lock = iter(parts[n:]), threading.Lock()
-
-    def run(part):
-        while part is not None:
-            work(part)
-            with queue_lock:
-                part = next(queue, None)
-
-    futures = []
-    try:
-        for part in parts[1:n]:
-            futures.append(_POOL.submit(contextvars.copy_context().run, run, part))
-        if before is not None:
-            before()
-        if parts:
-            run(parts[0])
-    finally:
-        wait(futures)
-        with _callers_lock:
-            _callers -= 1
-    for future in futures:
-        future.result()
 
 
 def _clipped_windows(anchors, window_side, last):
@@ -230,7 +146,7 @@ def _matcher(img, anchors, cfg, span):
         flat = (rows[:, :, None] * nc + cols[:, None, :]).reshape(len(a), wr * wc)
         ref = vecs[a[:, 0] * nc + a[:, 1], None, :]
         dist = np.empty((len(a), wr * wc))
-        for cut in passes(wr * wc, len(a) * s * s):
+        for cut in work.passes(wr * wc, len(a) * s * s):
             diff = vecs[flat[:, cut]]
             diff -= ref
             diff = diff.reshape(-1, s * s)
@@ -278,8 +194,8 @@ def reference_anchors(shape, cfg):
     # Beside its bands, a Z-step holds six image-sized arrays at its peak:
     # its input, _Aggregation's counts, sums and resid, and the two that
     # image() adds.
-    refuse_beyond_memory(stack_bytes(shape, cfg) + 6 * 8 * h * w, f"grouping a {h}x{w} image",
-                         GroupingError)
+    work.refuse_beyond_memory(stack_bytes(shape, cfg) + 6 * 8 * h * w,
+                              f"grouping a {h}x{w} image", GroupingError)
     rows, cols = (_anchor_axis(dim, cfg) for dim in shape)
     anchors = np.stack(np.meshgrid(rows, cols, indexing="ij"), axis=-1).reshape(-1, 2)
     last = np.array([h - s, w - s])
@@ -310,10 +226,10 @@ def group_stack(image, cfg):
         raise ValueError("image must be 2-D")
     anchors = reference_anchors(img.shape, cfg)
     (h, w), s = img.shape, cfg.patch_side
-    refuse_beyond_memory((len(anchors) * cfg.group_size + (h - s + 1) * (w - s + 1)) * s * s * 8,
-                         f"grouping a {h}x{w} image", GroupingError)
+    work.refuse_beyond_memory((len(anchors) * cfg.group_size + (h - s + 1) * (w - s + 1))
+                              * s * s * 8, f"grouping a {h}x{w} image", GroupingError)
     patches, positions, match = _matcher(img, anchors, cfg, (0, h))
-    run_passes(len(anchors), _pass_entries(img.shape, cfg), match)
+    work.run_passes(len(anchors), _pass_entries(img.shape, cfg), match)
     return patches, positions
 
 
@@ -395,7 +311,7 @@ class _Aggregation:
         s = self.s
         vals = np.asarray(patches, dtype=float).reshape(-1, s * s)
         base = (positions[..., 0] * self.shape[1] + positions[..., 1]).reshape(-1)
-        for part in passes(base.size, s * s):
+        for part in work.passes(base.size, s * s):
             yield (base[part, None] + self.offs).ravel(), vals[part].ravel()
 
     def add(self, patches, positions):
@@ -478,12 +394,12 @@ def denoise_bands(image, cfg, shrinker):
         stack, positions, match = _matcher(img, band, cfg, span)
         band_spectra, shrink = shrinker(stack)
 
-        def work(part):
+        def match_shrink(part):
             match(part)
             shrink(part)
 
-        run_passes(len(band), each, work, lambda: aggregate(b, span[0], done[b]))
-        del match, work  # the band's patch vectors
+        work.run_passes(len(band), each, match_shrink, lambda: aggregate(b, span[0], done[b]))
+        del match, match_shrink  # the band's patch vectors
         spectra.append(band_spectra)
         held.append((stack, positions))
     aggregate(len(top), img.shape[0], len(top))

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import work
 from .lowrank import INIT_WEIGHTS, WEIGHTINGS, NumericalError, stack_shrinker
 from .measurement import operator_bytes
 from .metrics import psnr
@@ -149,10 +150,10 @@ def group_threshold(cfg: SolverConfig, shape):
 
 def recovery_bytes(kind, shape, subrate, grouping: GroupingConfig):
     """Bytes a recovery of a `shape` image holds: the `kind` operator at
-    `subrate`, the Z-step's arrays (stack_bytes) and some ten image-sized
-    arrays (x, z, w, the FFT's), together."""
-    h, w = shape
-    return operator_bytes(kind, shape, subrate) + stack_bytes(shape, grouping) + 80 * h * w
+    `subrate`, the Z-step's arrays (stack_bytes) and its passes' fixed
+    allowance, and some ten image-sized arrays (x, z, w, the FFT's)."""
+    return (operator_bytes(kind, shape, subrate) + stack_bytes(shape, grouping)
+            + 8 * (4 * work.PASS_ENTRIES + 10 * math.prod(shape)))
 
 
 def robust_sigma(residual):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from groupcs import cli, make_motif_image
+from groupcs import cli, make_motif_image, work
 from groupcs.cli import main
 from groupcs.config import (
     KEYS, RunConfig, build_noise_spec, build_settings, build_solver_config, merge_config,
@@ -764,7 +764,7 @@ def test_beyond_memory_exits_2(tmp_path, flat_image, capsys, monkeypatch,
                                command, argv, need, message):
     """The operator (measure) and the group stack (denoise) one byte past
     physical memory."""
-    monkeypatch.setattr("groupcs.measurement.physical_memory", lambda: need - 1)
+    monkeypatch.setattr("groupcs.work.physical_memory", lambda: need - 1)
     out = tmp_path / "out"
     code, _, err = run(capsys, command, flat_image[0], "--output", out, *argv)
     assert code == 2
@@ -785,7 +785,7 @@ def test_recovery_counts_operator_and_stack_together(tmp_path, flat_image, capsy
     op_need = operator_bytes("dense", (32, 32), 0.3)
     stack_need = stack_bytes((32, 32), GroupingConfig())
     assert op_need + stack_need > max(op_need, stack_need) + 1
-    monkeypatch.setattr("groupcs.measurement.physical_memory",
+    monkeypatch.setattr("groupcs.work.physical_memory",
                         lambda: max(op_need, stack_need) + 1)
     out = tmp_path / "o.pgm"
     code, _, err = run(capsys, "recover", meas, "--output", out, "--outer_iters", "1")
@@ -806,7 +806,7 @@ def test_recovery_counts_operator_and_stack_together(tmp_path, flat_image, capsy
 def recovery_need(subrate, shape=(32, 32)):
     """Bytes the pre-flight counts for one dense recovery at the default grouping."""
     return (operator_bytes("dense", shape, subrate) + stack_bytes(shape, GroupingConfig())
-            + 80 * shape[0] * shape[1])
+            + 80 * shape[0] * shape[1] + 4 * work.PASS_ENTRIES * 8)
 
 
 @pytest.mark.parametrize("jobs, code", [("2", 2), ("1", 0)])
@@ -815,7 +815,7 @@ def test_sweep_counts_the_cells_jobs_runs_at_once(tmp_path, flat_image, capsys, 
     """With memory for one and a half 32x32 dense recoveries, two cells
     are refused with --jobs 2, before either starts, and run with --jobs 1."""
     img_path, _ = flat_image
-    monkeypatch.setattr("groupcs.measurement.physical_memory",
+    monkeypatch.setattr("groupcs.work.physical_memory",
                         lambda: int(1.5 * recovery_need(0.3)))
     csv_path = tmp_path / "s.csv"
     got, _, err = run(capsys, "sweep", img_path, "--output", csv_path, "--op", "dense",
@@ -837,7 +837,7 @@ def test_sweep_leaves_a_cell_too_large_alone_out_of_the_jobs_count(tmp_path, fla
     img_path, _ = flat_image
     small, large = recovery_need(0.1), recovery_need(1.0)
     assert small < large - 1 < small + large
-    monkeypatch.setattr("groupcs.measurement.physical_memory", lambda: large - 1)
+    monkeypatch.setattr("groupcs.work.physical_memory", lambda: large - 1)
     csv_path = tmp_path / "s.csv"
     code, _, err = run(capsys, "sweep", img_path, "--output", csv_path, "--op", "dense",
                        "--sweep_subrates", "0.1,1.0", "--jobs", "2", "--outer_iters", "1")
@@ -1004,11 +1004,56 @@ def test_grouping_beyond_physical_memory_is_refused(tmp_path):
     assert row["status"].startswith(f"failed: {message}")
 
 
+def limited_child(*argv, limit=3 << 29):
+    """Run groupcs in its own process under an address-space limit (1.5
+    GiB by default), a limit below physical memory that the refusals do
+    not weigh."""
+    return subprocess.run(
+        [sys.executable, "-m", "groupcs.cli", *map(str, argv)],
+        env=src_env(), capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+
+
+@pytest.fixture
+def motif128(tmp_path):
+    path = tmp_path / "img128.pgm"
+    write_pgm(path, make_motif_image(128, 3))
+    return path
+
+
+def test_measure_beyond_the_process_limit_exits_2(tmp_path, motif128):
+    """A 128x128 dense operator at subrate 1.0 (2.0 GiB) passes the
+    physical-memory refusal, and its allocation fails under the limit:
+    exit 2 with one line, and no output."""
+    out = tmp_path / "big.meas"
+    proc = limited_child("measure", motif128, "--output", out, "--op", "dense",
+                         "--subrate", "1.0", "--seed", "1")
+    assert proc.returncode == 2, proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("config error: ")
+    assert proc.stdout == ""
+    assert list(tmp_path.iterdir()) == [motif128]
+
+
+def test_sweep_cell_beyond_the_process_limit_fails_as_a_row(tmp_path, motif128):
+    """Under the same limit, the subrate 1.0 cell of a 128x128 dense sweep
+    fails as a row, and the subrate 0.1 cell runs."""
+    csv_path = tmp_path / "s.csv"
+    proc = limited_child("sweep", motif128, "--output", csv_path, "--op", "dense",
+                         "--sweep_subrates", "0.1,1.0", "--outer_iters", "1")
+    assert proc.returncode == 0, proc.stderr
+    with csv_path.open() as fh:
+        small, large = csv.DictReader(fh)
+    assert small["status"] == "ok"
+    assert large["status"].startswith("failed: ")
+
+
 def test_denoise_counts_the_aggregation_arrays(tmp_path, flat_image, capsys, monkeypatch):
     """A memory that holds a 32x32 Z-step's bands (stack_bytes) but not
     also its input and the image-sized arrays of its aggregation refuses
     denoise, exit 2, before any group is matched."""
-    monkeypatch.setattr("groupcs.measurement.physical_memory",
+    monkeypatch.setattr("groupcs.work.physical_memory",
                         lambda: stack_bytes((32, 32), GroupingConfig()) + 24 * 32 * 32)
 
     def no_matcher(*args):

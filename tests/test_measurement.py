@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 import numpy as np
 import pytest
 
-from groupcs import NoiseSpec, add_noise, make_operator, measurement
+from groupcs import NoiseSpec, add_noise, make_operator, measurement, work
 from groupcs.measurement import (
     BLOCK_SIDE, CHUNK_ENTRIES, BlockGaussianOp, DenseGaussianOp, MaskedDftOp, operator_bytes,
 )
@@ -144,10 +144,10 @@ def test_operator_bytes_counts_matrices_and_pixel_indices(kind):
 
 def test_operator_beyond_memory_is_refused_by_its_count(monkeypatch):
     need = operator_bytes("block", (64, 64), 0.3)
-    monkeypatch.setattr("groupcs.measurement.physical_memory", lambda: need - 1)
+    monkeypatch.setattr("groupcs.work.physical_memory", lambda: need - 1)
     with pytest.raises(ValueError, match="^block operator of 1229 rows of 1024 entries needs"):
         BlockGaussianOp((64, 64), 0.3, 0)
-    monkeypatch.setattr("groupcs.measurement.physical_memory", lambda: need)
+    monkeypatch.setattr("groupcs.work.physical_memory", lambda: need)
     BlockGaussianOp((64, 64), 0.3, 0)
     assert operator_bytes("dft", (64, 64), 0.3) == 0
 
@@ -291,7 +291,7 @@ def test_split_gaussian_ops_match_block_loop(kind, shape, subrate, workers, smal
                                              monkeypatch):
     """Drawn in WORKERS parts, every hand-off accepted, both Gaussian kinds
     equal the per-tile walk bit for bit."""
-    monkeypatch.setattr(measurement, "WORKERS", workers)
+    monkeypatch.setattr(work, "WORKERS", workers)
     op = make_operator(kind, shape, subrate, 17)
     block = shape if kind == "dense" else (BLOCK_SIDE, BLOCK_SIDE)
     for got, want in zip(op.mats, loop_gaussian_mats(shape, block, subrate, 17), strict=True):
@@ -306,7 +306,7 @@ def test_split_draw_ends_in_the_sequential_state(seed, small_split, monkeypatch)
     where it leaves it, whatever the worker count."""
     want, state = sequential_normals(seed, 200_000)
     for workers in (1, 2, 3, 5):
-        monkeypatch.setattr(measurement, "WORKERS", workers)
+        monkeypatch.setattr(work, "WORKERS", workers)
         rng, out = np.random.default_rng(seed), np.empty(200_000)
         measurement._draw_normals(rng, out)
         np.testing.assert_array_equal(out, want)
@@ -319,7 +319,7 @@ def test_split_draw_is_accepted_at_the_installed_sizes(monkeypatch):
     """At the real SPLIT_NORMALS and HANDOFF_WINDOW the guessed starts are
     accepted on this numpy: a numpy whose normals take other words per
     draw fails here rather than drawing every part twice."""
-    monkeypatch.setattr(measurement, "WORKERS", 2)
+    monkeypatch.setattr(work, "WORKERS", 2)
     count = 2 * measurement.SPLIT_NORMALS + 5
     want, state = sequential_normals(3, count)
     rng, out = np.random.default_rng(3), np.empty(count)
@@ -331,8 +331,8 @@ def test_split_draw_is_accepted_at_the_installed_sizes(monkeypatch):
 
 def test_one_worker_is_the_plain_draw(monkeypatch):
     """With WORKERS = 1 nothing goes to the pool."""
-    monkeypatch.setattr(measurement, "WORKERS", 1)
-    monkeypatch.setattr(measurement._POOL, "submit", None)  # fails if called
+    monkeypatch.setattr(work, "WORKERS", 1)
+    monkeypatch.setattr(work._POOL, "submit", None)  # fails if called
     count = 4 * measurement.SPLIT_NORMALS
     want, state = sequential_normals(4, count)
     rng, out = np.random.default_rng(4), np.empty(count)
@@ -345,7 +345,7 @@ def test_one_worker_is_the_plain_draw(monkeypatch):
 def test_wrong_guess_falls_back_to_the_same_bytes(words, small_split, monkeypatch):
     """A start guessed too early (the streams meet past the window) or too
     late (the part starts past its first normal) is redrawn by the caller."""
-    monkeypatch.setattr(measurement, "WORKERS", 3)
+    monkeypatch.setattr(work, "WORKERS", 3)
     monkeypatch.setattr(measurement, "WORDS_PER_NORMAL", words)
     want, state = sequential_normals(6, 200_000)
     rng, out = np.random.default_rng(6), np.empty(200_000)
@@ -357,7 +357,7 @@ def test_wrong_guess_falls_back_to_the_same_bytes(words, small_split, monkeypatc
 def test_wrong_recorded_state_falls_back_to_the_same_bytes(small_split, monkeypatch):
     """A part whose window value is found but whose recorded state is not
     reached is redrawn from where the window's prefix ended."""
-    monkeypatch.setattr(measurement, "WORKERS", 2)
+    monkeypatch.setattr(work, "WORKERS", 2)
     draw_part = measurement._draw_part
 
     def off_by_one(state, out, lo, hi):
@@ -376,7 +376,7 @@ def test_wrong_recorded_state_falls_back_to_the_same_bytes(small_split, monkeypa
 def test_concurrent_builds_give_the_same_bytes(small_split, monkeypatch):
     """Two threads building one operator at once (as two sweep cells do)
     share the pool and both get the sequential draw's matrices."""
-    monkeypatch.setattr(measurement, "WORKERS", 2)
+    monkeypatch.setattr(work, "WORKERS", 2)
     start = threading.Barrier(2)
 
     def build():
@@ -395,10 +395,10 @@ def test_concurrent_builds_give_the_same_bytes(small_split, monkeypatch):
 def test_busy_pool_makes_the_caller_draw_the_part(monkeypatch):
     """A part still queued behind other work when its turn comes is
     cancelled and drawn by the caller, which does not wait for the pool."""
-    monkeypatch.setattr(measurement, "WORKERS", 2)
+    monkeypatch.setattr(work, "WORKERS", 2)
     release = threading.Event()
-    blockers = [measurement._POOL.submit(release.wait, 60)
-                for _ in range(measurement._POOL._max_workers)]
+    blockers = [work._POOL.submit(release.wait, 60)
+                for _ in range(work._POOL._max_workers)]
     try:
         count = 2 * measurement.SPLIT_NORMALS
         want, state = sequential_normals(8, count)
@@ -408,6 +408,43 @@ def test_busy_pool_makes_the_caller_draw_the_part(monkeypatch):
     finally:
         release.set()
         wait(blockers)
+    np.testing.assert_array_equal(out, want)
+    assert rng.bit_generator.state == state
+
+
+def test_draw_takes_its_share_of_the_workers(monkeypatch):
+    """While a run_passes call is in progress on another thread (as in a
+    second sweep cell's Z-step), a draw is the second caller: its grant is
+    WORKERS // 2 = 1, so it submits nothing to the pool and draws the
+    plain bytes on its own.  Once that call ends, the next draw splits."""
+    monkeypatch.setattr(work, "WORKERS", 2)
+    submitted, submit = [], work._POOL.submit
+    monkeypatch.setattr(work._POOL, "submit",
+                        lambda fn, *args: submitted.append(fn) or submit(fn, *args))
+    inside, release = threading.Event(), threading.Event()
+
+    def hold(part):
+        inside.set()
+        assert release.wait(10)
+
+    held = threading.Thread(target=work.run_passes, args=(1, 1, hold))  # one pass, no pool
+    held.start()
+    count = 2 * measurement.SPLIT_NORMALS
+    want, state = sequential_normals(9, count)
+    rng, out = np.random.default_rng(9), np.empty(count)
+    try:
+        assert inside.wait(10)
+        assert measurement._draw_normals(rng, out) == []
+        assert submitted == []
+    finally:
+        release.set()
+        held.join(10)
+    assert not held.is_alive()
+    np.testing.assert_array_equal(out, want)
+    assert rng.bit_generator.state == state
+    rng, out = np.random.default_rng(9), np.empty(count)
+    assert len(measurement._draw_normals(rng, out)) == 1
+    assert submitted == [measurement._draw_part]
     np.testing.assert_array_equal(out, want)
     assert rng.bit_generator.state == state
 

@@ -233,7 +233,7 @@ def test_stack_bytes_of_a_patch_that_does_not_fit_is_zero():
 def test_grouping_beyond_physical_memory_is_refused(rng, monkeypatch):
     """Refused from the counted lattice, before any stack is allocated."""
     image, cfg = rng.uniform(0, 255, (32, 32)), GroupingConfig()
-    monkeypatch.setattr("groupcs.measurement.physical_memory",
+    monkeypatch.setattr("groupcs.work.physical_memory",
                         lambda: stack_bytes((32, 32), cfg) - 1)
     with pytest.raises(GroupingError, match="GiB of physical memory"):
         group_stack(image, cfg)
@@ -250,7 +250,7 @@ def test_group_stack_refuses_the_whole_stack(monkeypatch):
     groups = len(reference_anchors(shape, cfg))
     whole = (groups * 60 + 91 * 155) * 36 * 8
     assert stack_bytes(shape, cfg) < whole
-    monkeypatch.setattr("groupcs.measurement.physical_memory",
+    monkeypatch.setattr("groupcs.work.physical_memory",
                         lambda: (stack_bytes(shape, cfg) + whole) // 2)
     image = make_motif_image(160, 3)[:96]
     assert len(reference_anchors(shape, cfg)) == groups

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from groupcs import patches
+from groupcs import patches, work
 from groupcs.pgm import read_pgm
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -57,14 +57,15 @@ def test_make_benchmark_image(tmp_path, capsys):
 
 
 # stage_split.py writes both of its splits into one table: X-step rows name
-# the operator kind, Z-step rows the worker count.
-SPLITS = {"xstep_split": "kind", "zstep_split": "workers"}
+# the operator kind, Z-step rows only the worker count.
+SPLITS = {"xstep_split": True, "zstep_split": False}
 
 
 @pytest.mark.parametrize("name", sorted(set(CSV_RUNS) - {"stage_split"} | set(SPLITS)))
 def test_script_writes_one_row(name, tmp_path, capsys):
-    """One row, or for each split of stage_split one per stage: five X-step
-    stages for the one kind, three Z-step stages at each worker count."""
+    """One row, or for each split of stage_split one per stage: a build at
+    each worker count and four X-step stages for the one kind, three Z-step
+    stages at each worker count."""
     script = "stage_split" if name in SPLITS else name
     table = tmp_path / "out.csv"
     argv = ["--side", "32", *CSV_RUNS[script], "--csv", str(table)]
@@ -72,18 +73,19 @@ def test_script_writes_one_row(name, tmp_path, capsys):
     with open(table, newline="") as fh:
         header, *rows = csv.reader(fh)
     assert all(len(row) == len(header) for row in rows)
-    stages = {"xstep_split": 5, "zstep_split": 3 * len({1, patches.WORKERS})}
+    counts = len({1, work.WORKERS})
+    stages = {"xstep_split": counts + 4, "zstep_split": 3 * counts}
     if name in SPLITS:
         assert len(rows) == sum(stages.values())
-        rows = [row for row in rows if row[header.index(SPLITS[name])]]
+        rows = [row for row in rows if bool(row[header.index("kind")]) == SPLITS[name]]
     assert len(rows) == stages.get(name, 1)
 
 
 def test_stage_split_times_one_worker_and_the_pool(tmp_path, capsys, monkeypatch):
-    """Z-step rows at 1 worker and at patches.WORKERS, with the same groups,
+    """Z-step rows at 1 worker and at work.WORKERS, with the same groups,
     positive times inside their min and max, and a positive peak_mb on
     each z_step row only; the worker count is restored afterwards."""
-    monkeypatch.setattr(patches, "WORKERS", 3)
+    monkeypatch.setattr(work, "WORKERS", 3)
     table = tmp_path / "out.csv"
     assert load_script("stage_split").main(["--side", "32", "--repeats", "1", "--kinds", "dft",
                                             "--csv", str(table)]) == 0
@@ -97,7 +99,7 @@ def test_stage_split_times_one_worker_and_the_pool(tmp_path, capsys, monkeypatch
     assert all(0 < float(r["min_s"]) <= float(r["seconds"]) <= float(r["max_s"]) for r in rows)
     assert all(float(r["peak_mb"]) > 0 for r in rows if r["stage"] == "z_step")
     assert all(r["peak_mb"] == "" for r in rows if r["stage"] != "z_step")
-    assert patches.WORKERS == 3
+    assert work.WORKERS == 3
 
 
 def test_stage_split_runs_no_one_band_function(tmp_path, capsys, monkeypatch):
@@ -119,18 +121,19 @@ def test_stage_split_runs_no_one_band_function(tmp_path, capsys, monkeypatch):
                                             "--csv", str(table)]) == 0
     with open(table, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == 3 * len({1, patches.WORKERS}) + 5
+    assert len(rows) == 4 * len({1, work.WORKERS}) + 4
 
 
 def test_stage_split_refuses_what_does_not_fit(tmp_path, capsys, monkeypatch):
-    """Five X-step rows per kind; a kind whose recovery would not fit in
-    physical memory gives one refused row and is never built."""
+    """A build row per worker count and four X-step rows per kind; a kind
+    whose recovery would not fit in physical memory gives one refused row
+    and is never built."""
     from groupcs.solver import recovery_bytes
 
     script = load_script("stage_split")
     # Room for a 64x64 block recovery, not for the dense one.
     limit = recovery_bytes("block", (64, 64), script.SUBRATE, script.SolverConfig().grouping)
-    monkeypatch.setattr("groupcs.measurement.physical_memory", lambda: limit)
+    monkeypatch.setattr("groupcs.work.physical_memory", lambda: limit)
     built = []
     make_operator = script.make_operator
     monkeypatch.setattr(script, "make_operator",
@@ -139,11 +142,13 @@ def test_stage_split_refuses_what_does_not_fit(tmp_path, capsys, monkeypatch):
     assert script.main(["--side", "64", "--repeats", "1", "--csv", str(table)]) == 0
     with open(table, newline="") as fh:
         rows = [r for r in csv.DictReader(fh) if r["kind"]]
-    assert built == ["block", "block", "dft", "dft"]  # the build row's and the X-step's
+    counts = len({1, work.WORKERS})
+    # The build rows' and the X-step's.
+    assert built == ["block"] * (counts + 1) + ["dft"] * (counts + 1)
     assert [(r["side"], r["stage"], r["kind"], r["seconds"]) for r in rows[:1]] == [
         ("64", "", "dense", "refused")]
     assert [(r["stage"], r["kind"]) for r in rows[1:]] == [
         (stage, kind) for kind in ("block", "dft")
-        for stage in ("build", "forward", "adjoint", "normal", "gd_steps")]
+        for stage in ("build",) * counts + ("forward", "adjoint", "normal", "gd_steps")]
     assert all(r["side"] == "64" and float(r["seconds"]) > 0 for r in rows[1:])
     assert all(r["peak_mb"] == "" for r in rows)

@@ -3,6 +3,7 @@ weights, Z-step semantics, multiplier recurrence, and small end-to-end
 recoveries."""
 
 import math
+import sys
 import threading
 import time
 import tracemalloc
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from conftest import brute_force_match, gram_shrink, patch_at
 
+import groupcs.work
 from groupcs import (
     GroupingConfig,
     Penalty,
@@ -33,7 +35,7 @@ from groupcs import patches
 from groupcs.measurement import DenseGaussianOp
 from groupcs.patches import reference_anchors
 from groupcs.solver import (
-    Q_FLOOR, NumericalError, ThresholdError, lam_for_tau, robust_sigma,
+    Q_FLOOR, NumericalError, ThresholdError, lam_for_tau, recovery_bytes, robust_sigma,
 )
 
 
@@ -482,7 +484,7 @@ def test_z_step_independent_of_pass_sizes(monkeypatch, motif_benchmark):
     # 50_000 entries a pass, shared among the workers: 23 groups, or 1388
     # patches, in bands of 240 and 16 groups.
     for budget in (50_000, 1):
-        monkeypatch.setattr(patches, "PASS_ENTRIES", budget)
+        monkeypatch.setattr(groupcs.work, "PASS_ENTRIES", budget)
         z_small, reg_small = z_step(motif_benchmark, cfg, 1.5e7, sweeps=3)
         assert z_small.tobytes() == z.tobytes()
         assert reg_small == reg
@@ -490,13 +492,13 @@ def test_z_step_independent_of_pass_sizes(monkeypatch, motif_benchmark):
 
 @pytest.mark.parametrize("tau", [0.0, 1.5e7])
 def test_z_step_independent_of_worker_count(monkeypatch, motif_benchmark, tau):
-    """Matching and shrinkage run their passes on patches.WORKERS threads;
+    """Matching and shrinkage run their passes on work.WORKERS threads;
     one worker and two give the same bytes, and at tau = 0 both return
     the input."""
     cfg = SolverConfig(penalty=Penalty("log", 1.0, 10.0))
     results = []
     for workers in (1, 2):
-        monkeypatch.setattr(patches, "WORKERS", workers)
+        monkeypatch.setattr(groupcs.work, "WORKERS", workers)
         results.append(z_step(motif_benchmark, cfg, tau, sweeps=3))
     (z1, reg1), (z2, reg2) = results
     assert z2.tobytes() == z1.tobytes()
@@ -548,7 +550,7 @@ def test_run_passes_raises_after_every_piece_stopped(monkeypatch, bad):
     """Pieces 0, 2, 4, 6 run on the caller and 1, 3, 5, 7 on the pool.
     When one piece raises, the caller gets that exception only once no
     piece is running any more, and the other share has run to its end."""
-    monkeypatch.setattr(patches, "WORKERS", 2)
+    monkeypatch.setattr(groupcs.work, "WORKERS", 2)
     lock = threading.Lock()
     running, finished, threads = set(), [], set()
 
@@ -567,7 +569,7 @@ def test_run_passes_raises_after_every_piece_stopped(monkeypatch, bad):
             finished.append(part.start)
 
     with pytest.raises(PieceFailed) as info:
-        patches.run_passes(8, patches.worker_budget(), work)
+        groupcs.work.run_passes(8, groupcs.work.worker_budget(), work)
     assert info.value.args == (bad,)
     assert running == set()
     assert set(range(1 - bad, 8, 2)) <= set(finished)
@@ -578,7 +580,7 @@ def test_run_passes_before_raises_after_every_pass_stopped(monkeypatch):
     """The calling thread runs before() while the pool pulls passes; when
     before() raises, the caller takes no pass, and the exception surfaces
     only once the pool has pulled and finished every other pass."""
-    monkeypatch.setattr(patches, "WORKERS", 2)
+    monkeypatch.setattr(groupcs.work, "WORKERS", 2)
     lock = threading.Lock()
     running, finished = set(), []
 
@@ -595,7 +597,7 @@ def test_run_passes_before_raises_after_every_pass_stopped(monkeypatch):
         raise PieceFailed("before")
 
     with pytest.raises(PieceFailed, match="before"):
-        patches.run_passes(8, patches.worker_budget(), work, before)
+        groupcs.work.run_passes(8, groupcs.work.worker_budget(), work, before)
     assert running == set()
     assert finished == list(range(1, 8))
 
@@ -604,7 +606,7 @@ def test_run_passes_pool_raise_waits_for_the_caller(monkeypatch):
     """A pool pass that raises while the caller is still in before() stops
     the pool thread only: the caller finishes before(), then pulls every
     pass left, and the pool's exception surfaces after that."""
-    monkeypatch.setattr(patches, "WORKERS", 2)
+    monkeypatch.setattr(groupcs.work, "WORKERS", 2)
     lock, raised = threading.Lock(), threading.Event()
     events = []
 
@@ -624,7 +626,7 @@ def test_run_passes_pool_raise_waits_for_the_caller(monkeypatch):
             events.append("before")
 
     with pytest.raises(PieceFailed) as info:
-        patches.run_passes(8, patches.worker_budget(), work, before)
+        groupcs.work.run_passes(8, groupcs.work.worker_budget(), work, before)
     assert info.value.args == (1,)
     assert events == ["raised", "before", 0, 2, 3, 4, 5, 6, 7]
 
@@ -634,7 +636,7 @@ def test_run_passes_divides_workers_among_concurrent_callers(monkeypatch):
     another thread (as from a second sweep cell) gets WORKERS // 2 = 1
     share and runs every piece on its own thread; once both are done,
     a call gets both workers again."""
-    monkeypatch.setattr(patches, "WORKERS", 2)
+    monkeypatch.setattr(groupcs.work, "WORKERS", 2)
     first_in, second_done = threading.Event(), threading.Event()
     seen = {"first": set(), "second": set(), "after": set()}
 
@@ -646,27 +648,55 @@ def test_run_passes_divides_workers_among_concurrent_callers(monkeypatch):
                 assert second_done.wait(10)
         return work
 
-    each = patches.worker_budget()  # one piece per item
-    first = threading.Thread(target=patches.run_passes, args=(4, each, work_of("first")))
+    each = groupcs.work.worker_budget()  # one piece per item
+    first = threading.Thread(target=groupcs.work.run_passes, args=(4, each, work_of("first")))
     first.start()
     try:
         assert first_in.wait(10)
-        patches.run_passes(4, each, work_of("second"))
+        groupcs.work.run_passes(4, each, work_of("second"))
     finally:
         second_done.set()
         first.join(10)
     assert not first.is_alive()
     assert seen["second"] == {threading.get_ident()}
-    patches.run_passes(4, each, work_of("after"))
+    groupcs.work.run_passes(4, each, work_of("after"))
     assert len(seen["after"]) == 2
+
+
+def test_caller_count_survives_concurrent_callers(monkeypatch):
+    """Eight threads entering and leaving work.caller() at once, under a
+    short switch interval, each get a grant of WORKERS divided by some
+    caller count, and leave the count at zero, so no update was lost."""
+    monkeypatch.setattr(groupcs.work, "WORKERS", 4)
+    grants, grants_lock = [], threading.Lock()
+
+    def enter():
+        for _ in range(200):
+            with groupcs.work.caller() as grant:
+                with grants_lock:
+                    grants.append(grant)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=enter) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert groupcs.work._callers == 0
+    assert len(grants) == 1600 and set(grants) <= {4, 2, 1}
 
 
 def test_z_step_workers_keep_the_callers_errstate(monkeypatch):
     """Under np.errstate(all="ignore") the shrink passes of an input
     5e306 large overflow without a warning, on the pool's threads too;
     the overflowed result is then refused."""
-    monkeypatch.setattr(patches, "WORKERS", 2)
-    monkeypatch.setattr(patches, "PASS_ENTRIES", 20_000)  # 100 groups in 20 passes
+    monkeypatch.setattr(groupcs.work, "WORKERS", 2)
+    monkeypatch.setattr(groupcs.work, "PASS_ENTRIES", 20_000)  # 100 groups in 20 passes
     img = 5e306 * np.random.default_rng(0).uniform(-1, 1, (40, 40))
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -690,8 +720,8 @@ def test_z_step_overflow_in_a_pool_pass_surfaces(monkeypatch):
     """Two shrink passes of 50 groups: the caller's (anchor rows 0 to 16)
     sees only rows 0..30, which are small, and the pool's groups reach
     the 1.7e308 rows below, so only the pool's pass raises."""
-    monkeypatch.setattr(patches, "WORKERS", 2)
-    monkeypatch.setattr(patches, "PASS_ENTRIES", 2 * 50 * 60 * 36)
+    monkeypatch.setattr(groupcs.work, "WORKERS", 2)
+    monkeypatch.setattr(groupcs.work, "PASS_ENTRIES", 2 * 50 * 60 * 36)
     img = np.random.default_rng(0).uniform(-1, 1, (40, 40))
     img[31:] *= 1.7e308
     with np.errstate(all="ignore"), pytest.raises(NumericalError, match="spectrum overflows"):
@@ -723,7 +753,7 @@ def test_z_step_memory_is_stack_plus_fixed_allowance(side, grouping):
     noise = np.random.default_rng(5).normal(0, 10, (side, side))
     img = make_motif_image(side, 3) + noise
     rows = len(reference_anchors(img.shape, grouping)) * grouping.group_size
-    allowance = (4 * patches.PASS_ENTRIES + 3 * rows + 8 * img.size) * 8
+    allowance = (4 * groupcs.work.PASS_ENTRIES + 3 * rows + 8 * img.size) * 8
     tracemalloc.start()
     try:
         z_step(img, SolverConfig(grouping=grouping), 1.5e7)
@@ -731,6 +761,25 @@ def test_z_step_memory_is_stack_plus_fixed_allowance(side, grouping):
     finally:
         tracemalloc.stop()
     assert peak - patches.stack_bytes(img.shape, grouping) <= allowance
+
+
+@pytest.mark.parametrize("fidelity", ["l2", "m_estimator"])
+@pytest.mark.parametrize("kind, side", [("dense", 64), ("block", 128), ("dft", 256)])
+def test_recovery_bytes_covers_the_traced_peak(kind, side, fidelity):
+    """recovery_bytes, which the CLI refuses a recovery by, is at least
+    what building the operator and two outer iterations allocate at their
+    peak: it counts the passes' fixed allowance beside the operator, the
+    group stacks and the image-sized arrays."""
+    img = make_motif_image(side, 3)
+    cfg = SolverConfig(fidelity=fidelity, outer_iters=2)
+    tracemalloc.start()
+    try:
+        op = make_operator(kind, img.shape, 0.2, 1)
+        recover(op.forward(img), op, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert recovery_bytes(kind, img.shape, 0.2, cfg.grouping) >= peak
 
 
 def test_z_step_takes_no_svd(monkeypatch, rng):
