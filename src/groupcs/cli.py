@@ -47,9 +47,9 @@ from .work import fits_in_memory, refuse_beyond_memory
 # numpy's warnings would only add lines to stderr.  Not "raise": block
 # matching lets distances overflow to +inf on purpose.
 _QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
-# Refusals (exit 2), MemoryError too, and numerical failures (exit 4); either
+# Refusals (exit 2, MemoryError too) and numerical failures (exit 4); either
 # fails a sweep cell.  LinAlgError is a ValueError, so main sorts _NUMERICAL first.
-_REFUSED = (ValueError, OverflowError, MemoryError)
+_REFUSED = (ValueError, OverflowError)
 _NUMERICAL = (NumericalError, np.linalg.LinAlgError)
 
 
@@ -285,7 +285,7 @@ def cmd_sweep(run, scfg, nspec):
             with np.errstate(**_QUIET):  # worker threads start from numpy's defaults
                 value = _run_cell(image, run, nspec, scfg, cell)
             return f"{value:.2f}", time.monotonic() - start, "ok"
-        except _REFUSED + _NUMERICAL as exc:
+        except _REFUSED + _NUMERICAL + (MemoryError,) as exc:
             return "", time.monotonic() - start, f"failed: {exc}"
 
     with _outputs(run.required("output")) as (output,):
@@ -356,7 +356,7 @@ def main(argv=None):
     except _NUMERICAL as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
-    except _REFUSED as exc:
+    except _REFUSED + (MemoryError,) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

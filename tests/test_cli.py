@@ -27,7 +27,7 @@ from groupcs.metrics import psnr
 from groupcs.patches import GroupingConfig, stack_bytes
 from groupcs.penalties import KINDS
 from groupcs.pgm import read_pgm, write_pgm
-from groupcs.solver import FIDELITIES, SolverConfig
+from groupcs.solver import FIDELITIES, SolverConfig, recovery_bytes
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -969,6 +969,17 @@ def test_threshold_arguments_exit_2(tmp_path, flat_image, capsys, command, argv)
     assert not out.exists()
 
 
+def limited_child(*argv, limit=3 << 29):
+    """Run groupcs in its own process under an address-space limit (1.5
+    GiB by default), a limit below physical memory that the refusals do
+    not weigh."""
+    return subprocess.run(
+        [sys.executable, "-m", "groupcs.cli", *map(str, argv)],
+        env=src_env(), capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+
+
 def test_grouping_beyond_physical_memory_is_refused(tmp_path):
     """At stride 1 with 500-patch groups and a window that reaches every
     row, so that the Z-step holds every band to the end, a 1024x1024
@@ -982,15 +993,9 @@ def test_grouping_beyond_physical_memory_is_refused(tmp_path):
     message = "grouping a 1024x1024 image needs 139."
     limit = 2 << 30
 
-    def child(*argv):
-        return subprocess.run(
-            [sys.executable, "-m", "groupcs.cli", *map(str, argv), *grouping],
-            env=src_env(), capture_output=True, text=True, timeout=120,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-        )
-
     out = tmp_path / "o.pgm"
-    proc = child("denoise", img_path, "--output", out, "--tau", "1")
+    proc = limited_child("denoise", img_path, "--output", out, "--tau", "1", *grouping,
+                         limit=limit)
     assert proc.returncode == 2, proc.stderr
     [line] = proc.stderr.splitlines()
     assert line.startswith(f"config error: {message}")
@@ -998,21 +1003,18 @@ def test_grouping_beyond_physical_memory_is_refused(tmp_path):
     assert not out.exists()
 
     csv_path = tmp_path / "g.csv"
-    proc = child("sweep", img_path, "--output", csv_path, "--op", "dft", "--outer_iters", "1")
+    proc = limited_child("sweep", img_path, "--output", csv_path, "--op", "dft",
+                         "--outer_iters", "1", *grouping, limit=limit)
     assert proc.returncode == 0, proc.stderr
     [row] = list(csv.DictReader(csv_path.open()))
     assert row["status"].startswith(f"failed: {message}")
 
 
-def limited_child(*argv, limit=3 << 29):
-    """Run groupcs in its own process under an address-space limit (1.5
-    GiB by default), a limit below physical memory that the refusals do
-    not weigh."""
-    return subprocess.run(
-        [sys.executable, "-m", "groupcs.cli", *map(str, argv)],
-        env=src_env(), capture_output=True, text=True, timeout=120,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-    )
+# The subrate 1.0 cells below pass the physical-memory refusals only where
+# their recovery fits in physical memory.
+beyond_the_limit_only = pytest.mark.skipif(
+    not work.fits_in_memory(recovery_bytes("dense", (128, 128), 1.0, GroupingConfig())),
+    reason="a 128x128 dense recovery at subrate 1.0 exceeds physical memory here")
 
 
 @pytest.fixture
@@ -1022,6 +1024,7 @@ def motif128(tmp_path):
     return path
 
 
+@beyond_the_limit_only
 def test_measure_beyond_the_process_limit_exits_2(tmp_path, motif128):
     """A 128x128 dense operator at subrate 1.0 (2.0 GiB) passes the
     physical-memory refusal, and its allocation fails under the limit:
@@ -1031,11 +1034,12 @@ def test_measure_beyond_the_process_limit_exits_2(tmp_path, motif128):
                          "--subrate", "1.0", "--seed", "1")
     assert proc.returncode == 2, proc.stderr
     [line] = proc.stderr.splitlines()
-    assert line.startswith("config error: ")
+    assert line.startswith("config error: Unable to allocate ")
     assert proc.stdout == ""
     assert list(tmp_path.iterdir()) == [motif128]
 
 
+@beyond_the_limit_only
 def test_sweep_cell_beyond_the_process_limit_fails_as_a_row(tmp_path, motif128):
     """Under the same limit, the subrate 1.0 cell of a 128x128 dense sweep
     fails as a row, and the subrate 0.1 cell runs."""
@@ -1046,7 +1050,7 @@ def test_sweep_cell_beyond_the_process_limit_fails_as_a_row(tmp_path, motif128):
     with csv_path.open() as fh:
         small, large = csv.DictReader(fh)
     assert small["status"] == "ok"
-    assert large["status"].startswith("failed: ")
+    assert large["status"].startswith("failed: Unable to allocate ")
 
 
 def test_denoise_counts_the_aggregation_arrays(tmp_path, flat_image, capsys, monkeypatch):
