@@ -9,7 +9,6 @@ needs those fields to rebuild the operator exactly.
 from __future__ import annotations
 
 import math
-from concurrent.futures import wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,11 +25,11 @@ BLOCK_SIDE = 32
 CHUNK_ENTRIES = 2**17
 
 # The split Gaussian draw (_draw_normals): each part holds at least
-# SPLIT_NORMALS normals, and each part after the first records its
-# generator's state after HANDOFF_WINDOW of them (SPLIT_NORMALS must be
-# the larger).  numpy's ziggurat takes one PCG64 word for almost every
-# standard normal, WORDS_PER_NORMAL on average (1.28e9 normals on numpy
-# 2.4.6, counted by the distance between the LCG states before and after).
+# SPLIT_NORMALS normals, and each part records its generator's state
+# after HANDOFF_WINDOW of them (SPLIT_NORMALS must be the larger).
+# numpy's ziggurat takes one PCG64 word for almost every standard
+# normal, WORDS_PER_NORMAL on average (1.28e9 normals on numpy 2.4.6,
+# counted by the distance between the LCG states before and after).
 SPLIT_NORMALS = 2**20
 HANDOFF_WINDOW = 2**16
 WORDS_PER_NORMAL = 1.02204
@@ -174,9 +173,9 @@ def _draw_part(state, out, lo, hi):
     return gen, mark
 
 
-def _hand_off(rng, out, lo, hi, drawn):
+def _hand_off(rng, out, lo, hi, gen, mark):
     """Make out[lo:hi] rng's next normals and advance rng past them,
-    given `drawn`, a finished _draw_part(…, out, lo, hi), or None.
+    given (gen, mark), the result of a finished _draw_part(…, out, lo, hi).
 
     Once the part's stream meets rng's, its normals are rng's own,
     shifted by the s normals it drew before that.  rng draws a window of
@@ -185,12 +184,8 @@ def _hand_off(rng, out, lo, hi, drawn):
     takes the part only if it then is in exactly the state the part
     recorded, so c = HANDOFF_WINDOW - s.  The rest of the part moves left
     by s and draws its last s normals.  Otherwise rng draws the rest of
-    the part itself.  Returns s, or None where rng drew the part.
+    the part itself.  Returns s, or None where rng redrew the part.
     """
-    if drawn is None:
-        rng.standard_normal(out=out[lo:hi])
-        return None
-    gen, mark = drawn
     start = rng.bit_generator.state
     found = np.flatnonzero(rng.standard_normal(HANDOFF_WINDOW) == out[lo + HANDOFF_WINDOW - 1])
     rng.bit_generator.state = start
@@ -216,30 +211,26 @@ def _draw_normals(rng, out):
     bit for bit, leaving rng in the state that draw leaves it in; rng
     draws from PCG64.
 
-    While it runs the draw is a caller of work's pool (work.caller), and
-    an array of at least 2 * SPLIT_NORMALS normals is cut into as many
-    parts as its grant.  The caller draws the first; each other part is
-    drawn on the pool from a jump ahead to a guessed start (_draw_part),
-    then checked and put in place by _hand_off in order.  A part the pool
-    has not started by its turn is cancelled and drawn by the caller.
-    Returns each later part's shift, None where the caller drew it.
+    The array is cut into up to WORKERS parts of at least SPLIT_NORMALS
+    normals (one if it is shorter), each drawn from a jump ahead to its
+    guessed start (_draw_part; the first part's guess is exact) in one
+    work.run_passes call, one part a slice, on whichever thread runs it.
+    rng then takes the first part's end state, and _hand_off checks each
+    other part and puts it in place, in order.  Returns each later part's
+    shift, None where rng redrew that part.
     """
-    with work.caller() as grant:
-        parts = min(grant, len(out) // SPLIT_NORMALS)
-        if parts < 2:
-            rng.standard_normal(out=out)
-            return []
-        bounds = [len(out) * k // parts for k in range(parts + 1)]
-        state = rng.bit_generator.state
-        futures = [work._POOL.submit(_draw_part, state, out, lo, hi)
-                   for lo, hi in zip(bounds[1:-1], bounds[2:])]
-        try:
-            rng.standard_normal(out=out[:bounds[1]])
-            return [_hand_off(rng, out, lo, hi, None if future.cancel() else future.result())
-                    for future, lo, hi in zip(futures, bounds[1:-1], bounds[2:])]
-        finally:
-            # wait() would block on a cancelled part until the pool dequeues it.
-            wait([future for future in futures if not future.cancel()])
+    parts = max(1, min(work.WORKERS, len(out) // SPLIT_NORMALS))
+    bounds = [len(out) * k // parts for k in range(parts + 1)]
+    state, drawn = rng.bit_generator.state, [None] * parts
+
+    def draw(part):
+        drawn[part.start] = _draw_part(state, out, bounds[part.start], bounds[part.start + 1])
+
+    # Entries of at least worker_budget() make each part its own slice.
+    work.run_passes(parts, work.PASS_ENTRIES, draw)
+    rng.bit_generator.state = drawn[0][0].bit_generator.state
+    return [_hand_off(rng, out, lo, hi, *part)
+            for part, lo, hi in zip(drawn[1:], bounds[1:-1], bounds[2:])]
 
 
 class BlockGaussianOp(MeasurementOp):

@@ -184,17 +184,17 @@ def reference_anchors(shape, cfg):
     as a (G, 2) array in raster order.
 
     Raises GroupingError when the grouping cannot be applied to an image
-    of this shape: the patch does not fit, a Z-step's arrays (stack_bytes
-    and six image-sized arrays) would not fit in physical memory, or
-    some reference window holds fewer than group_size candidates.
+    of this shape: the patch does not fit, a Z-step's arrays would not
+    fit in physical memory, or some reference window holds fewer than
+    group_size candidates.
     """
     (h, w), s = shape, cfg.patch_side
     if s > h or s > w:
         raise GroupingError(f"image {tuple(shape)} smaller than patch side {s}")
-    # Beside its bands, a Z-step holds six image-sized arrays at its peak:
-    # its input, _Aggregation's counts, sums and resid, and the two that
-    # image() adds.
-    work.refuse_beyond_memory(stack_bytes(shape, cfg) + 6 * 8 * h * w,
+    # Beside its bands, a Z-step holds six image-sized arrays at its peak
+    # (its input, _Aggregation's counts, sums and resid, and image()'s
+    # two) and its passes' four temporaries of work.PASS_ENTRIES entries.
+    work.refuse_beyond_memory(stack_bytes(shape, cfg) + 8 * (6 * h * w + 4 * work.PASS_ENTRIES),
                               f"grouping a {h}x{w} image", GroupingError)
     rows, cols = (_anchor_axis(dim, cfg) for dim in shape)
     anchors = np.stack(np.meshgrid(rows, cols, indexing="ij"), axis=-1).reshape(-1, 2)

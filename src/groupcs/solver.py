@@ -190,7 +190,8 @@ def x_step(op, y, x0, hx0, z, w, mu, steps, q):
     gradient takes one adjoint; each step then takes one op.normal(g, q)
     for H g and H^T Q H g, and carries Hx and the gradient along by
     linearity: H(x - a g) = Hx - a H g, and
-    grad(x - a g) = g - a (H^T Q H g + mu g).  Returns (x, hx) with hx
+    grad(x - a g) = g - a (H^T Q H g + mu g).  The last step's gradient
+    is never read, so it takes only op.forward(g).  Returns (x, hx) with hx
     the carried H x.  Both carried values drift from fresh products only
     by rounding over `steps` updates; H g is the forward's bit for bit.
     """
@@ -200,18 +201,19 @@ def x_step(op, y, x0, hx0, z, w, mu, steps, q):
     x = np.array(x0, dtype=float, copy=True)
     hx = hx0
     grad = op.adjoint(q * (hx - y)) + mu * (x - z - w)
-    for _ in range(steps):
+    for step in range(steps, 0, -1):
         gg = float(np.sum(grad * grad))
         if gg == 0.0:
             break
-        hg, hqhg = op.normal(grad, q)
+        hg, hqhg = op.normal(grad, q) if step > 1 else (op.forward(grad), None)
         denom = float(np.sum(q * hg * hg)) + mu * gg
         if denom == 0.0:
             break
         a = gg / denom
         x = x - a * grad
         hx = hx - a * hg
-        grad = grad - a * (hqhg + mu * grad)
+        if step > 1:
+            grad = grad - a * (hqhg + mu * grad)
     return x, hx
 
 

@@ -57,19 +57,21 @@ def worker_budget():
 
 def run_passes(count, entries_each, work, before=None):
     """Call work(part) for every slice of passes(count, entries_each), on
-    up to WORKERS threads at once.
+    up to WORKERS threads at once: the one runner of threaded work.
 
     The threads, as many as the caller's grant (see caller()), each start
     on one of the first slices and then pull the others in order from one
     queue.  The calling thread is one of them; it first calls before(),
-    when given, while _POOL's threads work.  Each pool thread runs under
-    a copy of the caller's context, so numpy's errstate holds in every
-    thread.  Each call must write only what belongs to its own slice.  A
-    thread whose call raises takes no more slices, and the others go on
-    until the queue is empty.  Returns once every call has finished; if
-    any raised, before() included, the caller's exception, else the first
-    pool thread's, is raised then.  With one worker every call runs on the
-    caller, after before().
+    when given, while _POOL's threads work.  Once the queue is empty it
+    cancels and runs itself each first slice no pool thread has started,
+    so it never waits on a pool that other work holds.  Each pool thread
+    runs under a copy of the caller's context, so numpy's errstate holds
+    in every thread.  Each call must write only what belongs to its own
+    slice.  A thread whose call raises takes no more slices, and the
+    others go on until the queue is empty.  Returns once every call has
+    finished; if any raised, before() included, the caller's exception,
+    else the first pool thread's, is raised then.  With one worker every
+    call runs on the caller, after before().
     """
     parts = list(passes(count, entries_each))
     with caller() as grant:
@@ -82,17 +84,21 @@ def run_passes(count, entries_each, work, before=None):
                 with queue_lock:
                     part = next(queue, None)
 
-        futures = []
+        futures = {}
         try:
             for part in parts[1:n]:
-                futures.append(_POOL.submit(contextvars.copy_context().run, run, part))
+                futures[_POOL.submit(contextvars.copy_context().run, run, part)] = part
             if before is not None:
                 before()
-            if parts:
-                run(parts[0])
+            run(parts[0] if parts else None)
+            for future, part in futures.items():
+                if future.cancel():
+                    run(part)
         finally:
-            wait(futures)
-    for future in futures:
+            # wait() would block on a cancelled slice until the pool dequeues it.
+            started = [future for future in futures if not future.cancel()]
+            wait(started)
+    for future in started:
         future.result()
 
 

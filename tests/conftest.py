@@ -1,4 +1,8 @@
-"""Shared fixtures: seeded RNGs and small reference images."""
+"""Shared fixtures: seeded RNGs, small reference images and a held pool."""
+
+import contextlib
+import threading
+from concurrent.futures import wait
 
 import numpy as np
 import pytest
@@ -20,6 +24,22 @@ def motif_benchmark():
     from groupcs import make_motif_image
 
     return make_motif_image(64, 3)
+
+
+@contextlib.contextmanager
+def held_pool():
+    """Hold every thread of work's pool, as other work would, until the
+    block ends; yields the futures that hold them, which are still
+    running when the block ends unless it took 30 s."""
+    from groupcs import work
+
+    release = threading.Event()
+    blockers = [work._POOL.submit(release.wait, 30) for _ in range(work._POOL._max_workers)]
+    try:
+        yield blockers
+    finally:
+        release.set()
+        wait(blockers)
 
 
 def patch_at(image, pos, patch_side):

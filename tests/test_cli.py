@@ -776,14 +776,16 @@ def test_beyond_memory_exits_2(tmp_path, flat_image, capsys, monkeypatch,
 
 def test_recovery_counts_operator_and_stack_together(tmp_path, flat_image, capsys,
                                                      monkeypatch):
-    """With memory for the dense operator and for the group stack, but not
-    for both, recover exits 3 before the operator is built and the sweep
-    cell fails."""
+    """With memory for the dense operator and for the Z-step (the group
+    stack, six image-sized arrays and the passes' allowance), but not for
+    both, recover exits 3 before the operator is built and the sweep cell
+    fails."""
     img_path, _ = flat_image
     meas = tmp_path / "m.meas"
     run(capsys, "measure", img_path, "--output", meas, "--op", "dense", "--subrate", "0.3")
     op_need = operator_bytes("dense", (32, 32), 0.3)
-    stack_need = stack_bytes((32, 32), GroupingConfig())
+    stack_need = (stack_bytes((32, 32), GroupingConfig())
+                  + 8 * (6 * 32 * 32 + 4 * work.PASS_ENTRIES))
     assert op_need + stack_need > max(op_need, stack_need) + 1
     monkeypatch.setattr("groupcs.work.physical_memory",
                         lambda: max(op_need, stack_need) + 1)
@@ -799,7 +801,8 @@ def test_recovery_counts_operator_and_stack_together(tmp_path, flat_image, capsy
     code, _, err = run(capsys, "sweep", img_path, "--output", csv_path, "--op", "dense",
                        "--subrate", "0.3", "--outer_iters", "1")
     assert code == 0, err
-    [row] = list(csv.DictReader(csv_path.open()))
+    with csv_path.open() as fh:
+        [row] = csv.DictReader(fh)
     assert row["status"].startswith("failed: recovering a 32x32 image needs")
 
 
@@ -827,7 +830,8 @@ def test_sweep_counts_the_cells_jobs_runs_at_once(tmp_path, flat_image, capsys, 
         assert line.endswith("GiB of physical memory")
         assert not csv_path.exists()
     else:
-        assert [row["status"] for row in csv.DictReader(csv_path.open())] == ["ok", "ok"]
+        with csv_path.open() as fh:
+            assert [row["status"] for row in csv.DictReader(fh)] == ["ok", "ok"]
 
 
 def test_sweep_leaves_a_cell_too_large_alone_out_of_the_jobs_count(tmp_path, flat_image,
@@ -842,7 +846,8 @@ def test_sweep_leaves_a_cell_too_large_alone_out_of_the_jobs_count(tmp_path, fla
     code, _, err = run(capsys, "sweep", img_path, "--output", csv_path, "--op", "dense",
                        "--sweep_subrates", "0.1,1.0", "--jobs", "2", "--outer_iters", "1")
     assert code == 0, err
-    small_row, large_row = csv.DictReader(csv_path.open())
+    with csv_path.open() as fh:
+        small_row, large_row = csv.DictReader(fh)
     assert small_row["status"] == "ok"
     assert large_row["status"].startswith("failed: recovering a 32x32 image needs")
 
@@ -942,7 +947,8 @@ def test_grouping_and_threshold_refused_before_the_operator(tmp_path, flat_image
     code, _, err = run(capsys, "sweep", img_path, "--output", csv_path, "--op", "dense",
                        "--outer_iters", "1", *argv)
     assert code == 0, err
-    [row] = list(csv.DictReader(csv_path.open()))
+    with csv_path.open() as fh:
+        [row] = csv.DictReader(fh)
     assert row["status"] == f"failed: {message}"
 
 
@@ -1006,7 +1012,8 @@ def test_grouping_beyond_physical_memory_is_refused(tmp_path):
     proc = limited_child("sweep", img_path, "--output", csv_path, "--op", "dft",
                          "--outer_iters", "1", *grouping, limit=limit)
     assert proc.returncode == 0, proc.stderr
-    [row] = list(csv.DictReader(csv_path.open()))
+    with csv_path.open() as fh:
+        [row] = csv.DictReader(fh)
     assert row["status"].startswith(f"failed: {message}")
 
 

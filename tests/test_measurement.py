@@ -1,11 +1,13 @@
 """Measurement operators: adjoint identities, masks and the noise model."""
 
+import contextlib
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from conftest import held_pool
 
 from groupcs import NoiseSpec, add_noise, make_operator, measurement, work
 from groupcs.measurement import (
@@ -303,15 +305,19 @@ def test_split_gaussian_ops_match_block_loop(kind, shape, subrate, workers, smal
 @pytest.mark.parametrize("seed", range(8))
 def test_split_draw_ends_in_the_sequential_state(seed, small_split, monkeypatch):
     """The split draw gives rng.standard_normal's values and leaves rng
-    where it leaves it, whatever the worker count."""
+    where it leaves it, whatever the worker count, and accepts every part
+    whether the pool draws it or, held by other work, leaves it to the
+    caller."""
     want, state = sequential_normals(seed, 200_000)
-    for workers in (1, 2, 3, 5):
-        monkeypatch.setattr(work, "WORKERS", workers)
-        rng, out = np.random.default_rng(seed), np.empty(200_000)
-        measurement._draw_normals(rng, out)
-        np.testing.assert_array_equal(out, want)
-        assert rng.bit_generator.state == state
-    assert [len(s) for s in small_split] == [0, 1, 2, 4]
+    for hold in (contextlib.nullcontext, held_pool):
+        for workers in (1, 2, 3, 5):
+            monkeypatch.setattr(work, "WORKERS", workers)
+            rng, out = np.random.default_rng(seed), np.empty(200_000)
+            with hold():
+                measurement._draw_normals(rng, out)
+            np.testing.assert_array_equal(out, want)
+            assert rng.bit_generator.state == state
+    assert [len(s) for s in small_split] == [0, 1, 2, 4] * 2
     assert None not in sum(small_split, [])
 
 
@@ -393,58 +399,17 @@ def test_concurrent_builds_give_the_same_bytes(small_split, monkeypatch):
 
 
 def test_busy_pool_makes_the_caller_draw_the_part(monkeypatch):
-    """A part still queued behind other work when its turn comes is
-    cancelled and drawn by the caller, which does not wait for the pool."""
+    """A part still queued behind other work once the caller has drawn
+    its own is cancelled and drawn by the caller from its guessed start,
+    and accepted; the caller does not wait for the pool."""
     monkeypatch.setattr(work, "WORKERS", 2)
-    release = threading.Event()
-    blockers = [work._POOL.submit(release.wait, 60)
-                for _ in range(work._POOL._max_workers)]
-    try:
-        count = 2 * measurement.SPLIT_NORMALS
-        want, state = sequential_normals(8, count)
-        rng, out = np.random.default_rng(8), np.empty(count)
-        assert measurement._draw_normals(rng, out) == [None]
-        assert not any(blocker.done() for blocker in blockers)
-    finally:
-        release.set()
-        wait(blockers)
-    np.testing.assert_array_equal(out, want)
-    assert rng.bit_generator.state == state
-
-
-def test_draw_takes_its_share_of_the_workers(monkeypatch):
-    """While a run_passes call is in progress on another thread (as in a
-    second sweep cell's Z-step), a draw is the second caller: its grant is
-    WORKERS // 2 = 1, so it submits nothing to the pool and draws the
-    plain bytes on its own.  Once that call ends, the next draw splits."""
-    monkeypatch.setattr(work, "WORKERS", 2)
-    submitted, submit = [], work._POOL.submit
-    monkeypatch.setattr(work._POOL, "submit",
-                        lambda fn, *args: submitted.append(fn) or submit(fn, *args))
-    inside, release = threading.Event(), threading.Event()
-
-    def hold(part):
-        inside.set()
-        assert release.wait(10)
-
-    held = threading.Thread(target=work.run_passes, args=(1, 1, hold))  # one pass, no pool
-    held.start()
     count = 2 * measurement.SPLIT_NORMALS
-    want, state = sequential_normals(9, count)
-    rng, out = np.random.default_rng(9), np.empty(count)
-    try:
-        assert inside.wait(10)
-        assert measurement._draw_normals(rng, out) == []
-        assert submitted == []
-    finally:
-        release.set()
-        held.join(10)
-    assert not held.is_alive()
-    np.testing.assert_array_equal(out, want)
-    assert rng.bit_generator.state == state
-    rng, out = np.random.default_rng(9), np.empty(count)
-    assert len(measurement._draw_normals(rng, out)) == 1
-    assert submitted == [measurement._draw_part]
+    want, state = sequential_normals(8, count)
+    rng, out = np.random.default_rng(8), np.empty(count)
+    with held_pool() as blockers:
+        [shift] = measurement._draw_normals(rng, out)
+        assert not any(blocker.done() for blocker in blockers)
+    assert shift is not None
     np.testing.assert_array_equal(out, want)
     assert rng.bit_generator.state == state
 

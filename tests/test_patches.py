@@ -241,11 +241,24 @@ def test_grouping_beyond_physical_memory_is_refused(rng, monkeypatch):
         reference_anchors((32, 32), cfg)
 
 
+def test_z_step_refusal_counts_the_passes_allowance(rng, monkeypatch):
+    """A memory that holds the stacks and six image-sized arrays but not
+    the passes' four PASS_ENTRIES temporaries as well refuses z_step."""
+    image, cfg = rng.uniform(0, 255, (32, 32)), GroupingConfig()
+    monkeypatch.setattr("groupcs.work.physical_memory",
+                        lambda: stack_bytes((32, 32), cfg) + 6 * 8 * 32 * 32)
+    with pytest.raises(GroupingError, match="GiB of physical memory"):
+        z_step(image, SolverConfig(grouping=cfg), 1.5e7)
+
+
 def test_group_stack_refuses_the_whole_stack(monkeypatch):
     """On a shape of several bands, a memory that holds the Z-step's bands
     (stack_bytes) but not every group with every patch vector runs
     reference_anchors and z_step, and refuses group_stack before its
     matcher allocates anything."""
+    # Passes of 20 000 entries keep the Z-step's allowance (8 MiB at the
+    # default PASS_ENTRIES) under the gap between the two counts here.
+    monkeypatch.setattr("groupcs.work.PASS_ENTRIES", 20_000)
     shape, cfg = (96, 160), GroupingConfig()
     groups = len(reference_anchors(shape, cfg))
     whole = (groups * 60 + 91 * 155) * 36 * 8

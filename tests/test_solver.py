@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from conftest import brute_force_match, gram_shrink, patch_at
+from conftest import brute_force_match, gram_shrink, held_pool, patch_at
 
 import groupcs.work
 from groupcs import (
@@ -299,17 +299,19 @@ class CountingOp:
 
 @pytest.mark.parametrize("fidelity", ["l2", "m_estimator"])
 def test_recover_operator_call_counts(fidelity, rng):
-    """T outer iterations cost T forwards (one per iteration, for the
-    residual), T*gd_steps normals (one per gradient step) and T adjoints
-    (each X-step's first gradient), plus the adjoint that starts x."""
+    """T outer iterations cost 2T forwards (one per iteration, for the
+    residual, and each X-step's last gradient step, which needs only
+    H g), T*(gd_steps - 1) normals (one per other gradient step) and T
+    adjoints (each X-step's first gradient), plus the adjoint that starts
+    x."""
     img = rng.uniform(0, 255, (32, 32))
     op = CountingOp(make_operator("dense", (32, 32), 0.2, 3))
     y = op.op.forward(img) + rng.normal(0, 2, op.m)
     cfg = small_cfg(fidelity=fidelity, outer_iters=3, gd_steps=7,
                     grouping=GroupingConfig(6, 4, 20, 60))
     recover(y, op, cfg)
-    assert op.forwards == 3
-    assert op.normals == 3 * 7
+    assert op.forwards == 2 * 3
+    assert op.normals == 3 * (7 - 1)
     assert op.adjoints == 3 + 1
 
 
@@ -507,6 +509,21 @@ def test_z_step_independent_of_worker_count(monkeypatch, motif_benchmark, tau):
         assert z1.tobytes() == motif_benchmark.tobytes()
 
 
+def test_busy_pool_makes_the_caller_run_the_z_step_passes(monkeypatch, motif_benchmark):
+    """With every pool thread held by other work, a two-worker z_step
+    runs the passes it queued on the calling thread and returns before
+    the pool is free, with the bytes the free pool gives."""
+    monkeypatch.setattr(groupcs.work, "WORKERS", 2)
+    monkeypatch.setattr(groupcs.work, "PASS_ENTRIES", 20_000)  # several passes a band
+    cfg = SolverConfig(penalty=Penalty("log", 1.0, 10.0))
+    z, reg = z_step(motif_benchmark, cfg, 1.5e7, sweeps=3)
+    with held_pool() as blockers:
+        z_held, reg_held = z_step(motif_benchmark, cfg, 1.5e7, sweeps=3)
+        assert not any(blocker.done() for blocker in blockers)
+    assert z_held.tobytes() == z.tobytes()
+    assert reg_held == reg
+
+
 # Groupings of the band-size test: the default, two smaller ones, and a
 # wide one whose every window reaches every row, so that no band is
 # dropped before the end.
@@ -639,6 +656,9 @@ def test_run_passes_divides_workers_among_concurrent_callers(monkeypatch):
     monkeypatch.setattr(groupcs.work, "WORKERS", 2)
     first_in, second_done = threading.Event(), threading.Event()
     seen = {"first": set(), "second": set(), "after": set()}
+    # Each thread's first item waits for the other's, so the caller
+    # cannot take the pool's item as unstarted.
+    both_in = threading.Barrier(2)
 
     def work_of(name):
         def work(part):
@@ -646,6 +666,8 @@ def test_run_passes_divides_workers_among_concurrent_callers(monkeypatch):
             if name == "first" and part.start == 0:
                 first_in.set()
                 assert second_done.wait(10)
+            if name == "after" and part.start < 2:
+                both_in.wait(10)
         return work
 
     each = groupcs.work.worker_budget()  # one piece per item
