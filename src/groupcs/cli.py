@@ -176,14 +176,6 @@ def _write_trace(path, trace, fidelity):
             writer.writerow([_format_stat(n, getattr(st, n)) for n in names])
 
 
-def _refuse_recovery_beyond_memory(kind, shape, subrate, grouping):
-    """Raise ValueError when a recovery of a `shape` image would not fit in
-    physical memory."""
-    h, w = shape
-    refuse_beyond_memory(recovery_bytes(kind, shape, subrate, grouping),
-                         f"recovering a {h}x{w} image")
-
-
 def _refuse_sweep_beyond_memory(run, shape, grouping, subrates):
     """Raise ValueError when the recoveries `--jobs` runs at once, the
     largest ones counted, would not fit in physical memory together.  A
@@ -213,7 +205,8 @@ def _operator_for(mf, meas_path, scfg):
             f"of a {h}x{w} image"
         )
     try:
-        _refuse_recovery_beyond_memory(mf.op_kind, mf.shape, mf.subrate, scfg.grouping)
+        refuse_beyond_memory(recovery_bytes(mf.op_kind, mf.shape, mf.subrate, scfg.grouping),
+                             f"recovering a {h}x{w} image")
     except ValueError as exc:
         raise MeasFileError(f"{meas_path}: {exc}") from exc
     # Not wrapped: a grouping or threshold the shape cannot take is a config
@@ -265,7 +258,8 @@ def _run_cell(image, run, nspec, scfg, cell):
     # A grouping the image cannot take, its stack too large included, or a
     # threshold that overflows fails the cell before the recovery is counted.
     group_threshold(scfg, image.shape)
-    _refuse_recovery_beyond_memory(run.op, image.shape, subrate, scfg.grouping)
+    refuse_beyond_memory(recovery_bytes(run.op, image.shape, subrate, scfg.grouping),
+                         "recovering a {}x{} image".format(*image.shape))
     op, noisy, _ = _measure(image, run, subrate, dataclasses.replace(nspec, target_snr_db=snr))
     penalty = dataclasses.replace(scfg.penalty, kind=kind_name)
     scfg = dataclasses.replace(scfg, penalty=penalty, weighting=weighting)

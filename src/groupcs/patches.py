@@ -191,11 +191,8 @@ def reference_anchors(shape, cfg):
     (h, w), s = shape, cfg.patch_side
     if s > h or s > w:
         raise GroupingError(f"image {tuple(shape)} smaller than patch side {s}")
-    # Beside its bands, a Z-step holds six image-sized arrays at its peak
-    # (its input, _Aggregation's counts, sums and resid, and image()'s
-    # two) and its passes' four temporaries of work.PASS_ENTRIES entries.
-    work.refuse_beyond_memory(stack_bytes(shape, cfg) + 8 * (6 * h * w + 4 * work.PASS_ENTRIES),
-                              f"grouping a {h}x{w} image", GroupingError)
+    work.refuse_beyond_memory(z_step_bytes(shape, cfg), f"grouping a {h}x{w} image",
+                              GroupingError)
     rows, cols = (_anchor_axis(dim, cfg) for dim in shape)
     anchors = np.stack(np.meshgrid(rows, cols, indexing="ij"), axis=-1).reshape(-1, 2)
     last = np.array([h - s, w - s])
@@ -276,6 +273,15 @@ def stack_bytes(shape, cfg):
     vectors = (bottom - top - s + 1) * ((shape[1] - s + 1) * s * s)
     stacks = (edges[1:] - edges[first]) * (_anchor_count(shape[1], cfg)[0] * cfg.group_size * s * s)
     return int(np.max(vectors + stacks)) * 8
+
+
+def z_step_bytes(shape, cfg):
+    """Bytes a Z-step on an image of `shape` holds at its peak: its bands'
+    arrays (stack_bytes), six image-sized arrays (its input,
+    _Aggregation's counts, sums and resid, and image()'s two), and the
+    four temporaries of work.PASS_ENTRIES entries that its passes in
+    flight hold at most.  Counted, not built, like stack_bytes."""
+    return stack_bytes(shape, cfg) + 8 * (6 * shape[0] * shape[1] + 4 * work.PASS_ENTRIES)
 
 
 class _Aggregation:

@@ -28,11 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import work
 from .lowrank import INIT_WEIGHTS, WEIGHTINGS, NumericalError, stack_shrinker
 from .measurement import operator_bytes
 from .metrics import psnr
-from .patches import GroupingConfig, denoise_bands, reference_anchors, stack_bytes
+from .patches import GroupingConfig, denoise_bands, reference_anchors, z_step_bytes
 from .penalties import Penalty, rho
 
 FIDELITIES = ("l2", "m_estimator")
@@ -150,10 +149,10 @@ def group_threshold(cfg: SolverConfig, shape):
 
 def recovery_bytes(kind, shape, subrate, grouping: GroupingConfig):
     """Bytes a recovery of a `shape` image holds: the `kind` operator at
-    `subrate`, the Z-step's arrays (stack_bytes) and its passes' fixed
-    allowance, and some ten image-sized arrays (x, z, w, the FFT's)."""
-    return (operator_bytes(kind, shape, subrate) + stack_bytes(shape, grouping)
-            + 8 * (4 * work.PASS_ENTRIES + 10 * math.prod(shape)))
+    `subrate`, a Z-step (z_step_bytes) and the loop's own four image-sized
+    arrays (x, z, w and the FFT's)."""
+    return (operator_bytes(kind, shape, subrate) + z_step_bytes(shape, grouping)
+            + 8 * 4 * math.prod(shape))
 
 
 def robust_sigma(residual):

@@ -16,12 +16,9 @@ _POOL = ThreadPoolExecutor(max(1, WORKERS - 1), thread_name_prefix="groupcs-pass
 _callers = 0
 _callers_lock = threading.Lock()
 
-# Entries the Z-step's passes in flight may hold together in each of
-# their temporaries (2 MB of float64); its aggregation runs on the calling
-# thread in place of one pass.  The passes hold at most four such
-# temporaries at once, so whatever the grouping the Z-step needs
-# stack_bytes, 48 bytes a pixel for its input and its aggregation, and
-# this fixed allowance, which solver.recovery_bytes counts.
+# Entries the passes of run_passes in flight may hold together in each of
+# their temporaries (2 MB of float64), whatever the grouping; the Z-step's
+# aggregation runs on the calling thread in place of one pass.
 PASS_ENTRIES = 1 << 18
 
 

@@ -24,7 +24,7 @@ from groupcs.measurement import (
     NOISE_MODELS, OPERATOR_KINDS, NoiseSpec, add_noise, make_operator, operator_bytes,
 )
 from groupcs.metrics import psnr
-from groupcs.patches import GroupingConfig, stack_bytes
+from groupcs.patches import GroupingConfig, stack_bytes, z_step_bytes
 from groupcs.penalties import KINDS
 from groupcs.pgm import read_pgm, write_pgm
 from groupcs.solver import FIDELITIES, SolverConfig, recovery_bytes
@@ -776,16 +776,14 @@ def test_beyond_memory_exits_2(tmp_path, flat_image, capsys, monkeypatch,
 
 def test_recovery_counts_operator_and_stack_together(tmp_path, flat_image, capsys,
                                                      monkeypatch):
-    """With memory for the dense operator and for the Z-step (the group
-    stack, six image-sized arrays and the passes' allowance), but not for
-    both, recover exits 3 before the operator is built and the sweep cell
-    fails."""
+    """With memory for the dense operator and for the Z-step
+    (z_step_bytes), but not for both, recover exits 3 before the operator
+    is built and the sweep cell fails."""
     img_path, _ = flat_image
     meas = tmp_path / "m.meas"
     run(capsys, "measure", img_path, "--output", meas, "--op", "dense", "--subrate", "0.3")
     op_need = operator_bytes("dense", (32, 32), 0.3)
-    stack_need = (stack_bytes((32, 32), GroupingConfig())
-                  + 8 * (6 * 32 * 32 + 4 * work.PASS_ENTRIES))
+    stack_need = z_step_bytes((32, 32), GroupingConfig())
     assert op_need + stack_need > max(op_need, stack_need) + 1
     monkeypatch.setattr("groupcs.work.physical_memory",
                         lambda: max(op_need, stack_need) + 1)
@@ -808,8 +806,7 @@ def test_recovery_counts_operator_and_stack_together(tmp_path, flat_image, capsy
 
 def recovery_need(subrate, shape=(32, 32)):
     """Bytes the pre-flight counts for one dense recovery at the default grouping."""
-    return (operator_bytes("dense", shape, subrate) + stack_bytes(shape, GroupingConfig())
-            + 80 * shape[0] * shape[1] + 4 * work.PASS_ENTRIES * 8)
+    return recovery_bytes("dense", shape, subrate, GroupingConfig())
 
 
 @pytest.mark.parametrize("jobs, code", [("2", 2), ("1", 0)])
