@@ -114,16 +114,21 @@ def irnn_denoise_stack(mats, pen: Penalty, tau, weighting="combined", sweeps=1,
     spectra are the Gram spectra of the input, and the stack is left
     bitwise unchanged: the sweeps and the rebuild are skipped.
     """
-    spectra, shrink = stack_shrinker(mats, pen, tau, weighting, sweeps, init_weights)
-    run_passes(len(mats), mats.shape[1] * mats.shape[2], shrink)
+    shrink = stack_shrinker(mats, pen, tau, weighting, sweeps, init_weights)
+    spectra = np.empty((len(mats), min(mats.shape[1:])))
+
+    def keep(part):
+        spectra[part] = shrink(part)
+
+    run_passes(len(mats), mats.shape[1] * mats.shape[2], keep)
     return spectra
 
 
 def stack_shrinker(mats, pen: Penalty, tau, weighting="combined", sweeps=1,
                    init_weights="observation"):
     """irnn_denoise_stack in passes: checks the arguments and returns
-    (spectra, shrink), where shrink(part) denoises the groups mats[part]
-    in place and writes their final spectra into spectra[part]."""
+    shrink, where shrink(part) denoises the groups mats[part] in place and
+    returns their (len(mats[part]), min(n, k)) final spectra."""
     _check_tau(tau)
     if weighting not in WEIGHTINGS:
         raise ValueError(f"unknown weighting {weighting!r}")
@@ -131,7 +136,6 @@ def stack_shrinker(mats, pen: Penalty, tau, weighting="combined", sweeps=1,
         raise ValueError("sweeps must be >= 1")
     if init_weights not in INIT_WEIGHTS:
         raise ValueError(f"unknown init_weights {init_weights!r}")
-    spectra = np.empty((len(mats), min(mats.shape[1:])))
 
     def shrink(part):
         # m views each group with its shorter side first (a square one
@@ -142,18 +146,20 @@ def stack_shrinker(mats, pen: Penalty, tau, weighting="combined", sweeps=1,
         if not np.all(np.isfinite(s)):
             raise NumericalError("a group spectrum overflows")
         if tau == 0.0:
-            spectra[part] = s
-            return
+            return s
         spec = s if init_weights == "observation" else np.zeros_like(s)
         for _ in range(sweeps):
             spec = _shrink(s, group_weights(spec, pen, weighting), tau)
         ratio = np.divide(spec, s, out=np.zeros_like(s), where=s > 0)
         # u * diag(s' / s) * u.T * m does not depend on the eigenvectors'
-        # signs or on the basis chosen within a repeated eigenvalue.
-        m[...] = (u * ratio[:, None, :]) @ (u.swapaxes(1, 2) @ m)
-        spectra[part] = spec
+        # signs or on the basis chosen within a repeated eigenvalue.  u is
+        # scaled in place, so the pass holds u, u.T m and the product.
+        projected = u.swapaxes(1, 2) @ m
+        u *= ratio[:, None, :]
+        m[...] = u @ projected
+        return spec
 
-    return spectra, shrink
+    return shrink
 
 
 def _gram_spectrum(m):

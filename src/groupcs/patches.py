@@ -91,8 +91,9 @@ def _smallest_k(dist, k):
     need = k - np.count_nonzero(below, axis=1)
     rank = tie.astype(np.intp)
     np.cumsum(rank, axis=1, out=rank)  # in place: no cast buffer beside it
-    keep = below | (tie & (rank <= need[:, None]))
-    slots = np.nonzero(keep)[1].reshape(len(dist), k)
+    tie &= rank <= need[:, None]
+    below |= tie  # in place: the k slots to keep
+    slots = np.nonzero(below)[1].reshape(len(dist), k)
     order = np.argsort(np.take_along_axis(dist, slots, axis=1), axis=1, kind="stable")
     return np.take_along_axis(slots, order, axis=1)
 
@@ -127,38 +128,35 @@ def _matcher(img, anchors, cfg, span):
     """
     s, k = cfg.patch_side, cfg.group_size
     top, bottom = span
-    start, count = _clipped_windows(anchors, cfg.window_side, np.array(img.shape) - s)
-    start = start - [top, 0]
+    last = np.array(img.shape) - s
     vecs = _all_patch_vectors(img[top:bottom], s)
     nr, nc = vecs.shape[:2]
     vecs = vecs.reshape(nr * nc, s * s)
     wr, wc = min(cfg.window_side, nr), min(cfg.window_side, nc)
-    slot_r, slot_c = np.arange(wr), np.arange(wc)
+    box_r, box_c = divmod(np.arange(wr * wc), wc)  # the row and column slot of each box slot
+    box = box_r * nc + box_c  # and its offset in vecs from the box's first slot
     patches = np.empty((len(anchors), k, s * s))
     positions = np.empty((len(anchors), k, 2), dtype=np.intp)
 
     def match(part):
+        start, count = _clipped_windows(anchors[part], cfg.window_side, last)
+        start -= [top, 0]
         a = anchors[part] - [top, 0]
-        pad = ((slot_r >= count[part, 0, None])[:, :, None]
-               | (slot_c >= count[part, 1, None])[:, None, :]).reshape(len(a), wr * wc)
-        rows = np.minimum(start[part, 0, None] + slot_r, nr - 1)
-        cols = np.minimum(start[part, 1, None] + slot_c, nc - 1)
-        flat = (rows[:, :, None] * nc + cols[:, None, :]).reshape(len(a), wr * wc)
+        first = start[:, 0, None] * nc + start[:, 1, None]
         ref = vecs[a[:, 0] * nc + a[:, 1], None, :]
         dist = np.empty((len(a), wr * wc))
         for cut in work.passes(wr * wc, len(a) * s * s):
-            diff = vecs[flat[:, cut]]
+            # A padding slot may index another row's patch, or past vecs
+            # (clipped to its end); the NaN below replaces its distance.
+            diff = vecs[np.minimum(first + box[cut], len(vecs) - 1)]
             diff -= ref
             diff = diff.reshape(-1, s * s)
             dist[:, cut] = np.einsum("ij,ij->i", diff, diff).reshape(len(a), -1)
             del diff  # before the next cut gathers its own
-        dist[pad] = np.nan
-        ref_slot = (a[:, 0] - start[part, 0]) * wc + a[:, 1] - start[part, 1]
+        dist[(box_r >= count[:, 0, None]) | (box_c >= count[:, 1, None])] = np.nan
+        ref_slot = (a[:, 0] - start[:, 0]) * wc + a[:, 1] - start[:, 1]
         dist[np.arange(len(a)), ref_slot] = -np.inf
-        del flat  # the top-k runs without it; the chosen slots' indices are rebuilt
-        slot_rows, slot_cols = divmod(_smallest_k(dist, k), wc)
-        chosen = (np.take_along_axis(rows, slot_rows, axis=1) * nc
-                  + np.take_along_axis(cols, slot_cols, axis=1))
+        chosen = first + box[_smallest_k(dist, k)]
         patches[part] = vecs[chosen]
         positions[part] = np.stack(divmod(chosen + top * nc, nc), axis=-1)
 
@@ -184,9 +182,10 @@ def reference_anchors(shape, cfg):
     as a (G, 2) array in raster order.
 
     Raises GroupingError when the grouping cannot be applied to an image
-    of this shape: the patch does not fit, a Z-step's arrays would not
-    fit in physical memory, or some reference window holds fewer than
-    group_size candidates.
+    of this shape: the patch does not fit, a Z-step (z_step_bytes) would
+    not fit in physical memory, or some reference window holds fewer
+    than group_size candidates.  The memory is refused before the lattice
+    is built, so a huge shape costs little.
     """
     (h, w), s = shape, cfg.patch_side
     if s > h or s > w:
@@ -223,8 +222,9 @@ def group_stack(image, cfg):
         raise ValueError("image must be 2-D")
     anchors = reference_anchors(img.shape, cfg)
     (h, w), s = img.shape, cfg.patch_side
-    work.refuse_beyond_memory((len(anchors) * cfg.group_size + (h - s + 1) * (w - s + 1))
-                              * s * s * 8, f"grouping a {h}x{w} image", GroupingError)
+    work.refuse_beyond_memory((len(anchors) * cfg.group_size * (s * s + 2)
+                               + (h - s + 1) * (w - s + 1) * s * s) * 8,
+                              f"grouping a {h}x{w} image", GroupingError)
     patches, positions, match = _matcher(img, anchors, cfg, (0, h))
     work.run_passes(len(anchors), _pass_entries(img.shape, cfg), match)
     return patches, positions
@@ -258,10 +258,12 @@ def _bands(shape, cfg):
 
 
 def stack_bytes(shape, cfg):
-    """Bytes of the float64 arrays a Z-step holds at once on an image of
+    """Bytes of the band arrays a Z-step holds at once on an image of
     `shape` (see denoise_bands): the most, over the bands b of _bands,
     of band b's patch vectors and the stacks of bands done[b-1] to b
     (band 0's alone for b = 0), which are held while band b is matched.
+    A stack row takes group_size patch vectors of float64 and the two
+    intp anchors of each patch.
 
     The bands are counted, not built, so a huge shape costs little.
     """
@@ -271,17 +273,26 @@ def stack_bytes(shape, cfg):
     edges, top, bottom, done = _bands(shape, cfg)
     first = np.concatenate([[0], done[:-1]])
     vectors = (bottom - top - s + 1) * ((shape[1] - s + 1) * s * s)
-    stacks = (edges[1:] - edges[first]) * (_anchor_count(shape[1], cfg)[0] * cfg.group_size * s * s)
-    return int(np.max(vectors + stacks)) * 8
+    rows = (edges[1:] - edges[first]) * (_anchor_count(shape[1], cfg)[0] * cfg.group_size)
+    return int(np.max(vectors + rows * (s * s + 2))) * 8
 
 
 def z_step_bytes(shape, cfg):
-    """Bytes a Z-step on an image of `shape` holds at its peak: its bands'
-    arrays (stack_bytes), six image-sized arrays (its input,
-    _Aggregation's counts, sums and resid, and image()'s two), and the
-    four temporaries of work.PASS_ENTRIES entries that its passes in
-    flight hold at most.  Counted, not built, like stack_bytes."""
-    return stack_bytes(shape, cfg) + 8 * (6 * shape[0] * shape[1] + 4 * work.PASS_ENTRIES)
+    """Bytes a Z-step on an image of `shape` holds at its peak, the one
+    count that reference_anchors and solver.recovery_bytes read.
+
+    It adds the bands' arrays (stack_bytes), six image-sized arrays (its
+    input, _Aggregation's counts, sums and resid, and image()'s two),
+    three words per reference anchor (the anchor, and the float that
+    z_step's shrinker keeps per group, its penalty total) and the four
+    temporaries of work.PASS_ENTRIES entries that its passes in flight
+    hold at most; a pass's smaller arrays (its anchors, windows and
+    gathered indices) fit in what the largest pass leaves of the four.
+    Counted, not built, like stack_bytes.
+    """
+    groups = _anchor_count(shape[0], cfg)[0] * _anchor_count(shape[1], cfg)[0]
+    return stack_bytes(shape, cfg) + 8 * (6 * shape[0] * shape[1] + 3 * groups
+                                          + 4 * work.PASS_ENTRIES)
 
 
 class _Aggregation:
@@ -316,9 +327,10 @@ class _Aggregation:
     def _entries(self, patches, positions):
         s = self.s
         vals = np.asarray(patches, dtype=float).reshape(-1, s * s)
-        base = (positions[..., 0] * self.shape[1] + positions[..., 1]).reshape(-1)
-        for part in work.passes(base.size, s * s):
-            yield (base[part, None] + self.offs).ravel(), vals[part].ravel()
+        anchors = positions.reshape(-1, 2)
+        for part in work.passes(len(anchors), s * s):
+            base = anchors[part, 0] * self.shape[1] + anchors[part, 1]
+            yield (base[:, None] + self.offs).ravel(), vals[part].ravel()
 
     def add(self, patches, positions):
         for idx, v in self._entries(patches, positions):
@@ -363,18 +375,18 @@ def denoise_bands(image, cfg, shrinker):
 
     The reference lattice is walked in the bands of _bands.
     shrinker(stack) takes a band's (G_b, group_size, patch_side**2) patch
-    stack before it is filled and returns (spectra, shrink), where
+    stack before it is filled and returns (kept, shrink), where
     shrink(part) shrinks the groups stack[part] in place once they are
-    matched.  Each pass of run_passes matches a slice of the band's
-    anchors from the patch vectors of the band's own image rows, then
-    shrinks those groups.  Before it pulls passes itself, the calling
+    matched; kept is what the band keeps to the end.  Each pass of
+    run_passes matches a slice of the band's anchors from the patch
+    vectors of the band's own image rows, then shrinks those groups.  Before it pulls passes itself, the calling
     thread sums band b - 1 into the aggregation, settles the image rows
     above top[b] and takes the residual pass of bands done[b-1]:done[b],
     dropping each one's stack after it.  Every pixel adds its
     contributions in (group, patch, entry) order, as aggregate_stack does
     with the whole stack, so the image has the same bytes for any band
-    size.  Returns the image and the list of every band's spectra, in
-    order.
+    size.  Returns the image and the list of every band's kept value,
+    in order.
     """
     img = np.asarray(image, dtype=float)
     anchors = reference_anchors(img.shape, cfg)

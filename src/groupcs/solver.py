@@ -232,11 +232,21 @@ def z_step(r_img, cfg: SolverConfig, tau, sweeps=1):
         raise ValueError("image must be 2-D")
     if not np.all(np.isfinite(img)):
         raise NumericalError("non-finite values entering the Z-step")
-    z, spectra = denoise_bands(img, cfg.grouping, lambda stack: stack_shrinker(
-        stack, cfg.penalty, tau, cfg.weighting, sweeps, cfg.init_weights))
+
+    def shrinker(stack):
+        # Each pass keeps only its groups' penalty totals, not their spectra.
+        shrink = stack_shrinker(stack, cfg.penalty, tau, cfg.weighting, sweeps, cfg.init_weights)
+        totals = np.empty(len(stack))
+
+        def shrink_total(part):
+            totals[part] = rho(cfg.penalty, shrink(part)).sum(axis=1)
+
+        return totals, shrink_total
+
+    z, totals = denoise_bands(img, cfg.grouping, shrinker)
     # Group totals added left to right (np.sum would pair them up), the
     # same float total as a loop over the groups.
-    reg = float(np.add.accumulate(rho(cfg.penalty, np.concatenate(spectra)).sum(axis=1))[-1])
+    reg = float(np.add.accumulate(np.concatenate(totals))[-1])
     if not (math.isfinite(reg) and np.all(np.isfinite(z))):
         raise NumericalError("non-finite values leaving the Z-step")
     return z, reg

@@ -173,12 +173,13 @@ def test_lattice_covers_awkward_sizes():
 @pytest.mark.parametrize("patch_side, stride", [(1, 1), (4, 3), (6, 4), (6, 9)])
 def test_stack_bytes_counts_what_group_stack_holds(rng, shape, patch_side, stride):
     """The counted lattice is the built one, and the bytes are those of
-    group_stack's patch stack plus the patch vector at every anchor."""
+    group_stack's patch stack and positions plus the patch vector at every
+    anchor."""
     cfg = GroupingConfig(patch_side=patch_side, stride=stride, window_side=200, group_size=1)
-    patches, _ = group_stack(rng.uniform(0, 255, shape), cfg)
+    patches, positions = group_stack(rng.uniform(0, 255, shape), cfg)
     assert len(patches) == len(reference_anchors(shape, cfg))
     anchors = (shape[0] - patch_side + 1) * (shape[1] - patch_side + 1)
-    assert stack_bytes(shape, cfg) == patches.nbytes + anchors * patch_side**2 * 8
+    assert stack_bytes(shape, cfg) == patches.nbytes + positions.nbytes + anchors * patch_side**2 * 8
 
 
 @pytest.mark.parametrize("shape, cfg", [
@@ -192,15 +193,15 @@ def test_stack_bytes_counts_what_group_stack_holds(rng, shape, patch_side, strid
 def test_stack_bytes_counts_what_the_z_step_holds(monkeypatch, shape, cfg, band_entries):
     """With bands of one anchor row and at the default size, stack_bytes
     is the most the Z-step holds as its passes start: the patch vectors
-    of the band's rows, and its stack with every earlier one not yet
-    dropped after its residual pass."""
+    of the band's rows, and its stack and positions with every earlier
+    band's not yet dropped after its residual pass."""
     if band_entries is not None:
         monkeypatch.setattr("groupcs.patches.BAND_ENTRIES", band_entries)
     live, most = {}, []
 
     def counting_matcher(img, anchors, grouping, span):
         stack, positions, match = _matcher(img, anchors, grouping, span)
-        live[id(stack)] = stack.nbytes
+        live[id(stack)] = stack.nbytes + positions.nbytes
         weakref.finalize(stack, live.pop, id(stack))
         s = grouping.patch_side
         vectors = (span[1] - span[0] - s + 1) * (img.shape[1] - s + 1) * s * s * 8
@@ -249,6 +250,19 @@ def test_z_step_refusal_counts_the_passes_allowance(rng, monkeypatch):
                         lambda: stack_bytes((32, 32), cfg) + 6 * 8 * 32 * 32)
     with pytest.raises(GroupingError, match="GiB of physical memory"):
         z_step(image, SolverConfig(grouping=cfg), 1.5e7)
+
+
+def test_group_stack_counts_its_positions(monkeypatch):
+    """A memory that holds every group's patches and every patch vector,
+    but not the groups' positions beside them, refuses group_stack."""
+    monkeypatch.setattr("groupcs.work.PASS_ENTRIES", 20_000)  # so that a Z-step fits
+    shape, cfg = (96, 160), GroupingConfig()
+    groups = len(reference_anchors(shape, cfg))
+    monkeypatch.setattr("groupcs.work.physical_memory",
+                        lambda: (groups * 60 + 91 * 155) * 36 * 8)
+    assert len(reference_anchors(shape, cfg)) == groups
+    with pytest.raises(GroupingError, match="GiB of physical memory"):
+        group_stack(make_motif_image(160, 3)[:96], cfg)
 
 
 def test_group_stack_refuses_the_whole_stack(monkeypatch):

@@ -764,13 +764,15 @@ def test_z_step_memory_is_stack_plus_fixed_allowance(side, grouping):
 
     The passes in flight together hold at most four temporaries of
     PASS_ENTRIES float64 or index entries at once (matching: the
-    distances and candidate indices of the search box, the gathered
-    candidates of a slice of it; shrinkage: the eigenvectors, projected
-    and rebuilt groups; aggregation, which the calling thread runs in
-    place of a pass: the entry indices, gathered means and residuals).
-    Beside the stacks the Z-step keeps three words per stack row (the
-    patch anchors and their flat indices) and a few image-sized arrays
-    (sums, counts, means and output of aggregation).
+    distances of the search box, then their tie ranks, and the gathered
+    candidates of a slice of the box; shrinkage: the eigenvectors, which
+    are scaled in place, and the projected and rebuilt groups;
+    aggregation, which the calling thread runs in place of a pass: the
+    entry indices, gathered means and residuals).  stack_bytes counts the
+    patch anchors, two words per stack row, beside the stacks; the flat
+    indices are built pass by pass, so the three words per stack row
+    allowed here are spare.  The Z-step also keeps a few image-sized
+    arrays (sums, counts, means and output of aggregation).
     """
     noise = np.random.default_rng(5).normal(0, 10, (side, side))
     img = make_motif_image(side, 3) + noise
@@ -785,15 +787,46 @@ def test_z_step_memory_is_stack_plus_fixed_allowance(side, grouping):
     assert peak - patches.stack_bytes(img.shape, grouping) <= allowance
 
 
+@pytest.mark.parametrize("workers", [1, None], ids=["one-worker", "all-workers"])
+@pytest.mark.parametrize("side, grouping", [
+    (64, GroupingConfig(4, 1, 9, 16)), (128, GroupingConfig(4, 1, 9, 16)),
+    (128, GroupingConfig(3, 1, 7, 9)), (128, GroupingConfig(2, 1, 5, 4)),
+    (96, GroupingConfig(2, 2, 41, 100)),
+    (64, GroupingConfig()), (128, GroupingConfig()), (256, GroupingConfig()),
+    (512, GroupingConfig()),
+    (512, GroupingConfig(2, 1, 5, 4)),  # every group's spectrum would not fit beside the rest
+])
+def test_z_step_bytes_covers_the_traced_peak(monkeypatch, side, grouping, workers):
+    """z_step_bytes, which reference_anchors refuses a Z-step by, is at
+    least what z_step and its input allocate at their peak, on stride-1
+    and small-patch groupings as on the default, whose spectra add up
+    over the whole image."""
+    if workers is not None:
+        monkeypatch.setattr(groupcs.work, "WORKERS", workers)
+    noisy = make_motif_image(side, 3) + np.random.default_rng(5).normal(0, 10, (side, side))
+    tracemalloc.start()
+    try:
+        img = noisy.copy()
+        z_step(img, SolverConfig(grouping=grouping), 1.5e7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= patches.z_step_bytes(img.shape, grouping)
+
+
 @pytest.mark.parametrize("fidelity", ["l2", "m_estimator"])
-@pytest.mark.parametrize("kind, side", [("dense", 64), ("block", 128), ("dft", 256)])
-def test_recovery_bytes_covers_the_traced_peak(kind, side, fidelity):
+@pytest.mark.parametrize("kind, side, grouping", [
+    pytest.param(kind, side, grouping, id=f"{kind}-{side}{suffix}")
+    for grouping, suffix in [(GroupingConfig(), ""), (GroupingConfig(4, 1, 9, 16), "-stride1")]
+    for kind, side in [("dense", 64), ("block", 128), ("dft", 256)]
+])
+def test_recovery_bytes_covers_the_traced_peak(kind, side, grouping, fidelity):
     """recovery_bytes, which the CLI refuses a recovery by, is at least
     what building the operator and two outer iterations allocate at their
-    peak: it counts the passes' fixed allowance beside the operator, the
-    group stacks and the image-sized arrays."""
+    peak: it counts the operator, a Z-step (z_step_bytes) and the loop's
+    image-sized arrays."""
     img = make_motif_image(side, 3)
-    cfg = SolverConfig(fidelity=fidelity, outer_iters=2)
+    cfg = SolverConfig(fidelity=fidelity, outer_iters=2, grouping=grouping)
     tracemalloc.start()
     try:
         op = make_operator(kind, img.shape, 0.2, 1)
