@@ -283,7 +283,7 @@ def z_step_bytes(shape, cfg):
 
     It adds the bands' arrays (stack_bytes), six image-sized arrays (its
     input, _Aggregation's counts, sums and resid, and image()'s two),
-    three words per reference anchor (the anchor, and the float that
+    three words per reference anchor (its two intp, and the float that
     z_step's shrinker keeps per group, its penalty total) and the four
     temporaries of work.PASS_ENTRIES entries that its passes in flight
     hold at most; a pass's smaller arrays (its anchors, windows and
