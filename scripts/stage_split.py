@@ -17,9 +17,11 @@ reweighting sweeps and the rebuild.  The difference of two rows is the
 cost of what the later run adds; matching and aggregation share a row
 because the caller aggregates while the pool matches.  Each row reads
 side, stage, kind, workers, groups, seconds (the median of --repeats
-runs), min_s, max_s and peak_mb, with the fields that do not apply left
-empty.  peak_mb, on the z_step rows only, is tracemalloc's peak over one
-separate, untimed z_step call, in MiB above its input.
+runs), min_s, max_s, peak_mb and count_mb, with the fields that do not
+apply left empty.  peak_mb, on the z_step rows only, is tracemalloc's
+peak over one separate, untimed z_step call, in MiB above its input;
+count_mb beside it is patches.z_step_bytes in MiB, the count a Z-step is
+refused by, which also counts the input.
 """
 
 import argparse
@@ -39,7 +41,8 @@ SUBRATE = 0.2
 OP_SEED = 1
 NOISE_SEED = 11
 TAU = 1.5e7
-COLUMNS = ["side", "stage", "kind", "workers", "groups", "seconds", "min_s", "max_s", "peak_mb"]
+COLUMNS = ["side", "stage", "kind", "workers", "groups", "seconds", "min_s", "max_s", "peak_mb",
+           "count_mb"]
 
 
 def timed(fn, *args, **kwargs):
@@ -129,13 +132,14 @@ def main(argv=None):
             image = make_motif_image(side, 3)
             noisy = image + np.random.default_rng(NOISE_SEED).normal(0.0, 10.0, image.shape)
             groups = len(patches.reference_anchors(noisy.shape, cfg.grouping))
+            count = patches.z_step_bytes(noisy.shape, cfg.grouping) / 2**20
             for workers in sorted({1, pool_workers}):
                 work.WORKERS = workers
                 times = spreads(args.repeats, lambda: z_run(noisy, cfg))
-                peak = f"{z_peak_mb(noisy, cfg):.1f}"
+                memory = {"peak_mb": f"{z_peak_mb(noisy, cfg):.1f}", "count_mb": f"{count:.1f}"}
                 for stage, t in times.items():
                     add(**t, side=side, stage=stage, workers=workers, groups=groups,
-                        peak_mb=peak if stage == "z_step" else "")
+                        **(memory if stage == "z_step" else {}))
             for kind in args.kinds:
                 need = recovery_bytes(kind, (side, side), SUBRATE, cfg.grouping)
                 if not work.fits_in_memory(need):

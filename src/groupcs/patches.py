@@ -23,7 +23,7 @@ import numpy as np
 
 from . import work
 
-# Group entries in each band of denoise_bands (4 MB of float64), and the
+# Group entries in each band of denoise_bands (2 MB of float64), and the
 # most bands a lattice is cut into.
 BAND_ENTRIES = 2 * work.PASS_ENTRIES
 MAX_BANDS = 1 << 16

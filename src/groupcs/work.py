@@ -17,9 +17,10 @@ _callers = 0
 _callers_lock = threading.Lock()
 
 # Entries the passes of run_passes in flight may hold together in each of
-# their temporaries (2 MB of float64), whatever the grouping; the Z-step's
+# their temporaries (1 MB of float64, so that on two workers a pass's four
+# fit one core's 2 MiB L2), whatever the grouping; the Z-step's
 # aggregation runs on the calling thread in place of one pass.
-PASS_ENTRIES = 1 << 18
+PASS_ENTRIES = 1 << 17
 
 
 @contextlib.contextmanager

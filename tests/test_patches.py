@@ -187,7 +187,7 @@ def test_stack_bytes_counts_what_group_stack_holds(rng, shape, patch_side, strid
     ((200, 120), GroupingConfig(8, 4, 24, 30)),
     ((96, 300), GroupingConfig(16, 8, 113, 10)),  # every window reaches every row
     ((40, 300), GroupingConfig(6, 2, 9, 20)),
-    ((256, 256), GroupingConfig()),  # 22 bands, the most of any benchmark shape
+    ((256, 256), GroupingConfig()),  # 64 bands, the most of any benchmark shape
 ])
 @pytest.mark.parametrize("band_entries", [1, None])
 def test_stack_bytes_counts_what_the_z_step_holds(monkeypatch, shape, cfg, band_entries):
@@ -270,7 +270,7 @@ def test_group_stack_refuses_the_whole_stack(monkeypatch):
     (stack_bytes) but not every group with every patch vector runs
     reference_anchors and z_step, and refuses group_stack before its
     matcher allocates anything."""
-    # Passes of 20 000 entries keep the Z-step's allowance (8 MiB at the
+    # Passes of 20 000 entries keep the Z-step's allowance (4 MiB at the
     # default PASS_ENTRIES) under the gap between the two counts here.
     monkeypatch.setattr("groupcs.work.PASS_ENTRIES", 20_000)
     shape, cfg = (96, 160), GroupingConfig()

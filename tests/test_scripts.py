@@ -83,8 +83,9 @@ def test_script_writes_one_row(name, tmp_path, capsys):
 
 def test_stage_split_times_one_worker_and_the_pool(tmp_path, capsys, monkeypatch):
     """Z-step rows at 1 worker and at work.WORKERS, with the same groups,
-    positive times inside their min and max, and a positive peak_mb on
-    each z_step row only; the worker count is restored afterwards."""
+    positive times inside their min and max, and on each z_step row only
+    a positive peak_mb and a count_mb at least as large; the worker count
+    is restored afterwards."""
     monkeypatch.setattr(work, "WORKERS", 3)
     table = tmp_path / "out.csv"
     assert load_script("stage_split").main(["--side", "32", "--repeats", "1", "--kinds", "dft",
@@ -97,8 +98,9 @@ def test_stage_split_times_one_worker_and_the_pool(tmp_path, capsys, monkeypatch
     assert {r["groups"] for r in rows} == {rows[0]["groups"]}
     assert int(rows[0]["groups"]) > 0
     assert all(0 < float(r["min_s"]) <= float(r["seconds"]) <= float(r["max_s"]) for r in rows)
-    assert all(float(r["peak_mb"]) > 0 for r in rows if r["stage"] == "z_step")
-    assert all(r["peak_mb"] == "" for r in rows if r["stage"] != "z_step")
+    assert all(0 < float(r["peak_mb"]) <= float(r["count_mb"])
+               for r in rows if r["stage"] == "z_step")
+    assert all(r["peak_mb"] == r["count_mb"] == "" for r in rows if r["stage"] != "z_step")
     assert work.WORKERS == 3
 
 

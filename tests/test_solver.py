@@ -754,7 +754,7 @@ def test_z_step_overflow_in_a_pool_pass_surfaces(monkeypatch):
     "side, grouping",
     [(64, GroupingConfig(12, 4, 60, 500)), (64, GroupingConfig()),
      (128, GroupingConfig(16, 8, 113, 10)),  # a 25 MB candidate box per anchor
-     (256, GroupingConfig())],  # 22 bands, three held at once
+     (256, GroupingConfig())],  # 64 one-row bands, up to eight stacks held
     ids=["grouping0", "grouping1", "grouping2", "grouping3"],
 )
 def test_z_step_memory_is_stack_plus_fixed_allowance(side, grouping):
@@ -768,16 +768,13 @@ def test_z_step_memory_is_stack_plus_fixed_allowance(side, grouping):
     candidates of a slice of the box; shrinkage: the eigenvectors, which
     are scaled in place, and the projected and rebuilt groups;
     aggregation, which the calling thread runs in place of a pass: the
-    entry indices, gathered means and residuals).  stack_bytes counts the
-    patch anchors, two words per stack row, beside the stacks; the flat
-    indices are built pass by pass, so the three words per stack row
-    allowed here are spare.  The Z-step also keeps a few image-sized
-    arrays (sums, counts, means and output of aggregation).
+    entry indices, gathered means and residuals).  The Z-step also keeps
+    a few image-sized arrays (sums, counts, means and output of
+    aggregation).
     """
     noise = np.random.default_rng(5).normal(0, 10, (side, side))
     img = make_motif_image(side, 3) + noise
-    rows = len(reference_anchors(img.shape, grouping)) * grouping.group_size
-    allowance = (4 * groupcs.work.PASS_ENTRIES + 3 * rows + 8 * img.size) * 8
+    allowance = (4 * groupcs.work.PASS_ENTRIES + 8 * img.size) * 8
     tracemalloc.start()
     try:
         z_step(img, SolverConfig(grouping=grouping), 1.5e7)
@@ -855,7 +852,7 @@ def test_z_step_takes_no_svd(monkeypatch, rng):
 def test_z_step_memory_at_256():
     """One default-grouping Z-step on a 256x256 image (4096 groups) keeps
     its traced allocations below 300 MB, and, streamed in bands, below
-    half of the whole image's group stack (4096 x 60 x 36 float64,
+    a quarter of the whole image's group stack (4096 x 60 x 36 float64,
     70.8 MB)."""
     img = make_motif_image(256, 3)
     tracemalloc.start()
@@ -865,7 +862,7 @@ def test_z_step_memory_at_256():
     finally:
         tracemalloc.stop()
     assert peak < 300 * 2**20
-    assert peak < 4096 * 60 * 36 * 8 / 2
+    assert peak < 4096 * 60 * 36 * 8 / 4
 
 
 def test_z_step_on_huge_values():
