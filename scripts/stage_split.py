@@ -82,9 +82,9 @@ def x_run(side, kind, cfg):
     }
 
 
-def no_shrink(stack):
-    """A denoise_bands shrinker that leaves every group as matched."""
-    return None, lambda part: None
+def no_shrink(groups):
+    """A denoise_bands shrink that leaves every group as matched."""
+    return 0.0
 
 
 def z_run(noisy, cfg):

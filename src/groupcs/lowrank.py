@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from .penalties import EPS_WEIGHT, Penalty, supergradient
-from .work import run_passes
 
 WEIGHTINGS = ("supergradient", "combined", "none")
 INIT_WEIGHTS = ("observation", "zero")
@@ -105,8 +104,15 @@ def irnn_denoise_stack(mats, pen: Penalty, tau, weighting="combined", sweeps=1,
     from an SVD; wsvt keeps the SVD.  Each group is viewed with its
     shorter side first, and a square one transposed: for a (G,
     group_size, patch_side**2) patch stack that is each group matrix,
-    patches as columns, or its transpose when it is tall.  The groups run
-    in passes through work.run_passes, on every worker thread.
+    patches as columns, or its transpose when it is tall.
+
+    The stack is shrunk on the calling thread, as one batch, so its
+    temporaries (the Grams, eigenvectors and products) are held for all
+    of its groups at once; each group's result depends on that group
+    alone, so denoising a stack in slices gives the same bytes as
+    denoising it whole.  The Z-step calls it once per pass of
+    patches.denoise_bands, on that pass's groups, and so checks the
+    arguments once per pass.
 
     mats may be a strided view.  Returns the (G, min(n, k)) final
     spectra; tau must be finite.  A group whose spectrum overflows the
@@ -114,21 +120,6 @@ def irnn_denoise_stack(mats, pen: Penalty, tau, weighting="combined", sweeps=1,
     spectra are the Gram spectra of the input, and the stack is left
     bitwise unchanged: the sweeps and the rebuild are skipped.
     """
-    shrink = stack_shrinker(mats, pen, tau, weighting, sweeps, init_weights)
-    spectra = np.empty((len(mats), min(mats.shape[1:])))
-
-    def keep(part):
-        spectra[part] = shrink(part)
-
-    run_passes(len(mats), mats.shape[1] * mats.shape[2], keep)
-    return spectra
-
-
-def stack_shrinker(mats, pen: Penalty, tau, weighting="combined", sweeps=1,
-                   init_weights="observation"):
-    """irnn_denoise_stack in passes: checks the arguments and returns
-    shrink, where shrink(part) denoises the groups mats[part] in place and
-    returns their (len(mats[part]), min(n, k)) final spectra."""
     _check_tau(tau)
     if weighting not in WEIGHTINGS:
         raise ValueError(f"unknown weighting {weighting!r}")
@@ -136,30 +127,26 @@ def stack_shrinker(mats, pen: Penalty, tau, weighting="combined", sweeps=1,
         raise ValueError("sweeps must be >= 1")
     if init_weights not in INIT_WEIGHTS:
         raise ValueError(f"unknown init_weights {init_weights!r}")
-
-    def shrink(part):
-        # m views each group with its shorter side first (a square one
-        # transposed), so m @ m.T is the smaller Gram; writing into m
-        # writes into mats.
-        m = mats[part] if mats.shape[1] < mats.shape[2] else mats[part].swapaxes(1, 2)
-        u, s = _gram_spectrum(m)
-        if not np.all(np.isfinite(s)):
-            raise NumericalError("a group spectrum overflows")
-        if tau == 0.0:
-            return s
-        spec = s if init_weights == "observation" else np.zeros_like(s)
-        for _ in range(sweeps):
-            spec = _shrink(s, group_weights(spec, pen, weighting), tau)
-        ratio = np.divide(spec, s, out=np.zeros_like(s), where=s > 0)
-        # u * diag(s' / s) * u.T * m does not depend on the eigenvectors'
-        # signs or on the basis chosen within a repeated eigenvalue.  u is
-        # scaled in place, so the pass holds u, u.T m and the product.
-        projected = u.swapaxes(1, 2) @ m
-        u *= ratio[:, None, :]
-        m[...] = u @ projected
-        return spec
-
-    return shrink
+    # m views each group with its shorter side first (a square one
+    # transposed), so m @ m.T is the smaller Gram; writing into m writes
+    # into mats.
+    m = mats if mats.shape[1] < mats.shape[2] else mats.swapaxes(1, 2)
+    u, s = _gram_spectrum(m)
+    if not np.all(np.isfinite(s)):
+        raise NumericalError("a group spectrum overflows")
+    if tau == 0.0:
+        return s
+    spec = s if init_weights == "observation" else np.zeros_like(s)
+    for _ in range(sweeps):
+        spec = _shrink(s, group_weights(spec, pen, weighting), tau)
+    ratio = np.divide(spec, s, out=np.zeros_like(s), where=s > 0)
+    # u * diag(s' / s) * u.T * m does not depend on the eigenvectors'
+    # signs or on the basis chosen within a repeated eigenvalue.  u is
+    # scaled in place, so the batch holds u, u.T m and the product.
+    projected = u.swapaxes(1, 2) @ m
+    u *= ratio[:, None, :]
+    m[...] = u @ projected
+    return spec
 
 
 def _gram_spectrum(m):

@@ -284,7 +284,7 @@ def z_step_bytes(shape, cfg):
     It adds the bands' arrays (stack_bytes), six image-sized arrays (its
     input, _Aggregation's counts, sums and resid, and image()'s two),
     three words per reference anchor (its two intp, and the float that
-    z_step's shrinker keeps per group, its penalty total) and the four
+    denoise_bands keeps per group, z_step's penalty total) and the four
     temporaries of work.PASS_ENTRIES entries that its passes in flight
     hold at most; a pass's smaller arrays (its anchors, windows and
     gathered indices) fit in what the largest pass leaves of the four.
@@ -370,23 +370,22 @@ def aggregate_stack(patches, positions, shape, patch_side):
     return agg.image()
 
 
-def denoise_bands(image, cfg, shrinker):
+def denoise_bands(image, cfg, shrink):
     """Match, shrink and aggregate the groups of `image`, band by band.
 
-    The reference lattice is walked in the bands of _bands.
-    shrinker(stack) takes a band's (G_b, group_size, patch_side**2) patch
-    stack before it is filled and returns (kept, shrink), where
-    shrink(part) shrinks the groups stack[part] in place once they are
-    matched; kept is what the band keeps to the end.  Each pass of
+    The reference lattice is walked in the bands of _bands.  Each pass of
     run_passes matches a slice of the band's anchors from the patch
-    vectors of the band's own image rows, then shrinks those groups.  Before it pulls passes itself, the calling
-    thread sums band b - 1 into the aggregation, settles the image rows
-    above top[b] and takes the residual pass of bands done[b-1]:done[b],
-    dropping each one's stack after it.  Every pixel adds its
-    contributions in (group, patch, entry) order, as aggregate_stack does
-    with the whole stack, so the image has the same bytes for any band
-    size.  Returns the image and the list of every band's kept value,
-    in order.
+    vectors of the band's own image rows, then calls shrink(groups) on
+    those groups, a (G_p, group_size, patch_side**2) view of the band's
+    stack that it may change in place, and keeps what it returns: one
+    value per group, or one for all of them.  Before it pulls passes
+    itself, the calling thread sums band b - 1 into the aggregation,
+    settles the image rows above top[b] and takes the residual pass of
+    bands done[b-1]:done[b], dropping each one's stack after it.  Every
+    pixel adds its contributions in (group, patch, entry) order, as
+    aggregate_stack does with the whole stack, so the image has the same
+    bytes for any band size.  Returns the image and the (G,) float array
+    of shrink's values, in the order of the reference anchors.
     """
     img = np.asarray(image, dtype=float)
     anchors = reference_anchors(img.shape, cfg)
@@ -394,8 +393,9 @@ def denoise_bands(image, cfg, shrinker):
     per_row = _anchor_count(img.shape[1], cfg)[0]
     each = _pass_entries(img.shape, cfg)
     agg = _Aggregation(img.shape, cfg.patch_side)
+    values = np.empty(len(anchors))
     # held[j]: band j's stack and positions, until its residual pass.
-    held, spectra = [], []
+    held = []
 
     def aggregate(b, rows, finished):
         # Band b's before(), or the end when b is the band count.
@@ -408,17 +408,16 @@ def denoise_bands(image, cfg, shrinker):
 
     for b in range(len(top)):
         span = (int(top[b]), int(bottom[b]))
-        band = anchors[edges[b] * per_row:edges[b + 1] * per_row]
-        stack, positions, match = _matcher(img, band, cfg, span)
-        band_spectra, shrink = shrinker(stack)
+        band = slice(edges[b] * per_row, edges[b + 1] * per_row)
+        stack, positions, match = _matcher(img, anchors[band], cfg, span)
+        band_values = values[band]
 
         def match_shrink(part):
             match(part)
-            shrink(part)
+            band_values[part] = shrink(stack[part])
 
-        work.run_passes(len(band), each, match_shrink, lambda: aggregate(b, span[0], done[b]))
+        work.run_passes(len(stack), each, match_shrink, lambda: aggregate(b, span[0], done[b]))
         del match, match_shrink  # the band's patch vectors
-        spectra.append(band_spectra)
         held.append((stack, positions))
     aggregate(len(top), img.shape[0], len(top))
-    return agg.image(), spectra
+    return agg.image(), values

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lowrank import INIT_WEIGHTS, WEIGHTINGS, NumericalError, stack_shrinker
+from .lowrank import INIT_WEIGHTS, WEIGHTINGS, NumericalError, irnn_denoise_stack
 from .measurement import operator_bytes
 from .metrics import psnr
 from .patches import GroupingConfig, denoise_bands, reference_anchors, z_step_bytes
@@ -233,20 +233,15 @@ def z_step(r_img, cfg: SolverConfig, tau, sweeps=1):
     if not np.all(np.isfinite(img)):
         raise NumericalError("non-finite values entering the Z-step")
 
-    def shrinker(stack):
+    def shrink(groups):
         # Each pass keeps only its groups' penalty totals, not their spectra.
-        shrink = stack_shrinker(stack, cfg.penalty, tau, cfg.weighting, sweeps, cfg.init_weights)
-        totals = np.empty(len(stack))
+        return rho(cfg.penalty, irnn_denoise_stack(groups, cfg.penalty, tau, cfg.weighting,
+                                                   sweeps, cfg.init_weights)).sum(axis=1)
 
-        def shrink_total(part):
-            totals[part] = rho(cfg.penalty, shrink(part)).sum(axis=1)
-
-        return totals, shrink_total
-
-    z, totals = denoise_bands(img, cfg.grouping, shrinker)
+    z, totals = denoise_bands(img, cfg.grouping, shrink)
     # Group totals added left to right (np.sum would pair them up), the
     # same float total as a loop over the groups.
-    reg = float(np.add.accumulate(np.concatenate(totals))[-1])
+    reg = float(np.add.accumulate(totals)[-1])
     if not (math.isfinite(reg) and np.all(np.isfinite(z))):
         raise NumericalError("non-finite values leaving the Z-step")
     return z, reg

@@ -316,6 +316,28 @@ def test_gram_route_matches_svd_oracle(rng):
             assert np.max(np.abs(mats[g] - compose(u, expect_s, vt))) <= 2 * tol, name
 
 
+def test_denoise_stack_runs_on_the_caller_in_any_slices(rng, monkeypatch):
+    """irnn_denoise_stack shrinks on the calling thread, and each group's
+    result depends on that group alone: a 300-group stack denoised in
+    slices of 7 gives the bytes, stack and spectra, of the stack denoised
+    whole.  Each pass of the Z-step relies on this."""
+    def fail(*args, **kwargs):
+        raise AssertionError("irnn_denoise_stack ran passes")
+
+    # work.passes too: a caller that bound run_passes at import still
+    # reaches the runner through it.
+    monkeypatch.setattr("groupcs.work.run_passes", fail)
+    monkeypatch.setattr("groupcs.work.passes", fail)
+    stack = rng.normal(0.0, 50.0, (300, 60, 36))
+    whole, sliced = stack.copy(), stack.copy()
+    spectra = irnn_denoise_stack(whole, Penalty(), 1e7, sweeps=3)
+    parts = [irnn_denoise_stack(sliced[i:i + 7], Penalty(), 1e7, sweeps=3)
+             for i in range(0, len(stack), 7)]
+    assert 0 < np.count_nonzero(spectra == 0) < spectra.size
+    assert whole.tobytes() == sliced.tobytes()
+    assert spectra.tobytes() == np.concatenate(parts).tobytes()
+
+
 def test_denoise_rejects_bad_arguments(rng):
     m = rng.normal(size=(1, 3, 3))
     pen = Penalty("log", 1.0, 1.5)

@@ -12,8 +12,8 @@ from groupcs import (
     GroupingConfig, SolverConfig, aggregate_stack, group_stack, make_motif_image, z_step,
 )
 from groupcs.patches import (
-    MAX_BANDS, GroupingError, _bands, _matcher, _smallest_k, reference_anchors,
-    stack_bytes,
+    MAX_BANDS, GroupingError, _bands, _matcher, _smallest_k, denoise_bands,
+    reference_anchors, stack_bytes,
 )
 
 
@@ -213,6 +213,25 @@ def test_stack_bytes_counts_what_the_z_step_holds(monkeypatch, shape, cfg, band_
     z_step(image, SolverConfig(grouping=cfg), 1.5e7)
     assert len(most) > 1
     assert stack_bytes(shape, cfg) == max(most)
+
+
+@pytest.mark.parametrize("shape", [(96, 160), (256, 256)])
+@pytest.mark.parametrize("band_entries", [None, 1, 1 << 62])
+def test_denoise_bands_keeps_one_value_per_anchor_in_lattice_order(rng, monkeypatch, shape,
+                                                                    band_entries):
+    """At the default band size, with bands of one anchor row and with
+    one band, denoise_bands returns shrink's values one per reference
+    anchor, in lattice order: the reference patch ranks first in its
+    group, so each group's first entry is its anchor's pixel.  A shrink
+    that changes no group gives back the image bitwise."""
+    if band_entries is not None:
+        monkeypatch.setattr("groupcs.patches.BAND_ENTRIES", band_entries)
+    cfg = GroupingConfig()
+    img = rng.uniform(0, 255, shape)
+    out, values = denoise_bands(img, cfg, lambda groups: groups[:, 0, 0].copy())
+    anchors = reference_anchors(shape, cfg)
+    assert values.tobytes() == img[anchors[:, 0], anchors[:, 1]].tobytes()
+    assert out.tobytes() == img.tobytes()
 
 
 def test_stack_bytes_of_a_huge_shape_is_counted_in_few_bands():

@@ -106,17 +106,16 @@ def test_stage_split_times_one_worker_and_the_pool(tmp_path, capsys, monkeypatch
 
 def test_stage_split_runs_no_one_band_function(tmp_path, capsys, monkeypatch):
     """Every Z-step row times the banded path that z_step runs: with the
-    whole-image, one-band functions made to fail, the script still
-    writes all its rows."""
+    whole-image matching and aggregation made to fail, the script still
+    writes all its rows.  irnn_denoise_stack is not among them, as the
+    banded path calls it once per pass."""
     import groupcs
-    from groupcs import lowrank
 
     def fail(*args, **kwargs):
         raise AssertionError("a one-band function was called")
 
     for module, name in [(groupcs, "group_stack"), (groupcs, "aggregate_stack"),
-                         (groupcs, "irnn_denoise_stack"), (patches, "group_stack"),
-                         (patches, "aggregate_stack"), (lowrank, "irnn_denoise_stack")]:
+                         (patches, "group_stack"), (patches, "aggregate_stack")]:
         monkeypatch.setattr(module, name, fail)
     table = tmp_path / "out.csv"
     assert load_script("stage_split").main(["--side", "32", "--repeats", "1", "--kinds", "dft",
